@@ -5,13 +5,17 @@ atom for angle theta in the reflection space is the top half of the paired
 operator applied to the steering vector, and the bottom (G-weighted) half for
 the transmission space. They estimate RS and TS angles separately with known
 per-subspace source counts, and are grid-limited by construction.
+
+Every atom factorises as atoms = basis @ steer * scale: a t_s x n slot basis
+(the transposed operator half), the n x G Vandermonde steering matrix and the
+per-column normalisation. SBL runs each EM step through this factorisation,
+so a step costs O(n*G + t_s^2*n) instead of the O(t_s^2*G) of a dense solve
+against every atom.
 """
 
 from dataclasses import dataclass
 
 import numpy as np
-
-from .star_ris_model import steering_vector
 
 DEFAULT_GRID = np.arange(-60.0, 60.0 + 1e-9, 0.1)
 
@@ -21,6 +25,10 @@ class GridDictionary:
     grid: np.ndarray      # angles, degrees, strictly increasing
     atoms: np.ndarray     # (t_s, len(grid)), unit-norm columns
     subspace: str         # 'RS' | 'TS'
+    # factors of atoms = basis @ steer * scale, filled by build_dictionary
+    basis: np.ndarray = None   # (t_s, n) slot basis
+    steer: np.ndarray = None   # (n, len(grid)) Vandermonde steering matrix
+    scale: np.ndarray = None   # (len(grid),) inverse column norms
 
 
 def build_dictionary(batch, subspace, grid=None):
@@ -31,17 +39,20 @@ def build_dictionary(batch, subspace, grid=None):
         raise ValueError("empty grid")
     psi = batch.operator_paired
     n = psi.shape[0] // 2
-    half = psi[:n] if subspace == 'RS' else psi[n:]
-    sv = np.exp(-1j * np.pi * np.outer(np.arange(n), np.sin(np.radians(grid))))
-    atoms = half.T @ sv
-    atoms = atoms / np.maximum(np.linalg.norm(atoms, axis=0), 1e-15)
-    return GridDictionary(grid=grid, atoms=atoms, subspace=subspace)
+    basis = (psi[:n] if subspace == 'RS' else psi[n:]).T
+    steer = np.exp(-1j * np.pi * np.outer(np.arange(n), np.sin(np.radians(grid))))
+    atoms = basis @ steer
+    norms = np.maximum(np.linalg.norm(atoms, axis=0), 1e-15)
+    return GridDictionary(grid=grid, atoms=atoms / norms, subspace=subspace,
+                          basis=basis, steer=steer, scale=1.0 / norms)
 
 
 def _pick_peaks(P, grid, k_i, guard_deg):
     """k_i highest local maxima of a spectrum, separated by at least
     guard_deg; padded with the best remaining grid points (flagged) when the
-    spectrum has fewer usable peaks."""
+    spectrum has fewer usable peaks. k_i = 0 picks nothing, unflagged."""
+    if k_i == 0:
+        return grid[:0], False
     if not np.any(P):
         return np.sort(grid[np.zeros(k_i, int)]), True
     interior = np.zeros(len(P), bool)
@@ -103,28 +114,66 @@ class SblConfig:
     tol: float = 1e-6
 
 
-def sbl_gamma(y, atoms, sigma_n2, config=None):
+def _lag_sums(n):
+    """(n, n*n) matrix taking a flattened n x n Hermitian M to the weighted
+    lag sums c with v^H M v = Re(v^H c) for every Vandermonde column v of
+    unit-modulus nodes: c_0 = trace(M), c_l = 2 * sum_k M[k, k-l] for l >= 1."""
+    k = np.arange(n)
+    lag = np.subtract.outer(k, k).ravel()
+    return (lag == k[:, None]) * np.where(k == 0, 1.0, 2.0)[:, None]
+
+
+def sbl_gamma(y, dictionaries, sigma_n2, config=None):
     """EM evidence maximization: per-atom prior variances gamma under known
-    noise variance. Posterior moments go through the t_s x t_s dual
-    covariance so the cost stays linear in the grid size; the EM update is
-    gamma_g <- |mu_g|^2 + Sigma_gg. Returns (gamma, aborted_flag)."""
+    noise variance, over the atoms of all dictionaries jointly (returned
+    concatenated in dictionary order). The EM update is
+    gamma_g <- |mu_g|^2 + Sigma_gg (Wipf & Rao, IEEE TSP 2004).
+
+    Each step runs through the factorisation atoms_h = basis_h @ steer_h *
+    scale_h of every dictionary h: with weights w = gamma * scale^2, the
+    prior covariance basis_h R_h basis_h^H has the Hermitian Toeplitz R_h
+    whose first column is steer_h @ w_h, so Sy = sigma^2 I + sum_h basis_h
+    R_h basis_h^H. One solve against [y, basis_1, basis_2, ...] then gives
+    mu = gamma * scale * steer^H (basis^H Sy^-1 y) and the posterior-variance
+    term a^H Sy^-1 a = scale^2 * Re(steer^H c), with c the lag sums of
+    basis^H Sy^-1 basis. A step costs O(n*G + t_s^2*n) for G atoms, n
+    elements and t_s slots. Returns (gamma, aborted_flag)."""
     if config is None:
         config = SblConfig()
-    A = atoms
-    t_s = A.shape[0]
     sig2 = max(sigma_n2, 1e-10)
-    gamma = np.abs(A.conj().T @ y) ** 2       # matched-filter start
+    n = dictionaries[0].basis.shape[1]
+    bases = np.hstack([d.basis for d in dictionaries])
+    bases_h = bases.conj().T
+    rhs = np.column_stack([y, bases])
+    steers_h = [np.ascontiguousarray(d.steer.conj().T) for d in dictionaries]
+    scale = np.concatenate([d.scale for d in dictionaries])
+    scale2 = scale ** 2
+    splits = np.cumsum([d.scale.size for d in dictionaries])[:-1]
+    rows = [slice(h * n, (h + 1) * n) for h in range(len(dictionaries))]
+    toeplitz_index = np.subtract.outer(np.arange(n), np.arange(n)) + n - 1
+    lag_sums = _lag_sums(n)
+    noise = sig2 * np.eye(len(y), dtype=complex)
+    by = bases_h @ y
+    gamma = np.abs(scale * np.concatenate(
+        [s_h @ by[r] for s_h, r in zip(steers_h, rows)])) ** 2   # matched-filter start
     for _ in range(config.max_em):
         act = gamma > config.prune_tol * max(gamma.max(), 1e-30)
-        Aa = A[:, act]
-        ga = gamma[act]
-        Sy = sig2 * np.eye(t_s) + (Aa * ga) @ Aa.conj().T
-        Si_y = np.linalg.solve(Sy, y)
-        Si_A = np.linalg.solve(Sy, Aa)
-        mu = ga * (Aa.conj().T @ Si_y)
-        diag = ga - ga ** 2 * np.real(np.einsum('tg,tg->g', Aa.conj(), Si_A))
-        new = np.zeros_like(gamma)
-        new[act] = np.abs(mu) ** 2 + np.maximum(diag, 0.0)
+        ga = np.where(act, gamma, 0.0)
+        w = ga * scale2
+        Sy = noise.copy()
+        for d, w_h, r in zip(dictionaries, np.split(w, splits), rows):
+            first = d.steer @ w_h                          # first column of R_h
+            R = np.concatenate([first[:0:-1].conj(), first])[toeplitz_index]
+            Sy += d.basis @ R @ bases_h[r]
+        proj = bases_h @ np.linalg.solve(Sy, rhs)   # basis^H Sy^-1 [y, bases]
+        # per atom: column 0 is a^H Sy^-1 y / scale, and the real part of
+        # column 1 is a^H Sy^-1 a / scale^2
+        per_atom = np.concatenate([
+            s_h @ np.column_stack([proj[r, 0], lag_sums @ proj[r, 1 + r.start:1 + r.stop].ravel()])
+            for s_h, r in zip(steers_h, rows)])
+        mu = ga * scale * per_atom[:, 0]
+        diag = ga - ga ** 2 * scale2 * per_atom[:, 1].real
+        new = np.abs(mu) ** 2 + np.maximum(diag, 0.0)
         if not np.all(np.isfinite(new)):
             return gamma, True
         delta = np.abs(new - gamma).max()
@@ -134,16 +183,8 @@ def sbl_gamma(y, atoms, sigma_n2, config=None):
     return gamma, False
 
 
-def sbl(batch, dictionary, k_i, config=None, guard_deg=1.0):
-    """Sparse Bayesian learning on one subspace dictionary: the k_i highest
-    well-separated peaks of the learned prior-variance spectrum."""
-    gamma, aborted = sbl_gamma(batch.y, dictionary.atoms, batch.sigma_n2, config)
-    angles, flagged = _pick_peaks(gamma, dictionary.grid, k_i, guard_deg)
-    return angles, flagged or aborted
-
-
 def sbl_full_space(batch, dict_rs, dict_ts, k_r, k_t, config=None, guard_deg=1.0):
-    """SBL over the concatenated RS/TS dictionary, read out per subspace.
+    """SBL over the joint RS/TS dictionary, read out per subspace.
 
     A single-subspace dictionary cannot explain the energy arriving through
     the other side of the surface, so the EM noise model is violated and the
@@ -151,9 +192,8 @@ def sbl_full_space(batch, dict_rs, dict_ts, k_r, k_t, config=None, guard_deg=1.0
     peaks per half keeps the per-subspace reporting while the model stays
     well-specified.
     """
-    atoms = np.hstack([dict_rs.atoms, dict_ts.atoms])
-    gamma, aborted = sbl_gamma(batch.y, atoms, batch.sigma_n2, config)
-    n_r = dict_rs.atoms.shape[1]
+    gamma, aborted = sbl_gamma(batch.y, (dict_rs, dict_ts), batch.sigma_n2, config)
+    n_r = dict_rs.grid.size
     a_r, f_r = _pick_peaks(gamma[:n_r], dict_rs.grid, k_r, guard_deg)
     a_t, f_t = _pick_peaks(gamma[n_r:], dict_ts.grid, k_t, guard_deg)
     return a_r, a_t, f_r or f_t or aborted

@@ -15,7 +15,7 @@ import csv
 import json
 import time
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, field, asdict
+from dataclasses import dataclass, field, fields, asdict
 
 import numpy as np
 from scipy.optimize import linear_sum_assignment
@@ -322,8 +322,12 @@ def main(argv=None):
     cfg = ExperimentConfig(experiment=args.experiment)
     if args.config:
         with open(args.config) as f:
-            for key, val in json.load(f).items():
-                setattr(cfg, key, val)
+            values = json.load(f)
+        known = {fld.name for fld in fields(ExperimentConfig)}
+        for key, val in values.items():
+            if key not in known:
+                raise SystemExit(f"{args.config}: unknown config key {key!r}")
+            setattr(cfg, key, val)
     overrides = {"scenario": args.scenario, "n": args.n, "t_s": args.ts,
                  "k_r": args.kr, "k_t": args.kt, "trials": args.trials,
                  "seed": args.seed, "out": args.out, "workers": args.workers}

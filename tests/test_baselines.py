@@ -5,6 +5,7 @@ import pytest
 
 from starfri import baselines as bl
 from starfri import star_ris_model as sm
+from starfri.experiments import ExperimentConfig, make_batch
 
 
 def _batch(theta_rs, theta_ts, snr_db=30.0, seed=3, gains=None):
@@ -113,21 +114,29 @@ def test_omp_rejects_oversized_support():
 def test_sbl_zero_measurement_shrinks_to_zero():
     batch = _batch([20.0], [])
     d = bl.build_dictionary(batch, 'RS', COARSE)
-    gamma, aborted = bl.sbl_gamma(np.zeros(32, complex), d.atoms, 1e-3)
+    gamma, aborted = bl.sbl_gamma(np.zeros(32, complex), (d,), 1e-3)
     assert not aborted and np.all(gamma <= bl.SblConfig().prune_tol)
 
 
 def test_sbl_single_source_peak_at_truth():
     # single user total at 30 dB: the evidence maximization must concentrate
-    # on the true on-grid atom
+    # on the true on-grid atom, and the empty TS side reports no angle
     batch = _batch([20.0], [])
-    d = bl.build_dictionary(batch, 'RS', COARSE)
-    gamma, aborted = bl.sbl_gamma(batch.y, d.atoms, batch.sigma_n2)
+    d_r = bl.build_dictionary(batch, 'RS', COARSE)
+    d_t = bl.build_dictionary(batch, 'TS', COARSE)
+    gamma, aborted = bl.sbl_gamma(batch.y, (d_r, d_t), batch.sigma_n2)
     assert not aborted
-    assert COARSE[np.argmax(gamma)] == 20.0
+    assert np.argmax(gamma) == np.flatnonzero(COARSE == 20.0)[0]
     assert np.all(gamma >= 0)
-    angles, flagged = bl.sbl(batch, d, 1)
-    assert angles[0] == 20.0
+    a_r, a_t, flagged = bl.sbl_full_space(batch, d_r, d_t, 1, 0)
+    assert a_r.tolist() == [20.0] and a_t.size == 0 and not flagged
+
+
+def test_pick_peaks_zero_count_is_empty_and_unflagged():
+    grid = np.arange(5.0)
+    for spectrum in (np.array([0.0, 1.0, 0.0, 2.0, 0.0]), np.zeros(5)):
+        angles, flagged = bl._pick_peaks(spectrum, grid, 0, 1.0)
+        assert angles.size == 0 and not flagged
 
 
 def test_sbl_full_space_two_users():
@@ -139,15 +148,63 @@ def test_sbl_full_space_two_users():
     assert a_r[0] == 20.0 and a_t[0] == -35.0
 
 
+def _dense_sbl_gamma(y, atoms, sigma_n2, config):
+    """Reference EM loop: a dense t_s x t_s solve against every active atom
+    in each step, O(t_s^2 * G) per step."""
+    A = atoms
+    t_s = A.shape[0]
+    sig2 = max(sigma_n2, 1e-10)
+    gamma = np.abs(A.conj().T @ y) ** 2
+    for _ in range(config.max_em):
+        act = gamma > config.prune_tol * max(gamma.max(), 1e-30)
+        Aa = A[:, act]
+        ga = gamma[act]
+        Sy = sig2 * np.eye(t_s) + (Aa * ga) @ Aa.conj().T
+        Si_y = np.linalg.solve(Sy, y)
+        Si_A = np.linalg.solve(Sy, Aa)
+        mu = ga * (Aa.conj().T @ Si_y)
+        diag = ga - ga ** 2 * np.real(np.einsum('tg,tg->g', Aa.conj(), Si_A))
+        new = np.zeros_like(gamma)
+        new[act] = np.abs(mu) ** 2 + np.maximum(diag, 0.0)
+        if not np.all(np.isfinite(new)):
+            return gamma, True
+        delta = np.abs(new - gamma).max()
+        gamma = new
+        if delta <= config.tol * max(gamma.max(), 1e-30):
+            break
+    return gamma, False
+
+
+@pytest.mark.parametrize("grid", [None, COARSE], ids=["default_grid", "1deg_grid"])
+@pytest.mark.parametrize("snr_db", [0.0, 15.0, 30.0])
+@pytest.mark.parametrize("scenario", [1, 2], ids=["uniform", "nonuniform"])
+def test_sbl_factorised_em_matches_dense_reference(scenario, snr_db, grid):
+    cfg = ExperimentConfig(scenario=scenario, snr_db=snr_db, seed=0)
+    _, _, _, batch = make_batch(cfg, 0)
+    d_r = bl.build_dictionary(batch, 'RS', grid)
+    d_t = bl.build_dictionary(batch, 'TS', grid)
+    config = bl.SblConfig()
+    gamma, aborted = bl.sbl_gamma(batch.y, (d_r, d_t), batch.sigma_n2, config)
+    ref, ref_aborted = _dense_sbl_gamma(batch.y, np.hstack([d_r.atoms, d_t.atoms]),
+                                        batch.sigma_n2, config)
+    assert aborted == ref_aborted
+    assert np.abs(gamma - ref).max() <= 1e-6 * ref.max()
+    n_r = d_r.grid.size
+    a_r, f_r = bl._pick_peaks(ref[:n_r], d_r.grid, cfg.k_r, 1.0)
+    a_t, f_t = bl._pick_peaks(ref[n_r:], d_t.grid, cfg.k_t, 1.0)
+    got_r, got_t, flagged = bl.sbl_full_space(batch, d_r, d_t, cfg.k_r, cfg.k_t, config)
+    assert np.array_equal(got_r, a_r) and np.array_equal(got_t, a_t)
+    assert flagged == (f_r or f_t or ref_aborted)
+
+
 def test_baselines_deterministic():
     batch = _batch([-12.0, 39.0], [-47.0, 16.0], snr_db=15.0, seed=7,
                    gains=np.exp(2j * np.pi * np.random.default_rng(7).random(4)))
     d = bl.build_dictionary(batch, 'RS')
-    for fn in (lambda: bl.fft_scan(batch, d, 2), lambda: bl.omp(batch, d, 2),
-               lambda: bl.sbl(batch, d, 2)):
-        a1, _ = fn()
-        a2, _ = fn()
-        assert np.array_equal(a1, a2)
+    d_t = bl.build_dictionary(batch, 'TS')
+    for fn in (lambda: bl.fft_scan(batch, d, 2)[0], lambda: bl.omp(batch, d, 2)[0],
+               lambda: np.concatenate(bl.sbl_full_space(batch, d, d_t, 2, 2)[:2])):
+        assert np.array_equal(fn(), fn())
 
 
 def test_on_grid_truth_recovered_exactly_at_high_snr():

@@ -9,7 +9,8 @@ import pytest
 from starfri import star_ris_model as sm
 from starfri.experiments import (CSV_COLUMNS, ExperimentConfig, _aggregate,
                                  local_minima, main, make_batch, match_and_score,
-                                 run_sweep, run_trial, to_full_space, write_records)
+                                 run_method, run_sweep, run_trial, to_full_space,
+                                 write_records)
 
 
 def _scene(theta_rs, theta_ts):
@@ -71,6 +72,13 @@ def test_run_trial_deterministic_and_method_selection():
     assert r1["FFT"]["angles"] == r2["FFT"]["angles"]
 
 
+def test_sbl_with_an_empty_subspace_reports_only_the_other():
+    cfg = ExperimentConfig(scenario=1, k_r=2, k_t=0, snr_db=15.0, seed=0)
+    _, _, _, batch = make_batch(cfg, 0)
+    angles, _, _ = run_method("SBL", batch, cfg)
+    assert [lab for _, lab in angles] == ['RS', 'RS']
+
+
 def test_aggregate_rmse_over_successes_only():
     cfg = ExperimentConfig(methods=("X",), snr_db=10.0)
     trials = [
@@ -124,6 +132,14 @@ def test_cli_config_file_with_flag_override(tmp_path):
     with open(out) as f:
         rows = list(csv.DictReader(f))
     assert int(rows[0]["trials"]) == 1 and rows[0]["method"] == "OMP"
+
+
+def test_cli_config_file_rejects_unknown_key(tmp_path):
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps({"trials": 1, "snr": 20.0}))
+    with pytest.raises(SystemExit, match="'snr'"):
+        main(["sweep", "--config", str(cfg_path), "--out", str(tmp_path / "o.csv")])
+    assert not (tmp_path / "o.csv").exists()
 
 
 def test_cli_convergence_smoke(tmp_path):
