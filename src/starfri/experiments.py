@@ -1,10 +1,10 @@
 """Monte Carlo experiment harness and CLI.
 
-Six experiments: annihilating-filter spectra at fixed angles, a full-space
-success/RMSE sweep at fixed SNR, convergence traces, an SNR sweep against the
-baselines and the Ziv-Zakai bound, per-method runtimes, and an aperture
-sweep. Metrics go to CSV (one row per method and sweep point) with a JSON
-sidecar echoing the configuration; the spectrum experiment emits JSON grids.
+Five experiments: annihilating-filter spectra at fixed angles, a full-space
+success/RMSE/runtime sweep at fixed SNR, convergence traces, an SNR sweep
+against the baselines and the Ziv-Zakai bound, and an aperture sweep. Metrics
+go to CSV (one row per method and sweep point) with a JSON sidecar echoing the
+configuration; the spectrum experiment emits JSON grids.
 
 Every trial owns an RNG stream seeded by (master seed, trial index), so
 results are independent of execution order and worker count.
@@ -22,7 +22,8 @@ from scipy.optimize import linear_sum_assignment
 
 from . import baselines as bl
 from . import bounds
-from .fri_nonuniform import PairedPgdConfig, estimate_angles_nonuniform, pgd_denoise_paired
+from .fri_nonuniform import (PairedPgdConfig, estimate_angles_nonuniform, pgd_denoise_paired,
+                             subspace_af_coeffs)
 from .fri_uniform import PgdConfig, af_spectrum, estimate_angles_uniform, extract_af, pgd_denoise
 from .star_ris_model import (NONUNIFORM, UNIFORM, UserScene, draw_channel, draw_scene,
                              generate_profile, synthesize_measurements)
@@ -36,7 +37,7 @@ CSV_COLUMNS = ["experiment", "method", "scenario", "n", "ts", "snr_db", "trials"
 
 @dataclass
 class ExperimentConfig:
-    experiment: str = "sweep"   # spectrum|sweep|convergence|snr|timing|aperture
+    experiment: str = "sweep"   # spectrum|sweep|convergence|snr|aperture
     scenario: int = 1
     n: int = 16
     t_s: int = 32
@@ -143,12 +144,30 @@ def run_method(method, batch, config):
     return out[0], out[1], time.perf_counter() - t0
 
 
+def check_config(config):
+    """Reject a configuration no method can solve before any trial runs."""
+    k = config.k_r + config.k_t
+    if config.t_s < k:
+        raise ValueError(f"t_s={config.t_s} slots cannot resolve K_R+K_T={k} sources")
+
+
 def run_trial(config, trial_index):
-    """Synthesize one batch and run every selected method on it."""
+    """Synthesize one batch and run every selected method on it.
+
+    A method that raises ValueError on this batch (an order its lifting
+    cannot hold, say) is recorded as a failed trial with no angles, and the
+    remaining methods still run.
+    """
     scene, _, _, batch = make_batch(config, trial_index)
     results = {}
     for method in config.methods:
-        angles, iters, dt = run_method(method, batch, config)
+        t0 = time.perf_counter()
+        try:
+            angles, iters, dt = run_method(method, batch, config)
+        except ValueError:
+            results[method] = dict(angles=[], errors=None, success=False, iterations=0,
+                                   runtime=time.perf_counter() - t0)
+            continue
         errors, success = match_and_score(angles, scene, config.success_threshold_deg)
         results[method] = dict(angles=angles, errors=errors, success=success,
                                iterations=iters, runtime=dt)
@@ -186,11 +205,13 @@ def _trial_star(args):
 
 
 def run_sweep(config):
+    check_config(config)
     trial_results = _map_trials(config, range(config.trials))
     return _aggregate(config, trial_results)
 
 
 def run_snr_sweep(config):
+    check_config(config)
     snrs = config.snr_db if not np.isscalar(config.snr_db) else [config.snr_db]
     records = []
     for snr in snrs:
@@ -200,6 +221,7 @@ def run_snr_sweep(config):
 
 
 def run_aperture_sweep(config, n_list=(8, 10, 12, 14, 16, 18, 20)):
+    check_config(config)
     records = []
     for n in n_list:
         sub = ExperimentConfig(**{**asdict(config), "n": int(n)})
@@ -209,6 +231,7 @@ def run_aperture_sweep(config, n_list=(8, 10, 12, 14, 16, 18, 20)):
 
 def run_convergence(config):
     """Update-norm traces for both solvers over config.trials random batches."""
+    check_config(config)
     traces = {"M1": [], "M2": []}
     iters = {"M1": [], "M2": []}
     for i in range(config.trials):
@@ -233,6 +256,7 @@ def run_spectrum(config):
     Algorithm 1 is solved from both the backprojection and the grid
     initialization and the better data fit is kept.
     """
+    check_config(config)
     rng = np.random.default_rng([config.seed, 0])
     gains = np.exp(2j * np.pi * rng.random(4))
     scene = UserScene(EXP1_THETA_RS, EXP1_THETA_TS, gains)
@@ -262,7 +286,6 @@ def run_spectrum(config):
     init2 = "Backprojection" if config.scenario == 1 else "Grid"
     cfg2 = PairedPgdConfig(k_r=config.k_r, k_t=config.k_t, init=init2, i_max=500)
     b2, _, _, _ = pgd_denoise_paired(batch, cfg2)
-    from .fri_nonuniform import subspace_af_coeffs
     c_r, c_t = subspace_af_coeffs(b2, alpha2)
     spec_r = af_spectrum(c_r, grid)
     spec_t = af_spectrum(c_t, grid)
@@ -303,7 +326,7 @@ def main(argv=None):
                                             "Full-space convention: reflection-side angles report "
                                             "as theta, transmission-side as 180 - theta.")
     sub = p.add_subparsers(dest="experiment", required=True)
-    for name in ("spectrum", "sweep", "convergence", "snr", "timing", "aperture"):
+    for name in ("spectrum", "sweep", "convergence", "snr", "aperture"):
         q = sub.add_parser(name)
         q.add_argument("--config", help="JSON config file; flags override its values")
         q.add_argument("--scenario", type=int, choices=(1, 2))
@@ -361,7 +384,7 @@ def main(argv=None):
         records = run_snr_sweep(cfg)
     elif cfg.experiment == "aperture":
         records = run_aperture_sweep(cfg)
-    else:  # sweep and timing share the plumbing; timing just reads runtimes
+    else:
         records = run_sweep(cfg)
     write_records(records, cfg, out)
     print(f"wrote {out}")

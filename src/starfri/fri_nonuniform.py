@@ -7,12 +7,13 @@ horizontally paired Hankel lifting of rank K = K_R + K_T. Angle extraction is
 then done per subspace, which makes the RS/TS labels inherent.
 """
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
 from . import structured_linalg as sl
-from .fri_uniform import RecoveryResult, _roots_to_angles_raw
+from .fri_uniform import (RecoveryResult, _fit_residual, _residual_gate, _retry_inits,
+                          _roots_to_angles_raw)
 from .refine import grid_init, polish_angles, select_roots_by_energy
 
 
@@ -108,8 +109,6 @@ def estimate_angles_nonuniform(batch, config):
     fit wins. The exact paired model holds in both scenarios, so the gate is
     always active.
     """
-    from dataclasses import replace
-    from .fri_uniform import _fit_residual, _residual_gate, _retry_inits
     res = _estimate_nonuniform_once(batch, config)
     if not config.polish:
         return res

@@ -7,12 +7,13 @@ projection of the stacked per-slot Hankel lifting onto rank K, then reads the
 angles off the annihilating filter of the denoised stack.
 """
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, replace
 
 import numpy as np
 
 from . import structured_linalg as sl
-from .refine import grid_init, polish_angles, select_roots_by_energy
+from .refine import _atoms, grid_init, polish_angles, select_roots_by_energy
+from .star_ris_model import UNIFORM
 
 
 @dataclass
@@ -104,28 +105,33 @@ def pgd_denoise(batch, config, b0=None, k_r=None, k_t=None):
     truncate the stack to rank K, average back, and (optionally) project the
     slot trajectories onto span{1, g(t)} - the temporal structure the latent
     model implies. Stops when the update norm falls below eps.
+
+    The lift is never formed; every step runs in n x n form on the slot-major
+    iterate db (t_s x n). The stack's Gram matrix is a fixed gather-and-sum
+    over D = db^H db, its top-K eigenvectors V_K give P = V_K V_K^H, and
+    truncating and averaging the lift is the one right-multiply db @ M(P)
+    (see ``structured_linalg._stacked_maps``).
     """
     rows, t_s, n, alpha, mu = _resolve(batch, config)
     y = batch.y
     K = config.k
     b = initial_iterate(batch, config, mu, k_r, k_t) if b0 is None else b0.copy()
     b = np.ascontiguousarray(b.T)                            # slot-major (t_s, n)
-    WT = sl._avg(n - alpha, alpha + 1).T
+    gather, T = sl._stacked_maps(n, alpha)
     P_t = _temporal_projector(batch.g) if config.temporal_projection else None
     rows_c = 2 * mu * rows.conj()
-    lift_idx = (np.arange(n - alpha)[:, None] + np.arange(alpha + 1)[None, :]).reshape(-1)
     history = []
     converged = False
     it = 0
     for it in range(1, config.i_max + 1):
         res = y - np.einsum('tn,tn->t', rows, b)
         db = b + res[:, None] * rows_c
-        H = db[:, lift_idx].reshape(-1, alpha + 1)
-        # rank-K truncation via the small (alpha+1) x (alpha+1) Gram matrix
-        _, V = np.linalg.eigh(H.conj().T @ H)
+        D = db.conj().T @ db
+        _, V = np.linalg.eigh(D.ravel()[gather].sum(axis=0).reshape(alpha + 1, alpha + 1))
         Vk = V[:, -K:]
-        Hk = (H @ Vk) @ Vk.conj().T
-        db = Hk.reshape(t_s, -1) @ WT                        # (t_s, n)
+        # T is real: multiply the (re, im) pairs of vec(P) as a real (., 2) matrix
+        P = (Vk @ Vk.conj().T).reshape(-1).view(float).reshape(-1, 2)
+        db = db @ (T @ P).view(complex).reshape(n, n)
         if P_t is not None:
             db = P_t @ db
         step = np.linalg.norm(db - b)
@@ -195,7 +201,6 @@ def uniform_assumption_operator(batch):
 
 def _fit_residual(y, psi, th_r, th_t):
     """Norm of the data residual with gains projected out at the given angles."""
-    from .refine import _atoms
     A = _atoms(psi, th_r, th_t)
     s, *_ = np.linalg.lstsq(A, y, rcond=None)
     return np.linalg.norm(y - A @ s)
@@ -220,8 +225,6 @@ def estimate_angles_uniform(batch, config, k_r=None, k_t=None):
     rerun from the remaining initializations and the best fit is kept.
     Mismatched-scenario solves are never retried (no accuracy contract).
     """
-    from dataclasses import replace
-    from .star_ris_model import UNIFORM
     res = _estimate_uniform_once(batch, config, k_r, k_t)
     if batch.scenario != UNIFORM or not config.polish:
         return res
@@ -255,7 +258,6 @@ def _estimate_uniform_once(batch, config, k_r=None, k_t=None):
         psi_u = uniform_assumption_operator(batch)
         th_r, th_t = polish_angles(batch.y, psi_u, th_r, th_t)
     labeled = [(float(a), 'RS') for a in np.sort(th_r)] + [(float(a), 'TS') for a in np.sort(th_t)]
-    from .star_ris_model import UNIFORM
     return RecoveryResult(
         angles=labeled, af_coeffs=c, iterations=it,
         residual_history=history, converged=converged, denoised=b,

@@ -11,7 +11,12 @@ denoiser:
   angles (gains eliminated in closed form) interleaved with per-angle global
   rescans on a fine grid, so the final estimate sits in the ML basin instead
   of wherever the algebraic extraction left it.
+
+The grid steering matrices of the initializer and the rescan depend only on
+the aperture and the grid, so they are built once per process and cached.
 """
+
+import functools
 
 import numpy as np
 from scipy.optimize import least_squares
@@ -19,9 +24,13 @@ from scipy.optimize import least_squares
 from .star_ris_model import steering_vector
 
 
+@functools.lru_cache(maxsize=None)
 def _grid_steering(n, lo=-60.0, hi=60.0, step=0.5):
+    """(grid, n x G steering matrix), cached per arguments; both read-only."""
     grid = np.arange(lo, hi + 1e-9, step)
     sv = np.exp(-1j * np.pi * np.outer(np.arange(n), np.sin(np.radians(grid))))
+    grid.flags.writeable = False
+    sv.flags.writeable = False
     return grid, sv
 
 
@@ -150,12 +159,18 @@ def varpro_refine(y, psi, th_r, th_t):
     """
     k_r = len(th_r)
     th0 = np.concatenate([th_r, th_t]).astype(float)
+    last_th, last = None, None
 
     def solve(th):
+        # the solver asks for the Jacobian at the point it just evaluated;
+        # reuse that point's atoms and gains instead of solving again
+        nonlocal last_th, last
+        if last_th is not None and np.array_equal(th, last_th):
+            return last
         A, dA = _atoms_and_derivs(psi, _Th(th, k_r))
         s, *_ = np.linalg.lstsq(A, y, rcond=None)
-        r = y - A @ s
-        return A, dA, s, r
+        last_th, last = th.copy(), (A, dA, s, y - A @ s)
+        return last
 
     def resid(th):
         _, _, _, r = solve(th)
@@ -179,11 +194,17 @@ def coordinate_rescan(y, psi, th_r, th_t, grid_step=0.1, lo=-60.0, hi=60.0, cycl
     For each angle in turn, the other atoms are projected out (QR) and the
     orthogonalized matched-filter score is maximized over a fine grid; the
     angle jumps to the global 1-D optimum if it differs.
+
+    With Q an orthonormal basis of the other atoms, the score of candidate c
+    is |y^H c - (Q^H y)^H Q^H c|^2 / (||c||^2 - ||Q^H c||^2): the projected
+    candidates are never formed, only their K-1 coordinates Q^H c.
     """
     n = psi.shape[0] // 2
     grid, sv = _grid_steering(n, lo, hi, grid_step)
-    cand_r = psi[:n].T @ sv
-    cand_t = psi[n:].T @ sv
+    sides = []
+    for half in (psi[:n], psi[n:]):
+        cand = half.T @ sv
+        sides.append((cand, y.conj() @ cand, (np.abs(cand) ** 2).sum(axis=0)))
     th = list(th_r) + list(th_t)
     k_r = len(th_r)
     K = len(th)
@@ -194,10 +215,10 @@ def coordinate_rescan(y, psi, th_r, th_t, grid_step=0.1, lo=-60.0, hi=60.0, cycl
             other_t = [th[j] for j in range(K) if j != k and j >= k_r]
             A_o = _atoms(psi, other_r, other_t)
             Q, _ = np.linalg.qr(A_o)
-            cand = cand_r if k < k_r else cand_t
-            res_y = y - Q @ (Q.conj().T @ y)
-            C = cand - Q @ (Q.conj().T @ cand)
-            score = np.abs(C.conj().T @ res_y) ** 2 / np.maximum((np.abs(C) ** 2).sum(axis=0), 1e-12)
+            cand, y_cand, cand_sq = sides[0] if k < k_r else sides[1]
+            QC = Q.conj().T @ cand
+            num = y_cand - (Q.conj().T @ y).conj() @ QC
+            score = np.abs(num) ** 2 / np.maximum(cand_sq - (np.abs(QC) ** 2).sum(axis=0), 1e-12)
             i = int(np.argmax(score))
             if abs(grid[i] - th[k]) > grid_step / 2:
                 th[k] = grid[i]

@@ -3,27 +3,18 @@
 Small dense kernels shared by both recovery algorithms. Everything here is a
 pure function on numpy arrays; matrices never exceed a few hundred rows so we
 just call LAPACK through numpy and do not bother with anything iterative.
+
+The stacked lift of t_s slot vectors (the rows of a t_s x n matrix V) also has
+an n x n form that never builds the t_s(n-alpha) x (alpha+1) stack: its Gram
+matrix is a fixed gather-and-sum over D = V^H V, and lifting, right-multiplying
+by any (alpha+1) x (alpha+1) matrix P and averaging back to slots is V @ M(P),
+with M(P) linear in P (see ``_stacked_maps``).
 """
 
-from dataclasses import dataclass
+import functools
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
-
-
-@dataclass(frozen=True)
-class LiftShape:
-    """Bookkeeping for a lifting: aperture n, order alpha, slots t_s."""
-    n: int
-    alpha: int
-    t_s: int = 1
-    kind: str = "Single"  # Single | Stacked | Paired
-
-    def __post_init__(self):
-        if not (1 <= self.alpha < self.n):
-            raise ValueError("need 1 <= alpha < n")
-        if self.t_s < 1:
-            raise ValueError("t_s >= 1")
 
 
 def hankel_lift(v, alpha):
@@ -64,14 +55,37 @@ def _averaging_matrix(rows, cols):
     return W
 
 
-_avg_cache = {}
-
-
+@functools.lru_cache(maxsize=None)
 def _avg(rows, cols):
-    key = (rows, cols)
-    if key not in _avg_cache:
-        _avg_cache[key] = _averaging_matrix(rows, cols)
-    return _avg_cache[key]
+    W = _averaging_matrix(rows, cols)
+    W.flags.writeable = False
+    return W
+
+
+@functools.lru_cache(maxsize=None)
+def _stacked_maps(n, alpha):
+    """Fixed (gather, T) of the n x n form of the stacked lift of order alpha.
+
+    For a t_s x n slot matrix V with D = V^H V, the Gram matrix of
+    stacked_hankel_lift(V, alpha) is
+        D.ravel()[gather].sum(axis=0).reshape(alpha + 1, alpha + 1),
+    since G[l, m] = sum_{i < n-alpha} D[i+l, i+m]. For any (alpha+1)-square P,
+    inverse_hankel(lift @ P) per slot equals V @ (T @ P.ravel()).reshape(n, n):
+    M[j, k] = sum_i P[j-i, k-i] / c_k, with c_k the anti-diagonal count. T is
+    real and n^2 x (alpha+1)^2. Both arrays are read-only.
+    """
+    rows, cols = n - alpha, alpha + 1
+    i = np.arange(rows)[:, None, None]
+    l = np.arange(cols)[None, :, None]
+    m = np.arange(cols)[None, None, :]
+    gather = ((i + l) * n + (i + m)).reshape(rows, cols * cols)
+    counts = np.bincount((np.arange(rows)[:, None] + np.arange(cols)).ravel(), minlength=n)
+    diag = np.broadcast_to(i + m, (rows, cols, cols)).reshape(rows, cols * cols)
+    T = np.zeros((n * n, cols * cols))
+    T[gather, np.arange(cols * cols)] = 1.0 / counts[diag]
+    gather.flags.writeable = False
+    T.flags.writeable = False
+    return gather, T
 
 
 def inverse_hankel(m):
@@ -80,16 +94,6 @@ def inverse_hankel(m):
     m = np.asarray(m)
     rows, cols = m.shape[-2:]
     return m.reshape(*m.shape[:-2], rows * cols) @ _avg(rows, cols).T
-
-
-def inverse_stacked_hankel(m, shape):
-    """Split the stacked lift into its T_s row blocks and average each."""
-    m = np.asarray(m)
-    rows = shape.n - shape.alpha
-    if m.shape[0] % rows:
-        raise ValueError("row count not divisible by block height")
-    t_s = m.shape[0] // rows
-    return inverse_hankel(m.reshape(t_s, rows, -1))
 
 
 def inverse_paired_hankel(m):

@@ -9,8 +9,8 @@ import pytest
 from starfri import star_ris_model as sm
 from starfri.experiments import (CSV_COLUMNS, ExperimentConfig, _aggregate,
                                  local_minima, main, make_batch, match_and_score,
-                                 run_method, run_sweep, run_trial, to_full_space,
-                                 write_records)
+                                 run_aperture_sweep, run_method, run_snr_sweep, run_sweep,
+                                 run_trial, to_full_space, write_records)
 
 
 def _scene(theta_rs, theta_ts):
@@ -149,3 +149,36 @@ def test_cli_convergence_smoke(tmp_path):
     payload = json.loads(out.read_text())
     assert set(payload["iterations"]) == {"M1", "M2"}
     assert len(payload["traces"]["M1"][0]) >= 1
+
+
+def test_aperture_sweep_records_an_infeasible_size_as_failed():
+    # M1 cannot hold K=4 at n=6 (alpha=3); the sweep goes on to n=8
+    cfg = ExperimentConfig(scenario=1, snr_db=15.0, trials=1, seed=0, methods=("M1",),
+                           experiment="aperture")
+    recs = run_aperture_sweep(cfg, n_list=(6, 8))
+    assert [r.n for r in recs] == [6, 8]
+    assert recs[0].successes == 0 and recs[0].mean_iterations == 0
+    assert np.isnan(recs[0].rmse_deg)
+    assert recs[1].mean_iterations > 0
+
+
+def test_run_trial_records_value_error_as_failed_trial():
+    cfg = ExperimentConfig(scenario=1, n=6, snr_db=15.0, seed=0, methods=("M1", "FFT"))
+    out = run_trial(cfg, 0)
+    assert out["M1"]["angles"] == [] and out["M1"]["errors"] is None
+    assert not out["M1"]["success"] and out["M1"]["iterations"] == 0
+    assert len(out["FFT"]["angles"]) == 4
+
+
+@pytest.mark.parametrize("runner", [run_sweep, run_aperture_sweep, run_snr_sweep])
+def test_fewer_slots_than_sources_rejected(runner):
+    cfg = ExperimentConfig(t_s=3, k_r=2, k_t=2, trials=1, methods=("FFT",))
+    with pytest.raises(ValueError, match=r"t_s=3.*K_R\+K_T=4"):
+        runner(cfg)
+
+
+def test_cli_rejects_fewer_slots_than_sources(tmp_path):
+    with pytest.raises(ValueError, match=r"t_s=3.*=4"):
+        main(["sweep", "--ts", "3", "--trials", "1", "--methods", "FFT",
+              "--out", str(tmp_path / "o.csv")])
+    assert not (tmp_path / "o.csv").exists()

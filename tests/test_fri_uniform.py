@@ -5,9 +5,10 @@ import pytest
 
 from starfri import star_ris_model as sm
 from starfri import structured_linalg as sl
-from starfri.fri_uniform import (PgdConfig, af_spectrum, estimate_angles_uniform,
-                                 extract_af, initial_iterate, pgd_denoise,
-                                 step_size_bounds, uniform_assumption_operator)
+from starfri.experiments import ExperimentConfig, make_batch
+from starfri.fri_uniform import (PgdConfig, _resolve, _temporal_projector, af_spectrum,
+                                 estimate_angles_uniform, extract_af, initial_iterate,
+                                 pgd_denoise, step_size_bounds, uniform_assumption_operator)
 
 
 def _uniform_batch(theta_rs, theta_ts, snr_db=np.inf, seed=0, gains=None, n=16, t_s=32):
@@ -60,6 +61,55 @@ def test_zero_measurement_zero_fixed_point():
     batch.y = np.zeros_like(batch.y)
     b, it, hist, converged = pgd_denoise(batch, PgdConfig(k=2, init="Zero"))
     assert not np.any(b) and converged and it == 1
+
+
+def _reference_pgd_denoise(batch, config, k_r=None, k_t=None):
+    # the stacked-lift loop: build the t_s(n-alpha) x (alpha+1) lift, truncate
+    # it through its Gram matrix, average every slot block back
+    rows, t_s, n, alpha, mu = _resolve(batch, config)
+    K = config.k
+    b = np.ascontiguousarray(initial_iterate(batch, config, mu, k_r, k_t).T)
+    WT = sl._avg(n - alpha, alpha + 1).T
+    P_t = _temporal_projector(batch.g) if config.temporal_projection else None
+    rows_c = 2 * mu * rows.conj()
+    lift_idx = (np.arange(n - alpha)[:, None] + np.arange(alpha + 1)[None, :]).reshape(-1)
+    history = []
+    converged = False
+    it = 0
+    for it in range(1, config.i_max + 1):
+        res = batch.y - np.einsum('tn,tn->t', rows, b)
+        db = b + res[:, None] * rows_c
+        H = db[:, lift_idx].reshape(-1, alpha + 1)
+        _, V = np.linalg.eigh(H.conj().T @ H)
+        Vk = V[:, -K:]
+        db = ((H @ Vk) @ Vk.conj().T).reshape(t_s, -1) @ WT
+        if P_t is not None:
+            db = P_t @ db
+        step = np.linalg.norm(db - b)
+        history.append(step)
+        b = db
+        if step <= config.eps:
+            converged = True
+            break
+    return b.T, it, history, converged
+
+
+@pytest.mark.parametrize("scenario,snr_db,options", [
+    (1, 0.0, {}), (1, 15.0, {}), (1, 30.0, {}),
+    (2, 0.0, {}), (2, 15.0, {}), (2, 30.0, {}),
+    (1, 15.0, {"temporal_projection": False}), (2, 15.0, {"temporal_projection": False}),
+    (1, 15.0, {"alpha": 6}), (2, 30.0, {"alpha": 10, "temporal_projection": False}),
+])
+def test_nxn_pgd_matches_stacked_lift_reference(scenario, snr_db, options):
+    _, _, _, batch = make_batch(ExperimentConfig(scenario=scenario, snr_db=snr_db, seed=0), 0)
+    cfg = PgdConfig(k=4, init="Grid", **options)
+    b, it, hist, converged = pgd_denoise(batch, cfg, k_r=2, k_t=2)
+    b_ref, it_ref, hist_ref, conv_ref = _reference_pgd_denoise(batch, cfg, k_r=2, k_t=2)
+    assert it == it_ref and converged == conv_ref
+    assert np.linalg.norm(b - b_ref) <= 1e-10 * np.linalg.norm(b_ref)
+    # relative over the whole trace: a late step of 1e-7 is a difference of
+    # two O(1) iterates, so its own relative rounding is far above 1e-10
+    assert np.linalg.norm(np.subtract(hist, hist_ref)) <= 1e-10 * np.linalg.norm(hist_ref)
 
 
 def test_noiseless_k1_denoise():

@@ -1,10 +1,13 @@
 """Tests for the grid initializer, root selection and ML polish."""
 
 import numpy as np
+import pytest
 
 from starfri import star_ris_model as sm
-from starfri.refine import (coordinate_rescan, grid_init, polish_angles,
-                            select_roots_by_energy, varpro_refine)
+from starfri.experiments import ExperimentConfig, make_batch
+from starfri.fri_uniform import uniform_assumption_operator
+from starfri.refine import (_atoms, _grid_steering, coordinate_rescan, grid_init,
+                            polish_angles, select_roots_by_energy, varpro_refine)
 
 
 def _batch(theta_rs, theta_ts, snr_db=np.inf, seed=0, scenario=sm.NONUNIFORM):
@@ -38,6 +41,65 @@ def test_coordinate_rescan_escapes_wrong_basin():
     th_r, th_t = coordinate_rescan(batch.y, batch.operator_paired,
                                    np.array([-45.0, 8.3]), np.array([33.7]))
     assert np.max(np.abs(th_r - [-20.5, 8.25])) <= 0.2
+
+
+def _reference_coordinate_rescan(y, psi, th_r, th_t, grid_step=0.1, lo=-60.0, hi=60.0, cycles=2):
+    # the rescan with every candidate projected: C = (I - QQ^H) cand in full
+    n = psi.shape[0] // 2
+    grid = np.arange(lo, hi + 1e-9, grid_step)
+    sv = np.exp(-1j * np.pi * np.outer(np.arange(n), np.sin(np.radians(grid))))
+    cand_r = psi[:n].T @ sv
+    cand_t = psi[n:].T @ sv
+    th = list(th_r) + list(th_t)
+    k_r = len(th_r)
+    K = len(th)
+    for _ in range(cycles):
+        changed = False
+        for k in range(K):
+            other_r = [th[j] for j in range(K) if j != k and j < k_r]
+            other_t = [th[j] for j in range(K) if j != k and j >= k_r]
+            Q, _ = np.linalg.qr(_atoms(psi, other_r, other_t))
+            cand = cand_r if k < k_r else cand_t
+            res_y = y - Q @ (Q.conj().T @ y)
+            C = cand - Q @ (Q.conj().T @ cand)
+            score = np.abs(C.conj().T @ res_y) ** 2 / np.maximum((np.abs(C) ** 2).sum(axis=0), 1e-12)
+            i = int(np.argmax(score))
+            if abs(grid[i] - th[k]) > grid_step / 2:
+                th[k] = grid[i]
+                changed = True
+        if not changed:
+            break
+    return np.array(th[:k_r]), np.array(th[k_r:])
+
+
+@pytest.mark.parametrize("scenario", [1, 2])
+def test_coordinate_rescan_matches_projected_reference(scenario):
+    # identical outputs on seeded batches, from starts near the truth, one
+    # angle in a wrong basin, and with one subspace left empty
+    rng = np.random.default_rng(scenario)
+    moved = 0
+    for snr in (0.0, 15.0, 30.0):
+        cfg = ExperimentConfig(scenario=scenario, snr_db=snr, seed=4)
+        for trial in range(4):
+            scene, _, _, batch = make_batch(cfg, trial)
+            for psi in (batch.operator_paired, uniform_assumption_operator(batch)):
+                th_r = np.sort(scene.theta_rs) + rng.normal(0.0, 0.3, 2)
+                th_t = np.sort(scene.theta_ts) + rng.normal(0.0, 0.3, 2)
+                th_r[trial % 2] += 25.0 * rng.choice([-1, 1])
+                for args in ((th_r, th_t), (th_r[:1], th_t[:0]), (th_r[:0], th_t)):
+                    got = coordinate_rescan(batch.y, psi, *args)
+                    want = _reference_coordinate_rescan(batch.y, psi, *args)
+                    assert all(np.array_equal(g, w) for g, w in zip(got, want))
+                    moved += not np.array_equal(got[0], args[0])
+    assert moved > 0
+
+
+def test_grid_steering_cached_and_read_only():
+    grid, sv = _grid_steering(16, -60.0, 60.0, 0.1)
+    assert _grid_steering(16, -60.0, 60.0, 0.1)[1] is sv
+    assert sv.shape == (16, 1201) and grid.shape == (1201,)
+    with pytest.raises(ValueError):
+        sv[0, 0] = 0.0
 
 
 def test_polish_pipeline_end_to_end():

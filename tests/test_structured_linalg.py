@@ -121,19 +121,54 @@ def test_inverse_hankel_contraction():
         assert lhs <= np.linalg.norm(m1 - m2) + 1e-12
 
 
-def test_inverse_stacked_round_trip_and_blocks():
+def test_inverse_hankel_batched_round_trip_and_blocks():
+    # the stacked lift reshaped to (t_s, n-alpha, alpha+1) averages back slot by slot
     rng = np.random.default_rng(5)
-    shape = sl.LiftShape(n=7, alpha=3, t_s=3, kind="Stacked")
     vs = np.stack([_rand_cvec(rng, 7) for _ in range(3)])
-    out = sl.inverse_stacked_hankel(sl.stacked_hankel_lift(vs, 3), shape)
-    assert np.allclose(out, vs)
+    H = sl.stacked_hankel_lift(vs, 3)
+    assert np.allclose(sl.inverse_hankel(H.reshape(3, 4, 4)), vs)
     # non-Hankel blocks: per-block scalar oracle
     m = _rand_cvec(rng, 12 * 4).reshape(12, 4)
-    out = sl.inverse_stacked_hankel(m, shape)
+    out = sl.inverse_hankel(m.reshape(3, 4, 4))
+    assert out.shape == (3, 7)
     for t in range(3):
         assert np.allclose(out[t], sl.inverse_hankel(m[4 * t:4 * (t + 1)]))
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.integers(0, 2 ** 31 - 1), st.integers(3, 20), st.integers(1, 10), st.integers(1, 6))
+def test_stacked_gram_gather_matches_lift(seed, n, a, t_s):
+    # the n x n form: G gathered from D = V^H V is the Gram matrix of the stack
+    alpha = min(a, n - 1)
+    rng = np.random.default_rng(seed)
+    V = _rand_cvec(rng, t_s * n).reshape(t_s, n)
+    H = sl.stacked_hankel_lift(V, alpha)
+    gather, _ = sl._stacked_maps(n, alpha)
+    D = V.conj().T @ V
+    G = D.ravel()[gather].sum(axis=0).reshape(alpha + 1, alpha + 1)
+    assert np.allclose(G, H.conj().T @ H, rtol=1e-12, atol=1e-12 * np.abs(G).max())
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.integers(0, 2 ** 31 - 1), st.integers(3, 20), st.integers(1, 10), st.integers(1, 6))
+def test_stacked_average_map_matches_lift(seed, n, a, t_s):
+    # lift every slot, right-multiply by P, average back == V @ M(P), M = T vec(P)
+    alpha = min(a, n - 1)
+    rng = np.random.default_rng(seed)
+    V = _rand_cvec(rng, t_s * n).reshape(t_s, n)
+    P = _rand_cvec(rng, (alpha + 1) ** 2).reshape(alpha + 1, alpha + 1)
+    _, T = sl._stacked_maps(n, alpha)
+    want = sl.inverse_hankel(sl.hankel_lift(V, alpha) @ P)
+    got = V @ (T @ P.ravel()).reshape(n, n)
+    assert np.allclose(got, want, rtol=1e-12, atol=1e-12 * np.abs(want).max())
+
+
+def test_stacked_maps_are_cached_and_read_only():
+    gather, T = sl._stacked_maps(16, 8)
+    assert sl._stacked_maps(16, 8)[1] is T
+    assert T.shape == (256, 81) and gather.shape == (8, 81)
     with pytest.raises(ValueError):
-        sl.inverse_stacked_hankel(m[:11], shape)
+        T[0, 0] = 1.0
 
 
 def test_inverse_paired():
@@ -195,13 +230,12 @@ def test_stacked_truncation_stays_near_hankel_set():
     rng = np.random.default_rng(10)
     n, alpha, t_s, K = 8, 4, 3, 2
     roots = np.exp(-1j * np.pi * np.sin(np.radians([13.0, -32.0])))
-    shape = sl.LiftShape(n=n, alpha=alpha, t_s=t_s, kind="Stacked")
     for _ in range(1000):
         vs = np.stack([_fri_vec(roots, _rand_cvec(rng, K), n) for _ in range(t_s)])
         H = sl.stacked_hankel_lift(vs, alpha)
         E = 0.05 * _rand_cvec(rng, H.size).reshape(H.shape)
         T = sl.rank_truncate(H + E, K)
-        proj = sl.stacked_hankel_lift(sl.inverse_stacked_hankel(T, shape), alpha)
+        proj = sl.stacked_hankel_lift(sl.inverse_hankel(T.reshape(t_s, n - alpha, alpha + 1)), alpha)
         assert np.linalg.norm(T - proj) <= 2 * np.linalg.norm(E) + 1e-12
 
 
