@@ -17,6 +17,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .star_ris_model import steering_matrix
+
 DEFAULT_GRID = np.arange(-60.0, 60.0 + 1e-9, 0.1)
 
 
@@ -40,7 +42,7 @@ def build_dictionary(batch, subspace, grid=None):
     psi = batch.operator_paired
     n = psi.shape[0] // 2
     basis = (psi[:n] if subspace == 'RS' else psi[n:]).T
-    steer = np.exp(-1j * np.pi * np.outer(np.arange(n), np.sin(np.radians(grid))))
+    steer = steering_matrix(grid, n)
     atoms = basis @ steer
     norms = np.maximum(np.linalg.norm(atoms, axis=0), 1e-15)
     return GridDictionary(grid=grid, atoms=atoms / norms, subspace=subspace,

@@ -12,7 +12,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.special import gammainc, ndtr
 
-from .star_ris_model import steering_matrix
+from .star_ris_model import build_paired_operator, steering_derivative
 
 ZETA_DEFAULT = 2 * np.pi / 3   # the [-60 deg, 60 deg] search range
 
@@ -31,16 +31,7 @@ class ZzbInputs:
         return np.inf if self.sigma_n2 == 0 else 1.0 / self.sigma_n2
 
 
-def steering_derivative(theta_deg, n):
-    """d/d theta (radians) of the steering vector, entry m equal to
-    (-j pi m cos theta) e^{-j pi m sin theta}."""
-    th = np.radians(theta_deg)
-    m = np.arange(n)
-    return (-1j * np.pi * m * np.cos(th)) * np.exp(-1j * np.pi * m * np.sin(th))
-
-
 def _sensing_rows(inputs, subspace):
-    from .star_ris_model import build_paired_operator
     psi = build_paired_operator(inputs.profile, inputs.channel)
     n = inputs.profile.n
     return (psi[:n] if subspace == 'RS' else psi[n:]).T      # (t_s, n)
@@ -63,7 +54,7 @@ def fisher_information(inputs, subspace):
         raise ValueError("empty subspace")
     n = inputs.profile.n
     rows = _sensing_rows(inputs, subspace)
-    dA = np.column_stack([steering_derivative(t, n) for t in thetas])
+    dA = steering_derivative(thetas, n)
     big_psi = rows @ (dA * gains[None, :])                   # (t_s, K_i)
     F = (2.0 / (inputs.profile.t_s * inputs.sigma_n2)) * np.real(big_psi.conj().T @ big_psi)
     singular = np.linalg.matrix_rank(F) < F.shape[0]

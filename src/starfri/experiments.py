@@ -16,6 +16,7 @@ import json
 import time
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field, fields, asdict
+from importlib.metadata import PackageNotFoundError, version
 
 import numpy as np
 from scipy.optimize import linear_sum_assignment
@@ -25,6 +26,7 @@ from . import bounds
 from .fri_nonuniform import (PairedPgdConfig, estimate_angles_nonuniform, pgd_denoise_paired,
                              subspace_af_coeffs)
 from .fri_uniform import PgdConfig, af_spectrum, estimate_angles_uniform, extract_af, pgd_denoise
+from .refine import label_angles
 from .star_ris_model import (NONUNIFORM, UNIFORM, UserScene, draw_channel, draw_scene,
                              generate_profile, synthesize_measurements)
 
@@ -125,22 +127,14 @@ def run_method(method, batch, config):
         d_r = bl.build_dictionary(batch, 'RS')
         d_t = bl.build_dictionary(batch, 'TS')
         a_r, a_t, _ = bl.sbl_full_space(batch, d_r, d_t, k_r, k_t)
-        angles = [(float(x), 'RS') for x in a_r] + [(float(x), 'TS') for x in a_t]
-        out = (angles, 0)
+        out = (label_angles(a_r, a_t), 0)
+    elif method in ("FFT", "OMP"):
+        scan = bl.fft_scan if method == "FFT" else bl.omp
+        a_r, a_t = [scan(batch, bl.build_dictionary(batch, sub), k_i)[0] if k_i else []
+                    for sub, k_i in (('RS', k_r), ('TS', k_t))]
+        out = (label_angles(a_r, a_t), 0)
     else:
-        angles = []
-        for sub, k_i in (('RS', k_r), ('TS', k_t)):
-            if k_i == 0:
-                continue
-            d = bl.build_dictionary(batch, sub)
-            if method == "FFT":
-                a, _ = bl.fft_scan(batch, d, k_i)
-            elif method == "OMP":
-                a, _ = bl.omp(batch, d, k_i)
-            else:
-                raise ValueError(f"unknown method {method!r}")
-            angles += [(float(x), sub) for x in a]
-        out = (angles, 0)
+        raise ValueError(f"unknown method {method!r}")
     return out[0], out[1], time.perf_counter() - t0
 
 
@@ -151,22 +145,29 @@ def check_config(config):
         raise ValueError(f"t_s={config.t_s} slots cannot resolve K_R+K_T={k} sources")
 
 
+def _failed_trial(runtime):
+    return dict(angles=[], errors=None, success=False, iterations=0, runtime=runtime)
+
+
 def run_trial(config, trial_index):
     """Synthesize one batch and run every selected method on it.
 
     A method that raises ValueError on this batch (an order its lifting
     cannot hold, say) is recorded as a failed trial with no angles, and the
-    remaining methods still run.
+    remaining methods still run. A batch that cannot be built (non-finite
+    measurements, say) is a failed trial for every method.
     """
-    scene, _, _, batch = make_batch(config, trial_index)
+    try:
+        scene, _, _, batch = make_batch(config, trial_index)
+    except ValueError:
+        return {method: _failed_trial(0.0) for method in config.methods}
     results = {}
     for method in config.methods:
         t0 = time.perf_counter()
         try:
             angles, iters, dt = run_method(method, batch, config)
         except ValueError:
-            results[method] = dict(angles=[], errors=None, success=False, iterations=0,
-                                   runtime=time.perf_counter() - t0)
+            results[method] = _failed_trial(time.perf_counter() - t0)
             continue
         errors, success = match_and_score(angles, scene, config.success_threshold_deg)
         results[method] = dict(angles=angles, errors=errors, success=success,
@@ -314,9 +315,8 @@ def write_records(records, config, path):
 
 def _version():
     try:
-        from importlib.metadata import version
         return version("artifact")
-    except Exception:
+    except PackageNotFoundError:
         return "unknown"
 
 

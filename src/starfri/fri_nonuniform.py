@@ -7,14 +7,13 @@ horizontally paired Hankel lifting of rank K = K_R + K_T. Angle extraction is
 then done per subspace, which makes the RS/TS labels inherent.
 """
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
 from . import structured_linalg as sl
-from .fri_uniform import (RecoveryResult, _fit_residual, _residual_gate, _retry_inits,
-                          _roots_to_angles_raw)
-from .refine import grid_init, polish_angles, select_roots_by_energy
+from .refine import (RecoveryResult, grid_init, label_angles, multistart, polish_angles,
+                     select_roots_by_energy)
 
 
 @dataclass
@@ -33,28 +32,14 @@ class PairedPgdConfig:
         return self.k_r + self.k_t
 
 
-def paired_step_size_bounds(psi, alpha):
-    """Step interval with lambda_max = sigma_max(Psi)^2."""
-    lam = np.linalg.svd(psi, compute_uv=False)[0] ** 2
-    if lam == 0:
-        raise ValueError("zero operator")
-    w = 1.0 / np.sqrt(alpha + 1)
-    return (1.0 - w) / (2.0 * lam), (1.0 + w) / (2.0 * lam)
-
-
-def _check_feasible(k, alpha, n):
-    if k > min(2 * (alpha + 1), n - alpha):
-        raise ValueError(f"order K={k} infeasible for paired alpha={alpha}, n={n}")
-
-
 def _resolve(batch, config):
     psi = batch.operator_paired
     n = psi.shape[0] // 2
     alpha = config.alpha if config.alpha is not None else n // 3
-    _check_feasible(config.k, alpha, n)
+    sl.check_feasible(config.k, alpha, n, 2 * (alpha + 1))
     mu = config.mu
     if mu is None:
-        lo, hi = paired_step_size_bounds(psi, alpha)
+        lo, hi = sl.step_size_bounds(np.linalg.svd(psi, compute_uv=False)[0] ** 2, alpha)
         mu = 0.5 * (lo + hi)
     return psi, n, alpha, mu
 
@@ -102,58 +87,44 @@ def pgd_denoise_paired(batch, config, b0=None):
 
 
 def estimate_angles_nonuniform(batch, config):
-    """End-to-end Algorithm 2 with a residual-gated multi-start.
+    """End-to-end Algorithm 2 inside the shared residual-gated multistart.
 
-    Runs from config.init; if the final data fit sits above the noise floor
-    the solve is repeated from the remaining initializations and the best
-    fit wins. The exact paired model holds in both scenarios, so the gate is
-    always active.
+    The exact paired model holds in both scenarios, so the gate is always
+    active.
     """
-    res = _estimate_nonuniform_once(batch, config)
-    if not config.polish:
-        return res
-    gate = _residual_gate(batch)
-    psi = batch.operator_paired
-    best = (_fit_residual(batch.y, psi, *res.by_subspace()), res)
-    for init in _retry_inits(config.init):
-        if best[0] <= gate:
-            break
-        alt = _estimate_nonuniform_once(batch, replace(config, init=init))
-        r = _fit_residual(batch.y, psi, *alt.by_subspace())
-        if r < best[0]:
-            best = (r, alt)
-    return best[1]
+    return multistart(batch, batch.operator_paired, config,
+                      lambda cfg: _estimate_nonuniform_once(batch, cfg))
 
 
 def _estimate_nonuniform_once(batch, config):
     """One denoise / per-subspace annihilate / root / polish pass."""
     psi, n, alpha, _ = _resolve(batch, config)
     b, it, history, converged = pgd_denoise_paired(batch, config)
-    halves = [(b[:n], config.k_r), (b[n:], config.k_t)]
+    coeffs = subspace_af_coeffs(b, alpha)
+    halves = (b[:n], b[n:])
+    # a half's filter is degenerate exactly when the half, hence its lift, is all zero
+    degenerate = [not np.any(half) for half in halves]
     per_sub = []
-    coeffs = []
-    degenerate_any = False
-    for half, k_i in halves:
-        c, degenerate = sl.smallest_right_singular_vector(sl.hankel_lift(half, alpha))
-        coeffs.append(c)
-        if degenerate or k_i == 0:
+    for half, c, k_i, deg in zip(halves, coeffs, (config.k_r, config.k_t), degenerate):
+        if deg or k_i == 0:
             per_sub.append(np.zeros(k_i))
-            degenerate_any = degenerate_any or degenerate
             continue
         roots = select_roots_by_energy(sl.polynomial_roots(c), k_i, half[:, None])
-        per_sub.append(np.sort(_roots_to_angles_raw(roots)))
+        per_sub.append(np.sort(sl.roots_to_angles(roots)))
     th_r, th_t = per_sub
-    if config.polish and not degenerate_any:
+    if config.polish and not any(degenerate):
         th_r, th_t = polish_angles(batch.y, psi, th_r, th_t)
-    labeled = [(float(a), 'RS') for a in np.sort(th_r)] + [(float(a), 'TS') for a in np.sort(th_t)]
     return RecoveryResult(
-        angles=labeled, af_coeffs=np.concatenate(coeffs), iterations=it,
+        angles=label_angles(th_r, th_t), af_coeffs=np.concatenate(coeffs), iterations=it,
         residual_history=history, converged=converged, denoised=b,
     )
 
 
 def subspace_af_coeffs(denoised, alpha):
-    """The two per-subspace annihilating filters of a denoised [x_R; x_T]."""
+    """The two per-subspace annihilating filters of a denoised [x_R; x_T].
+
+    A half that is all zero gets the filter e_1 (see
+    ``structured_linalg.smallest_right_singular_vector``)."""
     b = np.asarray(denoised)
     n = b.shape[0] // 2
     c_r, _ = sl.smallest_right_singular_vector(sl.hankel_lift(b[:n], alpha))

@@ -7,13 +7,14 @@ projection of the stacked per-slot Hankel lifting onto rank K, then reads the
 angles off the annihilating filter of the denoised stack.
 """
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
 from . import structured_linalg as sl
-from .refine import _atoms, grid_init, polish_angles, select_roots_by_energy
-from .star_ris_model import UNIFORM
+from .refine import (RecoveryResult, grid_init, label_angles, multistart, polish_angles,
+                     select_roots_by_energy)
+from .star_ris_model import UNIFORM, steering_matrix
 
 
 @dataclass
@@ -28,41 +29,6 @@ class PgdConfig:
     polish: bool = True
 
 
-@dataclass
-class RecoveryResult:
-    angles: list               # [(theta_deg, 'RS'|'TS'), ...]
-    af_coeffs: np.ndarray
-    iterations: int
-    residual_history: list     # per-iteration update norms ||b_new - b_old||
-    converged: bool
-    denoised: np.ndarray
-    mismatched: bool = False   # solver model does not match the batch scenario
-
-    def by_subspace(self):
-        rs = np.sort([a for a, lab in self.angles if lab == 'RS'])
-        ts = np.sort([a for a, lab in self.angles if lab == 'TS'])
-        return rs, ts
-
-
-def step_size_bounds(rows, alpha):
-    """Admissible step interval (1 -+ 1/sqrt(alpha+1)) / (2 lambda_max).
-
-    The operator is block-diagonal across slots, so lambda_max of Phi^H Phi is
-    just the largest squared slot-row norm.
-    """
-    rows = np.asarray(rows)
-    lam = (np.abs(rows) ** 2).sum(axis=1).max()
-    if lam == 0:
-        raise ValueError("zero operator")
-    w = 1.0 / np.sqrt(alpha + 1)
-    return (1.0 - w) / (2.0 * lam), (1.0 + w) / (2.0 * lam)
-
-
-def _check_feasible(k, alpha, n):
-    if k > min(alpha + 1, n - alpha):
-        raise ValueError(f"order K={k} infeasible for alpha={alpha}, n={n}")
-
-
 def _temporal_projector(g):
     # projector onto span{1, g(t)} along the slot axis; pinv copes with the
     # rank-deficient case of a constant gain sequence
@@ -75,10 +41,12 @@ def _resolve(batch, config):
     rows = batch.operator_uniform
     t_s, n = rows.shape
     alpha = config.alpha if config.alpha is not None else n // 2
-    _check_feasible(config.k, alpha, n)
+    sl.check_feasible(config.k, alpha, n, alpha + 1)
     mu = config.mu
     if mu is None:
-        lo, hi = step_size_bounds(rows, alpha)
+        # the operator is block-diagonal across slots, so lambda_max of
+        # Phi^H Phi is the largest squared slot-row norm
+        lo, hi = sl.step_size_bounds((np.abs(rows) ** 2).sum(axis=1).max(), alpha)
         mu = 0.5 * (lo + hi)
     return rows, t_s, n, alpha, mu
 
@@ -154,15 +122,9 @@ def extract_af(denoised, alpha):
 
 def af_spectrum(af_coeffs, grid):
     """|C(e^{-j pi sin theta})| over the grid, normalized to peak 1."""
-    m = np.arange(len(af_coeffs))
-    E = np.exp(-1j * np.pi * np.outer(m, np.sin(np.radians(grid))))
-    v = np.abs(af_coeffs @ E)
+    v = np.abs(af_coeffs @ steering_matrix(grid, len(af_coeffs)))
     peak = v.max()
     return v / peak if peak > 0 else v
-
-
-def _roots_to_angles_raw(roots):
-    return -np.degrees(np.arcsin(np.clip(np.angle(roots) / np.pi, -1.0, 1.0)))
 
 
 def label_subspaces(b, g, roots, k_r=None, k_t=None):
@@ -199,46 +161,17 @@ def uniform_assumption_operator(batch):
     return np.vstack([rows_t, batch.g[None, :] * rows_t])
 
 
-def _fit_residual(y, psi, th_r, th_t):
-    """Norm of the data residual with gains projected out at the given angles."""
-    A = _atoms(psi, th_r, th_t)
-    s, *_ = np.linalg.lstsq(A, y, rcond=None)
-    return np.linalg.norm(y - A @ s)
-
-
-def _retry_inits(first_init):
-    return [i for i in ("Zero", "Backprojection", "Grid") if i != first_init]
-
-
-def _residual_gate(batch):
-    """A final fit should not sit far above the noise floor; anything beyond
-    this gate means the solver landed in a wrong basin and a restart from a
-    different initialization is worth the cost."""
-    return max(2.0 * np.sqrt(batch.sigma_n2 * len(batch.y)), 1e-8 * np.linalg.norm(batch.y))
-
-
 def estimate_angles_uniform(batch, config, k_r=None, k_t=None):
-    """End-to-end Algorithm 1 with a residual-gated multi-start.
+    """End-to-end Algorithm 1 inside the shared residual-gated multistart.
 
-    The solve is run from config.init; when the solver's model matches the
-    batch scenario and the final data fit sits above the noise floor, it is
-    rerun from the remaining initializations and the best fit is kept.
-    Mismatched-scenario solves are never retried (no accuracy contract).
+    The multistart runs only when the solver's model matches the batch
+    scenario: a mismatched-scenario solve is returned as it is, since it
+    carries no accuracy contract.
     """
-    res = _estimate_uniform_once(batch, config, k_r, k_t)
-    if batch.scenario != UNIFORM or not config.polish:
-        return res
-    psi_u = uniform_assumption_operator(batch)
-    gate = _residual_gate(batch)
-    best = (_fit_residual(batch.y, psi_u, *res.by_subspace()), res)
-    for init in _retry_inits(config.init):
-        if best[0] <= gate:
-            break
-        alt = _estimate_uniform_once(batch, replace(config, init=init), k_r, k_t)
-        r = _fit_residual(batch.y, psi_u, *alt.by_subspace())
-        if r < best[0]:
-            best = (r, alt)
-    return best[1]
+    if batch.scenario != UNIFORM:
+        return _estimate_uniform_once(batch, config, k_r, k_t)
+    return multistart(batch, uniform_assumption_operator(batch), config,
+                      lambda cfg: _estimate_uniform_once(batch, cfg, k_r, k_t))
 
 
 def _estimate_uniform_once(batch, config, k_r=None, k_t=None):
@@ -247,19 +180,19 @@ def _estimate_uniform_once(batch, config, k_r=None, k_t=None):
     b, it, history, converged = pgd_denoise(batch, config, k_r=k_r, k_t=k_t)
     c, degenerate = extract_af(b, alpha)
     if degenerate:
-        roots = np.exp(-1j * np.pi * np.linspace(-0.5, 0.5, config.k))
+        # no filter to root: spread placeholder roots over the aperture
+        roots = steering_matrix(np.degrees(np.arcsin(np.linspace(-0.5, 0.5, config.k))), 2)[1]
     else:
         roots = select_roots_by_energy(sl.polynomial_roots(c), config.k, b)
-    angles = _roots_to_angles_raw(roots)
+    angles = sl.roots_to_angles(roots)
     is_ts = label_subspaces(b, batch.g, roots, k_r, k_t)
     th_r = np.sort(angles[~is_ts])
     th_t = np.sort(angles[is_ts])
     if config.polish and not degenerate:
         psi_u = uniform_assumption_operator(batch)
         th_r, th_t = polish_angles(batch.y, psi_u, th_r, th_t)
-    labeled = [(float(a), 'RS') for a in np.sort(th_r)] + [(float(a), 'TS') for a in np.sort(th_t)]
     return RecoveryResult(
-        angles=labeled, af_coeffs=c, iterations=it,
+        angles=label_angles(th_r, th_t), af_coeffs=c, iterations=it,
         residual_history=history, converged=converged, denoised=b,
         mismatched=(batch.scenario != UNIFORM),
     )

@@ -1,7 +1,6 @@
-"""Shared initialization and angle-refinement helpers.
+"""The solver skeleton shared by both recovery algorithms.
 
-Both recovery algorithms use the same three ingredients around the iterative
-denoiser:
+Both algorithms run their iterative denoiser inside the same pieces:
 
 * a matched-atom greedy initializer on a coarse angle grid (with a few
   cyclic re-selection sweeps, which fixes the occasional greedy mistake),
@@ -10,25 +9,50 @@ denoiser:
 * a maximum-likelihood polish: variable-projection least squares over the
   angles (gains eliminated in closed form) interleaved with per-angle global
   rescans on a fine grid, so the final estimate sits in the ML basin instead
-  of wherever the algebraic extraction left it.
+  of wherever the algebraic extraction left it,
+* a residual-gated multistart (``multistart``) that reruns the whole solve,
+  starting over with each other initialization, while the polished fit sits
+  above the noise floor; and the RS/TS-labelled result every solver returns.
 
 The grid steering matrices of the initializer and the rescan depend only on
 the aperture and the grid, so they are built once per process and cached.
 """
 
 import functools
+from dataclasses import dataclass, replace
 
 import numpy as np
 from scipy.optimize import least_squares
 
-from .star_ris_model import steering_vector
+from .star_ris_model import steering_derivative, steering_matrix
+
+
+@dataclass
+class RecoveryResult:
+    angles: list               # [(theta_deg, 'RS'|'TS'), ...]
+    af_coeffs: np.ndarray
+    iterations: int
+    residual_history: list     # per-iteration update norms ||b_new - b_old||
+    converged: bool
+    denoised: np.ndarray
+    mismatched: bool = False   # solver model does not match the batch scenario
+
+    def by_subspace(self):
+        rs = np.sort([a for a, lab in self.angles if lab == 'RS'])
+        ts = np.sort([a for a, lab in self.angles if lab == 'TS'])
+        return rs, ts
+
+
+def label_angles(th_r, th_t):
+    """[(theta, 'RS'), ...] + [(theta, 'TS'), ...], each side ascending."""
+    return [(float(a), 'RS') for a in np.sort(th_r)] + [(float(a), 'TS') for a in np.sort(th_t)]
 
 
 @functools.lru_cache(maxsize=None)
 def _grid_steering(n, lo=-60.0, hi=60.0, step=0.5):
     """(grid, n x G steering matrix), cached per arguments; both read-only."""
     grid = np.arange(lo, hi + 1e-9, step)
-    sv = np.exp(-1j * np.pi * np.outer(np.arange(n), np.sin(np.radians(grid))))
+    sv = steering_matrix(grid, n)
     grid.flags.writeable = False
     sv.flags.writeable = False
     return grid, sv
@@ -116,36 +140,23 @@ def select_roots_by_energy(roots, k, sig_cols):
 
 
 def _atoms(psi, th_r, th_t):
+    """t_s x K operator responses of the RS angles then the TS angles."""
     n = psi.shape[0] // 2
-    t_s = psi.shape[1]
-    cols = []
-    for j, t in enumerate(list(th_r) + list(th_t)):
-        half = psi[:n] if j < len(th_r) else psi[n:]
-        cols.append(half.T @ steering_vector(t, n))
-    if not cols:
-        return np.zeros((t_s, 0), complex)
-    return np.column_stack(cols)
+    return np.hstack([psi[:n].T @ steering_matrix(th_r, n), psi[n:].T @ steering_matrix(th_t, n)])
 
 
-def _atoms_and_derivs(psi, th):
+def _atoms_and_derivs(psi, th, k_r):
+    """_atoms of th[:k_r] (RS) and th[k_r:] (TS), and their derivatives in
+    degrees. Built one column at a time: a single matrix product rounds
+    differently, and between two near-coincident angles varpro's end point
+    moves by up to 2e-4 degrees with that rounding."""
     n = psi.shape[0] // 2
-    m = np.arange(n)
-    cols, dcols = [], []
-    k_r = th.k_r
-    for j, t in enumerate(th.values):
-        rad = np.radians(t)
-        a = np.exp(-1j * np.pi * m * np.sin(rad))
-        da = (-1j * np.pi * m * np.cos(rad)) * a * (np.pi / 180.0)
-        half = psi[:n] if j < k_r else psi[n:]
-        cols.append(half.T @ a)
-        dcols.append(half.T @ da)
-    return np.column_stack(cols), np.column_stack(dcols)
-
-
-class _Th:
-    def __init__(self, values, k_r):
-        self.values = values
-        self.k_r = k_r
+    S = steering_matrix(th, n)
+    dS = steering_derivative(th, n) * (np.pi / 180.0)
+    halves = [psi[:n].T if j < k_r else psi[n:].T for j in range(len(th))]
+    A = np.column_stack([half @ S[:, j] for j, half in enumerate(halves)])
+    dA = np.column_stack([half @ dS[:, j] for j, half in enumerate(halves)])
+    return A, dA
 
 
 def varpro_refine(y, psi, th_r, th_t):
@@ -167,7 +178,7 @@ def varpro_refine(y, psi, th_r, th_t):
         nonlocal last_th, last
         if last_th is not None and np.array_equal(th, last_th):
             return last
-        A, dA = _atoms_and_derivs(psi, _Th(th, k_r))
+        A, dA = _atoms_and_derivs(psi, th, k_r)
         s, *_ = np.linalg.lstsq(A, y, rcond=None)
         last_th, last = th.copy(), (A, dA, s, y - A @ s)
         return last
@@ -236,3 +247,44 @@ def polish_angles(y, psi, th_r, th_t):
     if np.array_equal(new_r, th_r) and np.array_equal(new_t, th_t):
         return th_r, th_t
     return varpro_refine(y, psi, new_r, new_t)
+
+
+def _fit_residual(y, psi, th_r, th_t):
+    """Norm of the data residual with gains projected out at the given angles."""
+    A = _atoms(psi, th_r, th_t)
+    s, *_ = np.linalg.lstsq(A, y, rcond=None)
+    return np.linalg.norm(y - A @ s)
+
+
+def _retry_inits(first_init):
+    return [i for i in ("Zero", "Backprojection", "Grid") if i != first_init]
+
+
+def _residual_gate(batch):
+    """A final fit should not sit far above the noise floor; anything beyond
+    this gate means the solver landed in a wrong basin and a restart from a
+    different initialization is worth the cost."""
+    return max(2.0 * np.sqrt(batch.sigma_n2 * len(batch.y)), 1e-8 * np.linalg.norm(batch.y))
+
+
+def multistart(batch, psi, config, solve_once):
+    """Residual-gated multistart around one solver.
+
+    solve_once(config) runs one whole solve from config.init and returns a
+    RecoveryResult. With config.polish set, while the best fit to y under the
+    paired operator psi sits above the noise-floor gate, the solve is rerun
+    with each remaining initialization and the lowest residual wins.
+    """
+    res = solve_once(config)
+    if not config.polish:
+        return res
+    gate = _residual_gate(batch)
+    best = (_fit_residual(batch.y, psi, *res.by_subspace()), res)
+    for init in _retry_inits(config.init):
+        if best[0] <= gate:
+            break
+        alt = solve_once(replace(config, init=init))
+        r = _fit_residual(batch.y, psi, *alt.by_subspace())
+        if r < best[0]:
+            best = (r, alt)
+    return best[1]

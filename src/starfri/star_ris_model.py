@@ -1,5 +1,9 @@
 """STAR-RIS control sequences, steering vectors and measurement synthesis.
 
+The one steering-matrix builder of the package lives here: every module that
+needs exp(-j pi m sin theta) over an aperture, or its angle derivative, calls
+``steering_matrix`` or ``steering_derivative``.
+
 Each metasurface element splits the incident wave into a reflected part
 (amplitude beta_r, phase phi_r) and a transmitted part whose amplitude follows
 from energy conservation beta_t = sqrt(1 - beta_r^2) and whose phase is offset
@@ -69,42 +73,64 @@ class Channel:
 
 @dataclass
 class MeasurementBatch:
+    """One batch of slot observations, the input of every estimator.
+
+    Setting y or sigma_n2, at construction or later, to a non-finite value
+    (or sigma_n2 to a negative one) raises ValueError naming the field.
+    """
     y: np.ndarray                 # (t_s,)
     sigma_n2: float
-    operator_uniform: np.ndarray  # (t_s, n) rows, row t = h^T Phi_R(t)
     operator_paired: np.ndarray   # (2n, t_s) columns psi(t)
     g: np.ndarray                 # per-slot scalar gain sequence (see above)
     scenario: str
     seed: int = 0
 
+    def __setattr__(self, name, value):
+        if name == "y" and not np.all(np.isfinite(value)):
+            raise ValueError("MeasurementBatch.y has non-finite entries")
+        if name == "sigma_n2" and not (np.isfinite(value) and value >= 0):
+            raise ValueError(f"MeasurementBatch.sigma_n2={value!r} is not a finite variance")
+        super().__setattr__(name, value)
 
-def steering_vector(theta, n):
-    """Half-wavelength ULA response, entry m = exp(-j pi m sin theta)."""
-    return np.exp(-1j * np.pi * np.arange(n) * np.sin(np.radians(theta)))
+    @property
+    def operator_uniform(self):
+        """(t_s, n) C-contiguous rows h^T Phi_R(t) of the uniform-regime
+        latent model: the top half of operator_paired, transposed."""
+        n = self.operator_paired.shape[0] // 2
+        return np.ascontiguousarray(self.operator_paired[:n].T)
 
 
 def steering_matrix(thetas, n):
-    if len(thetas) == 0:
-        return np.zeros((n, 0), complex)
-    return np.column_stack([steering_vector(t, n) for t in thetas])
+    """Half-wavelength ULA responses exp(-j pi m sin theta), m = 0..n-1, for
+    angles in degrees: n x K for K angles (n x 1 for a scalar)."""
+    return np.exp(-1j * np.pi * np.arange(n)[:, None] * np.sin(np.radians(thetas)))
 
 
-def generate_profile(scenario, n, t_s, rng, randomize_sign=True, freeze_amplitudes=False):
+def steering_derivative(thetas, n):
+    """d/d theta, theta in radians, of steering_matrix: entry (m, k) equal to
+    (-j pi m cos theta_k) exp(-j pi m sin theta_k)."""
+    rad = np.radians(thetas)
+    return (-1j * np.pi * np.arange(n)[:, None] * np.cos(rad)) * steering_matrix(thetas, n)
+
+
+def steering_vector(theta, n):
+    """Steering response of one angle (degrees) as a length-n vector."""
+    return steering_matrix(theta, n)[:, 0]
+
+
+def generate_profile(scenario, n, t_s, rng, randomize_sign=True):
     """Draw a control sequence for the requested energy-splitting scenario.
 
     Uniform: beta_r = sqrt(2)/2 everywhere. Nonuniform: beta_r^2 iid uniform
-    on [0.2, 0.8] (redrawn per slot unless freeze_amplitudes). In both cases
-    the +-j sign is shared by all elements within a slot; randomize_sign=False
-    pins it to +1 for all slots (a surface whose element design fixes the
-    phase offset), which is what the spectrum figures use.
+    on [0.2, 0.8] per element and slot. In both cases the +-j sign is shared
+    by all elements within a slot; randomize_sign=False pins it to +1 for all
+    slots (a surface whose element design fixes the phase offset), which is
+    what the spectrum figures use.
     """
     if scenario == UNIFORM:
         beta = np.full((n, t_s), np.sqrt(2) / 2)
     elif scenario == NONUNIFORM:
-        if freeze_amplitudes:
-            beta = np.sqrt(np.repeat(rng.uniform(0.2, 0.8, (n, 1)), t_s, axis=1))
-        else:
-            beta = np.sqrt(rng.uniform(0.2, 0.8, (n, t_s)))
+        beta = np.sqrt(rng.uniform(0.2, 0.8, (n, t_s)))
     else:
         raise ValueError(f"unknown scenario {scenario!r}")
     phi = rng.uniform(0.0, 2 * np.pi, (n, t_s))
@@ -120,23 +146,11 @@ def map_reflection_to_transmission(profile):
     return profile.sign_j * 1j * np.sqrt(1.0 - profile.beta_r ** 2) * np.exp(1j * profile.phi_r)
 
 
-def build_uniform_operator(profile, channel):
-    """Per-slot rows h^T Phi_R(t); the block-diagonal sensing operator of the
-    uniform-regime latent model y(t) = row_t . r(t)."""
-    if profile.scenario != UNIFORM:
-        raise ValueError("uniform operator requires the UniformES scenario")
-    return _reflection_rows(profile, channel)
-
-
-def _reflection_rows(profile, channel):
-    return (channel.h[:, None] * profile.reflection()).T  # (t_s, n)
-
-
 def build_paired_operator(profile, channel):
     """Psi (2n x t_s): column t stacks Phi_R(t) h over G(t) Phi_R(t) h."""
-    rows = _reflection_rows(profile, channel)              # (t_s, n)
+    top = channel.h[:, None] * profile.reflection()        # (n, t_s)
     G = profile.sign_j * 1j * profile.p_ratio()            # (n, t_s)
-    return np.vstack([rows.T, rows.T * G])
+    return np.vstack([top, top * G])
 
 
 def latent_fri_vectors(scene, profile):
@@ -170,10 +184,8 @@ def synthesize_measurements(scene, profile, channel, snr_db, rng, seed=0):
         sigma_n2 = 10.0 ** (-snr_db / 10.0)
         t_s = profile.t_s
         y = y + np.sqrt(sigma_n2 / 2) * (rng.standard_normal(t_s) + 1j * rng.standard_normal(t_s))
-    n = profile.n
     return MeasurementBatch(
         y=y, sigma_n2=sigma_n2,
-        operator_uniform=psi[:n].T.copy(),
         operator_paired=psi,
         g=profile.gain_sequence(),
         scenario=profile.scenario,

@@ -4,6 +4,11 @@ Small dense kernels shared by both recovery algorithms. Everything here is a
 pure function on numpy arrays; matrices never exceed a few hundred rows so we
 just call LAPACK through numpy and do not bother with anything iterative.
 
+Both PGD solvers also take from here the rules that differ between their
+liftings only by a number: the admissible step interval (a function of the
+operator's lambda_max and the order alpha), the rank-feasibility check (a
+function of the lift's column count) and the root -> angle map.
+
 The stacked lift of t_s slot vectors (the rows of a t_s x n matrix V) also has
 an n x n form that never builds the t_s(n-alpha) x (alpha+1) stack: its Gram
 matrix is a fixed gather-and-sum over D = V^H V, and lifting, right-multiplying
@@ -15,6 +20,22 @@ import functools
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
+
+
+def step_size_bounds(lam, alpha):
+    """Admissible PGD step interval (1 -+ 1/sqrt(alpha+1)) / (2 lam), with lam
+    the largest eigenvalue of the data operator's normal matrix."""
+    if lam == 0:
+        raise ValueError("zero operator")
+    w = 1.0 / np.sqrt(alpha + 1)
+    return (1.0 - w) / (2.0 * lam), (1.0 + w) / (2.0 * lam)
+
+
+def check_feasible(k, alpha, n, cols):
+    """Reject an order K that an (n - alpha) x cols lift cannot hold."""
+    if k > min(cols, n - alpha):
+        raise ValueError(f"order K={k} infeasible for a {n - alpha} x {cols} lift "
+                         f"(alpha={alpha}, n={n})")
 
 
 def hankel_lift(v, alpha):
@@ -153,11 +174,7 @@ def polynomial_roots(coeffs):
     return np.roots(c[deg::-1])
 
 
-def roots_to_angles(roots, k):
-    """Keep the k roots closest to the unit circle and invert the exponent
-    map: theta = -arcsin(arg(z)/pi), reported in degrees, ascending."""
-    roots = np.asarray(roots)
-    if roots.size < k:
-        raise ValueError("fewer than k roots")
-    keep = roots[np.argsort(np.abs(np.abs(roots) - 1.0))[:k]]
-    return np.sort(-np.degrees(np.arcsin(np.clip(np.angle(keep) / np.pi, -1.0, 1.0))))
+def roots_to_angles(roots):
+    """Invert the exponent map z = exp(-j pi sin theta) of each root:
+    theta = -arcsin(arg(z)/pi) in degrees, in the order given."""
+    return -np.degrees(np.arcsin(np.clip(np.angle(roots) / np.pi, -1.0, 1.0)))

@@ -21,7 +21,6 @@ def _batch(theta_rs, theta_ts, snr_db=30.0, seed=3, gains=None):
 
 def _with_y(batch, y):
     return sm.MeasurementBatch(y=y, sigma_n2=batch.sigma_n2,
-                               operator_uniform=batch.operator_uniform,
                                operator_paired=batch.operator_paired,
                                g=batch.g, scenario=batch.scenario)
 

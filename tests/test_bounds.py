@@ -4,8 +4,9 @@ import numpy as np
 import pytest
 
 from starfri import star_ris_model as sm
-from starfri.bounds import (ZzbInputs, fisher_information, p_l, steering_derivative,
-                            u_tilde, valley_weight, zzb_full, zzb_subspace)
+from starfri.bounds import (ZzbInputs, fisher_information, p_l, u_tilde, valley_weight,
+                            zzb_full, zzb_subspace)
+from starfri.star_ris_model import steering_derivative
 
 
 def _pinned_inputs():
@@ -27,7 +28,7 @@ def _random_inputs(seed=0, sigma_n2=10 ** (-1.5), k_r=2, k_t=2):
 
 
 def test_steering_derivative_values():
-    d = steering_derivative(0.0, 2)
+    d = steering_derivative(0.0, 2)[:, 0]
     assert np.allclose(d, [0.0, -1j * np.pi])
     # derivative magnitude vanishes at grazing incidence
     assert np.max(np.abs(steering_derivative(89.999, 8))) <= 1e-3
@@ -35,11 +36,17 @@ def test_steering_derivative_values():
 
 def test_steering_derivative_finite_difference():
     h = 1e-6
-    for theta in (-37.2, 0.0, 12.9, 55.0):
+    thetas = [-37.2, 0.0, 12.9, 55.0]
+    D = steering_derivative(thetas, 8)
+    assert D.shape == (8, 4)
+    for j, theta in enumerate(thetas):
         fd = (sm.steering_vector(theta + np.degrees(h), 8)
               - sm.steering_vector(theta - np.degrees(h), 8)) / (2 * h)
-        d = steering_derivative(theta, 8)
-        assert np.max(np.abs(d - fd)) <= 1e-6 * np.max(np.abs(d) + 1)
+        assert np.max(np.abs(D[:, j] - fd)) <= 1e-6 * np.max(np.abs(D[:, j]) + 1)
+    # the matrix form, differenced as a whole, against itself column by column
+    fd = (sm.steering_matrix(np.add(thetas, np.degrees(h)), 8)
+          - sm.steering_matrix(np.subtract(thetas, np.degrees(h)), 8)) / (2 * h)
+    assert np.max(np.abs(D - fd)) <= 1e-6 * np.max(np.abs(D) + 1)
 
 
 def test_fisher_pinned_example():

@@ -2,10 +2,12 @@
 
 import csv
 import json
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
+from starfri import experiments
 from starfri import star_ris_model as sm
 from starfri.experiments import (CSV_COLUMNS, ExperimentConfig, _aggregate,
                                  local_minima, main, make_batch, match_and_score,
@@ -168,6 +170,34 @@ def test_run_trial_records_value_error_as_failed_trial():
     assert out["M1"]["angles"] == [] and out["M1"]["errors"] is None
     assert not out["M1"]["success"] and out["M1"]["iterations"] == 0
     assert len(out["FFT"]["angles"]) == 4
+
+
+ALL_METHODS = ("M1", "M2", "FFT", "OMP", "SBL")
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+@pytest.mark.parametrize("method", ALL_METHODS)
+def test_non_finite_y_rejected_at_the_batch(method, bad):
+    cfg = ExperimentConfig(scenario=1, snr_db=15.0, seed=0, methods=(method,))
+    _, _, _, batch = make_batch(cfg, 0)
+    y = batch.y.copy()
+    y[5] = bad
+    with pytest.raises(ValueError, match=r"MeasurementBatch\.y has non-finite"):
+        run_method(method, replace(batch, y=y), cfg)
+    with pytest.raises(ValueError, match=r"MeasurementBatch\.y has non-finite"):
+        batch.y = y
+        run_method(method, batch, cfg)
+
+
+def test_run_trial_records_a_non_finite_batch_as_failed(monkeypatch):
+    # a channel of NaNs makes every measurement NaN
+    monkeypatch.setattr(experiments, "draw_channel",
+                        lambda rng, n: sm.Channel(h=np.full(n, np.nan, complex)))
+    out = run_trial(ExperimentConfig(seed=0, methods=ALL_METHODS), 0)
+    assert set(out) == set(ALL_METHODS)
+    for res in out.values():
+        assert res["angles"] == [] and res["errors"] is None
+        assert not res["success"] and res["iterations"] == 0
 
 
 @pytest.mark.parametrize("runner", [run_sweep, run_aperture_sweep, run_snr_sweep])

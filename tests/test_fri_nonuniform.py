@@ -6,8 +6,7 @@ import pytest
 from starfri import star_ris_model as sm
 from starfri import structured_linalg as sl
 from starfri.fri_nonuniform import (PairedPgdConfig, estimate_angles_nonuniform,
-                                    paired_step_size_bounds, pgd_denoise_paired,
-                                    subspace_af_coeffs)
+                                    pgd_denoise_paired, subspace_af_coeffs)
 from starfri.fri_uniform import PgdConfig, estimate_angles_uniform
 
 
@@ -20,26 +19,39 @@ def _batch(theta_rs, theta_ts, snr_db=np.inf, seed=0, scenario=sm.NONUNIFORM, n=
     return scene, prof, sm.synthesize_measurements(scene, prof, ch, snr_db, rng)
 
 
-def test_paired_step_size_bounds():
+def test_paired_step_size_bounds(liftings, operator_batch):
+    # one unit column: sigma_max = 1 under both liftings, midpoint step 1/2
     psi = np.zeros((6, 4), complex)
     psi[:, 0] = np.eye(6)[:, 0]
-    lo, hi = paired_step_size_bounds(psi, 3)
-    assert np.isclose(lo, 0.25) and np.isclose(hi, 0.75)
+    for step, _ in liftings.values():
+        assert np.isclose(step(operator_batch(psi), 1), 0.5)
+    # lambda_max agrees with a sigma_max oracle on each lifting's operator,
+    # and scaling the operator by 3 divides the step by 9
     rng = np.random.default_rng(0)
     psi = rng.standard_normal((8, 5)) + 1j * rng.standard_normal((8, 5))
-    lo, hi = paired_step_size_bounds(psi, 3)
-    lo2, hi2 = paired_step_size_bounds(3 * psi, 3)
-    assert np.isclose(lo2, lo / 9) and np.isclose(hi2, hi / 9)
-    smax = np.sqrt(np.linalg.eigvalsh(psi.conj().T @ psi).max())
+    for step, dense in liftings.values():
+        smax = np.linalg.svd(dense(operator_batch(psi)), compute_uv=False)[0]
+        mu = step(operator_batch(psi), 1)
+        assert np.isclose(mu, 1 / (2 * smax ** 2), rtol=1e-10)
+        assert np.isclose(step(operator_batch(3 * psi), 1), mu / 9, rtol=1e-10)
+        with pytest.raises(ValueError):
+            step(operator_batch(np.zeros((8, 5), complex)), 1)
+    lo, hi = sl.step_size_bounds(smax ** 2, 3)
     assert np.isclose(lo, (1 - 0.5) / (2 * smax ** 2), rtol=1e-10)
-    with pytest.raises(ValueError):
-        paired_step_size_bounds(np.zeros((4, 3)), 3)
+    assert np.isclose(hi, (1 + 0.5) / (2 * smax ** 2), rtol=1e-10)
 
 
-def test_paired_feasibility_rejection():
+def test_paired_feasibility_rejection(liftings):
     _, _, batch = _batch([10.0], [-20.0], snr_db=15.0, n=9)
     with pytest.raises(ValueError):
         pgd_denoise_paired(batch, PairedPgdConfig(alpha=3, k_r=4, k_t=4))
+    # n=9, alpha=3: the stacked 6 x 4 lift holds K <= 4; the paired 6 x 8 one
+    # is bound by its 6 rows
+    for name, k_max in (("stacked", 4), ("paired", 6)):
+        step, _ = liftings[name]
+        step(batch, k_max, alpha=3)
+        with pytest.raises(ValueError):
+            step(batch, k_max + 1, alpha=3)
 
 
 def test_zero_measurement_zero_fixed_point():

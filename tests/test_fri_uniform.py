@@ -8,7 +8,7 @@ from starfri import structured_linalg as sl
 from starfri.experiments import ExperimentConfig, make_batch
 from starfri.fri_uniform import (PgdConfig, _resolve, _temporal_projector, af_spectrum,
                                  estimate_angles_uniform, extract_af, initial_iterate,
-                                 pgd_denoise, step_size_bounds, uniform_assumption_operator)
+                                 pgd_denoise, uniform_assumption_operator)
 
 
 def _uniform_batch(theta_rs, theta_ts, snr_db=np.inf, seed=0, gains=None, n=16, t_s=32):
@@ -25,33 +25,48 @@ def _uniform_batch(theta_rs, theta_ts, snr_db=np.inf, seed=0, gains=None, n=16, 
 
 # ------------------------------------------------------------------ step size
 
-def test_step_size_bounds_unit_rows():
-    rows = np.eye(4)[:3]
-    lo, hi = step_size_bounds(rows, 3)
+def test_step_size_bounds_unit_rows(liftings, operator_batch):
+    lo, hi = sl.step_size_bounds(1.0, 3)
     assert np.isclose(lo, 0.25) and np.isclose(hi, 0.75)
+    # unit slot rows in the top half, nothing below: lambda_max = 1 under both
+    # liftings, so each solver steps at the interval's midpoint 1/2
+    batch = operator_batch(np.vstack([np.eye(4)[:, :3], np.zeros((4, 3))]))
+    for step, _ in liftings.values():
+        assert np.isclose(step(batch, 1), 0.5)
 
 
-def test_step_size_bounds_scaling():
-    rng = np.random.default_rng(0)
-    rows = rng.standard_normal((5, 6)) + 1j * rng.standard_normal((5, 6))
-    lo, hi = step_size_bounds(rows, 3)
-    lo2, hi2 = step_size_bounds(2 * rows, 3)
+def test_step_size_bounds_scaling(liftings, operator_batch):
+    lo, hi = sl.step_size_bounds(2.0, 3)
+    lo2, hi2 = sl.step_size_bounds(8.0, 3)
     assert np.isclose(lo2, lo / 4) and np.isclose(hi2, hi / 4)
-    # lambda_max agrees with a dense eigen-oracle on the block-diagonal operator
-    full = np.zeros((5, 30), complex)
-    for t in range(5):
-        full[t, 6 * t:6 * (t + 1)] = rows[t]
-    lam = np.linalg.eigvalsh(full.conj().T @ full).max()
     w = 1 / np.sqrt(4)
-    assert np.isclose(lo, (1 - w) / (2 * lam), rtol=1e-10)
+    assert np.isclose(lo, (1 - w) / 4) and np.isclose(hi, (1 + w) / 4)
+    # lambda_max agrees with a dense eigen-oracle on each lifting's operator,
+    # and scaling the operator by 2 divides the step by 4
+    rng = np.random.default_rng(0)
+    psi = rng.standard_normal((12, 5)) + 1j * rng.standard_normal((12, 5))
+    for step, dense in liftings.values():
+        full = dense(operator_batch(psi))
+        lam = np.linalg.eigvalsh(full.conj().T @ full).max()
+        mu = step(operator_batch(psi), 1)
+        assert np.isclose(mu, 1 / (2 * lam), rtol=1e-10)
+        assert np.isclose(step(operator_batch(2 * psi), 1), mu / 4, rtol=1e-10)
+        with pytest.raises(ValueError):
+            step(operator_batch(np.zeros((12, 5), complex)), 1)
     with pytest.raises(ValueError):
-        step_size_bounds(np.zeros((3, 4)), 3)
+        sl.step_size_bounds(0.0, 3)
 
 
-def test_feasibility_rejection():
+def test_feasibility_rejection(liftings):
     _, _, batch = _uniform_batch([10.0], [], snr_db=20.0, n=8)
     with pytest.raises(ValueError):
         pgd_denoise(batch, PgdConfig(alpha=2, k=7))
+    # n=8, alpha=2: the stacked 6 x 3 lift holds K <= 3, the paired 6 x 6 one K <= 6
+    for name, k_max in (("stacked", 3), ("paired", 6)):
+        step, _ = liftings[name]
+        step(batch, k_max, alpha=2)
+        with pytest.raises(ValueError):
+            step(batch, k_max + 1, alpha=2)
 
 
 # -------------------------------------------------------------------- denoise
@@ -143,8 +158,7 @@ def test_linear_update_contraction_factor():
     rows = batch.operator_uniform
     t_s, n = rows.shape
     alpha = n // 2
-    lo, hi = step_size_bounds(rows, alpha)
-    mu = 0.5 * (lo + hi)
+    mu = _resolve(batch, PgdConfig(k=3))[-1]
     gain = max(np.abs(np.linalg.eigvals(np.eye(n) - 2 * mu * np.outer(r.conj(), r))).max()
                for r in rows)
     factor = np.sqrt(alpha + 1) * gain
@@ -272,8 +286,7 @@ def test_uniform_assumption_operator_matches_exact_in_scenario1():
 
 def test_initial_iterate_variants():
     _, _, batch = _uniform_batch([10.0], [-20.0], snr_db=15.0, seed=13)
-    lo, hi = step_size_bounds(batch.operator_uniform, 8)
-    mu = 0.5 * (lo + hi)
+    mu = _resolve(batch, PgdConfig(k=2, alpha=8))[-1]
     z = initial_iterate(batch, PgdConfig(k=2, init="Zero"), mu)
     assert not np.any(z)
     bp = initial_iterate(batch, PgdConfig(k=2, init="Backprojection"), mu)

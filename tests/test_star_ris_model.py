@@ -28,6 +28,14 @@ def test_steering_vector_values():
     v = sm.steering_vector(-47.34, 16)
     m = np.arange(16)
     assert np.allclose(np.angle(v), np.angle(np.exp(1j * np.pi * m * np.sin(np.radians(47.34)))))
+    # the matrix form equals the per-angle formula bit for bit, column by column
+    grid = np.arange(-60.0, 60.0 + 1e-9, 0.1)
+    S = sm.steering_matrix(grid, 16)
+    assert S.shape == (16, grid.size)
+    for j, t in enumerate(grid):
+        assert np.array_equal(S[:, j], np.exp(-1j * np.pi * m * np.sin(np.radians(t))))
+        assert np.array_equal(sm.steering_vector(t, 16), S[:, j])
+    assert sm.steering_matrix([], 5).shape == (5, 0)
 
 
 # ------------------------------------------------------------------- profiles
@@ -55,11 +63,6 @@ def test_sign_shared_within_slot():
     assert set(np.unique(p.sign_j)) <= {-1.0, 1.0}
     pinned = _profile(sm.NONUNIFORM, seed=3, randomize_sign=False)
     assert np.all(pinned.sign_j == 1.0)
-
-
-def test_freeze_amplitudes():
-    p = _profile(sm.NONUNIFORM, seed=5, freeze_amplitudes=True)
-    assert np.all(p.beta_r == p.beta_r[:, :1])
 
 
 def test_unknown_scenario_rejected():
@@ -93,24 +96,24 @@ def test_transmission_examples():
 
 # ------------------------------------------------------------------ operators
 
+def _one_user_batch(p, ch):
+    scene = sm.UserScene([0.0], [], np.array([1.0 + 0j]))
+    return sm.synthesize_measurements(scene, p, ch, np.inf, np.random.default_rng(0))
+
+
 def test_uniform_operator_rows():
     p = _manual_uniform_profile(4, 3)
-    ch = sm.Channel(h=np.ones(4, complex))
-    rows = sm.build_uniform_operator(p, ch)
+    rows = _one_user_batch(p, sm.Channel(h=np.ones(4, complex))).operator_uniform
     assert np.allclose(rows, np.sqrt(2) / 2)
-    # scalar oracle on a random profile
-    p = _profile(sm.UNIFORM, n=5, t_s=4, seed=17)
-    ch = sm.draw_channel(np.random.default_rng(17), 5)
-    rows = sm.build_uniform_operator(p, ch)
-    for t in range(4):
-        for m in range(5):
-            assert np.isclose(rows[t, m], ch.h[m] * p.beta_r[m, t] * np.exp(1j * p.phi_r[m, t]))
-
-
-def test_uniform_operator_rejects_nonuniform():
-    p = _profile(sm.NONUNIFORM)
-    with pytest.raises(ValueError):
-        sm.build_uniform_operator(p, sm.Channel(h=np.ones(16, complex)))
+    # scalar oracle on random profiles, including a nonuniform one
+    for scen in (sm.UNIFORM, sm.NONUNIFORM):
+        p = _profile(scen, n=5, t_s=4, seed=17)
+        ch = sm.draw_channel(np.random.default_rng(17), 5)
+        rows = _one_user_batch(p, ch).operator_uniform
+        assert rows.shape == (4, 5) and rows.flags.c_contiguous
+        for t in range(4):
+            for m in range(5):
+                assert np.isclose(rows[t, m], ch.h[m] * p.beta_r[m, t] * np.exp(1j * p.phi_r[m, t]))
 
 
 def test_paired_operator_halves():

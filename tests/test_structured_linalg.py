@@ -315,13 +315,15 @@ def test_polynomial_roots_from_af_product():
 
 
 def test_roots_to_angles():
-    assert np.allclose(sl.roots_to_angles([-1j], 1), [30.0])
-    assert np.allclose(sl.roots_to_angles([1.0 + 0j], 1), [0.0])
+    assert np.allclose(sl.roots_to_angles([-1j]), [30.0])
+    assert np.allclose(sl.roots_to_angles([1.0 + 0j]), [0.0])
+    # off the circle only the argument counts; the input order is kept
     z20 = 0.99 * np.exp(-1j * np.pi * np.sin(np.radians(20.0)))
-    out = sl.roots_to_angles([z20, 3 + 3j], 1)
+    out = sl.roots_to_angles([z20, 3 + 3j])
     assert abs(out[0] - 20.0) < 0.01
-    with pytest.raises(ValueError):
-        sl.roots_to_angles([1.0], 2)
+    assert np.isclose(out[1], -np.degrees(np.arcsin(0.25)))
+    # arg(z) = pi is the endfire angle
+    assert np.allclose(sl.roots_to_angles([-1.0 + 0j, 1j]), [-90.0, -30.0])
 
 
 def test_noiseless_stacked_annihilation():
