@@ -15,7 +15,7 @@ import csv
 import json
 import time
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, field, fields, asdict
+from dataclasses import asdict, dataclass, fields, replace
 from importlib.metadata import PackageNotFoundError, version
 
 import numpy as np
@@ -23,12 +23,12 @@ from scipy.optimize import linear_sum_assignment
 
 from . import baselines as bl
 from . import bounds
-from .fri_nonuniform import (PairedPgdConfig, estimate_angles_nonuniform, pgd_denoise_paired,
-                             subspace_af_coeffs)
-from .fri_uniform import PgdConfig, af_spectrum, estimate_angles_uniform, extract_af, pgd_denoise
-from .refine import label_angles
-from .star_ris_model import (NONUNIFORM, UNIFORM, UserScene, draw_channel, draw_scene,
-                             generate_profile, synthesize_measurements)
+from . import fri_nonuniform, fri_uniform
+from .fri_nonuniform import estimate_angles_nonuniform, pgd_denoise_paired, subspace_af_coeffs
+from .fri_uniform import af_spectrum, estimate_angles_uniform, extract_af, pgd_denoise
+from .refine import PgdConfig, label_angles
+from .star_ris_model import (NONUNIFORM, UNIFORM, UserScene, check_snr_db, draw_channel,
+                             draw_scene, generate_profile, synthesize_measurements)
 
 EXP1_THETA_RS = [-12.23, 39.19]
 EXP1_THETA_TS = [-47.34, 15.57]
@@ -117,11 +117,9 @@ def make_batch(config, trial_index, scene=None, randomize_sign=True):
 def run_method(method, batch, config):
     k_r, k_t = config.k_r, config.k_t
     t0 = time.perf_counter()
-    if method == "M1":
-        res = estimate_angles_uniform(batch, PgdConfig(k=k_r + k_t, init="Grid"), k_r, k_t)
-        out = (res.angles, res.iterations)
-    elif method == "M2":
-        res = estimate_angles_nonuniform(batch, PairedPgdConfig(k_r=k_r, k_t=k_t, init="Grid"))
+    if method in ("M1", "M2"):
+        solve = estimate_angles_uniform if method == "M1" else estimate_angles_nonuniform
+        res = solve(batch, PgdConfig(k_r=k_r, k_t=k_t, init="Grid"))
         out = (res.angles, res.iterations)
     elif method == "SBL":
         d_r = bl.build_dictionary(batch, 'RS')
@@ -143,6 +141,8 @@ def check_config(config):
     k = config.k_r + config.k_t
     if config.t_s < k:
         raise ValueError(f"t_s={config.t_s} slots cannot resolve K_R+K_T={k} sources")
+    for snr in np.atleast_1d(config.snr_db):
+        check_snr_db(float(snr))
 
 
 def _failed_trial(runtime):
@@ -235,16 +235,13 @@ def run_convergence(config):
     check_config(config)
     traces = {"M1": [], "M2": []}
     iters = {"M1": [], "M2": []}
+    cfg = PgdConfig(k_r=config.k_r, k_t=config.k_t, init="Grid")
     for i in range(config.trials):
         _, _, _, batch = make_batch(config, i)
-        cfg1 = PgdConfig(k=config.k_r + config.k_t, init="Grid")
-        _, it1, h1, _ = pgd_denoise(batch, cfg1, k_r=config.k_r, k_t=config.k_t)
-        cfg2 = PairedPgdConfig(k_r=config.k_r, k_t=config.k_t, init="Grid")
-        _, it2, h2, _ = pgd_denoise_paired(batch, cfg2)
-        traces["M1"].append(h1)
-        traces["M2"].append(h2)
-        iters["M1"].append(it1)
-        iters["M2"].append(it2)
+        for method, denoise in (("M1", pgd_denoise), ("M2", pgd_denoise_paired)):
+            _, it, history, _ = denoise(batch, cfg)
+            traces[method].append(history)
+            iters[method].append(it)
     return traces, iters
 
 
@@ -267,26 +264,23 @@ def run_spectrum(config):
     snr = config.snr_db if np.isscalar(config.snr_db) else config.snr_db[0]
     batch = synthesize_measurements(scene, profile, channel, snr, rng)
     grid = np.arange(config.angle_region[0], config.angle_region[1] + 1e-9, 0.1)
-    k = scene.k
+    cfg = PgdConfig(k_r=config.k_r, k_t=config.k_t, i_max=500)
 
     # Algorithm 1 spectrum: two initializations, keep the lower residual
-    alpha1 = config.n // 2
+    psi_u, alpha1 = fri_uniform.lifting(batch, cfg)
     fits = []
     for init in ("Backprojection", "Grid"):
-        cfg = PgdConfig(k=k, init=init, i_max=500)
-        b, _, _, _ = pgd_denoise(batch, cfg, k_r=config.k_r, k_t=config.k_t)
-        resid = np.linalg.norm(batch.y - np.einsum('tn,nt->t', batch.operator_uniform, b))
-        fits.append((resid, b))
+        b, _, _, _ = pgd_denoise(batch, replace(cfg, init=init))
+        fits.append((np.linalg.norm(batch.y - psi_u.T @ b), b))
     b1 = min(fits, key=lambda f: f[0])[1]
     c1, _ = extract_af(b1, alpha1)
     spec_m1 = af_spectrum(c1, grid)
 
     # Algorithm 2 spectra: backprojection suffices in the uniform scenario;
     # the nonuniform one needs the grid start to land in the right basin
-    alpha2 = config.n // 3
+    _, alpha2 = fri_nonuniform.lifting(batch, cfg)
     init2 = "Backprojection" if config.scenario == 1 else "Grid"
-    cfg2 = PairedPgdConfig(k_r=config.k_r, k_t=config.k_t, init=init2, i_max=500)
-    b2, _, _, _ = pgd_denoise_paired(batch, cfg2)
+    b2, _, _, _ = pgd_denoise_paired(batch, replace(cfg, init=init2))
     c_r, c_t = subspace_af_coeffs(b2, alpha2)
     spec_r = af_spectrum(c_r, grid)
     spec_t = af_spectrum(c_t, grid)

@@ -7,50 +7,29 @@ horizontally paired Hankel lifting of rank K = K_R + K_T. Angle extraction is
 then done per subspace, which makes the RS/TS labels inherent.
 """
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from . import structured_linalg as sl
-from .refine import (RecoveryResult, grid_init, label_angles, multistart, polish_angles,
-                     select_roots_by_energy)
+from .refine import (RecoveryResult, grid_init, label_angles, multistart, pgd, pgd_step,
+                     polish_angles, select_roots_by_energy)
 
 
-@dataclass
-class PairedPgdConfig:
-    alpha: int = None          # lifting order; None -> floor(n/3)
-    k_r: int = 2
-    k_t: int = 2
-    mu: float = None
-    i_max: int = 200
-    eps: float = 1e-7
-    init: str = "Backprojection"   # Zero | Backprojection | Grid
-    polish: bool = True
-
-    @property
-    def k(self):
-        return self.k_r + self.k_t
-
-
-def _resolve(batch, config):
+def lifting(batch, config):
+    """(Psi, alpha): the exact paired operator and the lifting order, n // 3
+    unless config.alpha is set. Rejects an order K the paired lift cannot hold."""
     psi = batch.operator_paired
     n = psi.shape[0] // 2
     alpha = config.alpha if config.alpha is not None else n // 3
     sl.check_feasible(config.k, alpha, n, 2 * (alpha + 1))
-    mu = config.mu
-    if mu is None:
-        lo, hi = sl.step_size_bounds(np.linalg.svd(psi, compute_uv=False)[0] ** 2, alpha)
-        mu = 0.5 * (lo + hi)
-    return psi, n, alpha, mu
+    return psi, alpha
 
 
-def initial_iterate(batch, config, mu):
-    psi = batch.operator_paired
-    n = psi.shape[0] // 2
+def initial_iterate(batch, config, psi, alpha):
+    """Start on beta: zero, the backprojection 2 mu Psi^* y, or the grid start."""
     if config.init == "Zero":
-        return np.zeros(2 * n, complex)
+        return np.zeros(psi.shape[0], complex)
     if config.init == "Backprojection":
-        return 2 * mu * (psi.conj() @ batch.y)
+        return 2 * pgd_step(psi, alpha) * (psi.conj() @ batch.y)
     if config.init == "Grid":
         x_r, x_t, _, _ = grid_init(psi, batch.y, config.k_r, config.k_t)
         return np.concatenate([x_r, x_t])
@@ -60,30 +39,21 @@ def initial_iterate(batch, config, mu):
 def pgd_denoise_paired(batch, config, b0=None):
     """Projected gradient on the static stacked vector beta = [x_R; x_T].
 
-    Gradient step on ||y - Psi^T beta||^2, then rank-K truncation of the
-    paired lifting [H(x_R), H(x_T)] and anti-diagonal averaging of each half.
+    Gradient step on ||y - Psi^T beta||^2 (``refine.pgd``), then rank-K
+    truncation of the horizontal pair [H(x_R), H(x_T)] and anti-diagonal
+    averaging of each half.
     """
-    psi, n, alpha, mu = _resolve(batch, config)
-    y = batch.y
-    K = config.k
-    b = initial_iterate(batch, config, mu) if b0 is None else b0.copy()
-    psi_c = psi.conj()
-    history = []
-    converged = False
-    it = 0
-    for it in range(1, config.i_max + 1):
-        db = b + 2 * mu * (psi_c @ (y - psi.T @ b))
+    psi, alpha = lifting(batch, config)
+    n = psi.shape[0] // 2
+
+    def project(db):
         H = sl.paired_hankel_lift(db[:n], db[n:], alpha)
-        Hk = sl.rank_truncate(H, K)
-        v_r, v_t = sl.inverse_paired_hankel(Hk)
-        db = np.concatenate([v_r, v_t])
-        step = np.linalg.norm(db - b)
-        history.append(step)
-        b = db
-        if step <= config.eps:
-            converged = True
-            break
-    return b, it, history, converged
+        v_r, v_t = sl.inverse_paired_hankel(sl.rank_truncate(H, config.k))
+        return np.concatenate([v_r, v_t])
+
+    if b0 is None:
+        b0 = initial_iterate(batch, config, psi, alpha)
+    return pgd(batch, config, psi, alpha, b0, project)
 
 
 def estimate_angles_nonuniform(batch, config):
@@ -98,10 +68,10 @@ def estimate_angles_nonuniform(batch, config):
 
 def _estimate_nonuniform_once(batch, config):
     """One denoise / per-subspace annihilate / root / polish pass."""
-    psi, n, alpha, _ = _resolve(batch, config)
+    psi, alpha = lifting(batch, config)
     b, it, history, converged = pgd_denoise_paired(batch, config)
     coeffs = subspace_af_coeffs(b, alpha)
-    halves = (b[:n], b[n:])
+    halves = np.split(b, 2)
     # a half's filter is degenerate exactly when the half, hence its lift, is all zero
     degenerate = [not np.any(half) for half in halves]
     per_sub = []
@@ -125,8 +95,5 @@ def subspace_af_coeffs(denoised, alpha):
 
     A half that is all zero gets the filter e_1 (see
     ``structured_linalg.smallest_right_singular_vector``)."""
-    b = np.asarray(denoised)
-    n = b.shape[0] // 2
-    c_r, _ = sl.smallest_right_singular_vector(sl.hankel_lift(b[:n], alpha))
-    c_t, _ = sl.smallest_right_singular_vector(sl.hankel_lift(b[n:], alpha))
-    return c_r, c_t
+    return tuple(sl.smallest_right_singular_vector(sl.hankel_lift(half, alpha))[0]
+                 for half in np.split(np.asarray(denoised), 2))

@@ -1,123 +1,92 @@
 """Recovery in the element-wise uniform regime (Algorithm 1).
 
-The T_s slot measurements are linear in the combined latent vector
-r(t) = x_R + g(t) x_T, which is a K-term sum of complex exponentials for
-every slot. The solver alternates a gradient step on the data fit with a
-projection of the stacked per-slot Hankel lifting onto rank K, then reads the
-angles off the annihilating filter of the denoised stack.
+In the uniform regime every slot measurement is linear in the combined vector
+x_R + g(t) x_T, so the data see beta = [x_R; x_T] through the
+uniform-assumption operator Psi_u, whose bottom half is g(t) times its top
+half. Both halves are K-term exponential sums over one shared set of roots:
+the solver alternates a gradient step on the data fit with a rank-K
+truncation of the vertical pair [H(x_R); H(x_T)], then reads all K angles off
+one annihilating filter of the denoised pair and labels each root RS or TS by
+which half carries its gain.
 """
-
-from dataclasses import dataclass
 
 import numpy as np
 
 from . import structured_linalg as sl
-from .refine import (RecoveryResult, grid_init, label_angles, multistart, polish_angles,
-                     select_roots_by_energy)
+from .refine import (RecoveryResult, grid_init, label_angles, multistart, pgd, pgd_step,
+                     polish_angles, select_roots_by_energy)
 from .star_ris_model import UNIFORM, steering_matrix
 
 
-@dataclass
-class PgdConfig:
-    alpha: int = None          # lifting order; None -> floor(n/2)
-    k: int = 4                 # model order (total number of sources)
-    mu: float = None           # step size; None -> interval midpoint
-    i_max: int = 200
-    eps: float = 1e-7
-    init: str = "Backprojection"   # Zero | Backprojection | Grid
-    temporal_projection: bool = True
-    polish: bool = True
+def uniform_assumption_operator(batch):
+    """The paired operator the uniform latent model implies: bottom half is
+    g(t) times the top half. Identical to the exact operator in the uniform
+    scenario; deliberately mismatched otherwise."""
+    n = batch.operator_paired.shape[0] // 2
+    top = batch.operator_paired[:n]
+    return np.vstack([top, batch.g[None, :] * top])
 
 
-def _temporal_projector(g):
-    # projector onto span{1, g(t)} along the slot axis; pinv copes with the
-    # rank-deficient case of a constant gain sequence
-    t_s = len(g)
-    X = np.column_stack([np.ones(t_s), g])
-    return X @ np.linalg.pinv(X)
-
-
-def _resolve(batch, config):
-    rows = batch.operator_uniform
-    t_s, n = rows.shape
+def lifting(batch, config):
+    """(Psi_u, alpha): the uniform-assumption operator and the lifting order,
+    n // 2 unless config.alpha is set. Rejects an order K the lift of one
+    half cannot hold."""
+    psi = uniform_assumption_operator(batch)
+    n = psi.shape[0] // 2
     alpha = config.alpha if config.alpha is not None else n // 2
     sl.check_feasible(config.k, alpha, n, alpha + 1)
-    mu = config.mu
-    if mu is None:
-        # the operator is block-diagonal across slots, so lambda_max of
-        # Phi^H Phi is the largest squared slot-row norm
-        lo, hi = sl.step_size_bounds((np.abs(rows) ** 2).sum(axis=1).max(), alpha)
-        mu = 0.5 * (lo + hi)
-    return rows, t_s, n, alpha, mu
+    return psi, alpha
 
 
-def initial_iterate(batch, config, mu, k_r=None, k_t=None):
-    rows = batch.operator_uniform
-    t_s, n = rows.shape
+def initial_iterate(batch, config, psi, alpha):
+    """Start on beta: zero, the backprojection 2 mu Psi_u^* y, or the grid
+    start, whose atoms are matched under the exact paired operator."""
     if config.init == "Zero":
-        return np.zeros((n, t_s), complex)
+        return np.zeros(psi.shape[0], complex)
     if config.init == "Backprojection":
-        return 2 * mu * (rows.conj().T * batch.y[None, :])
+        return 2 * pgd_step(psi, alpha) * (psi.conj() @ batch.y)
     if config.init == "Grid":
-        kr = k_r if k_r is not None else config.k // 2
-        kt = k_t if k_t is not None else config.k - kr
-        x_r, x_t, _, _ = grid_init(batch.operator_paired, batch.y, kr, kt)
-        return x_r[:, None] + batch.g[None, :] * x_t[:, None]
+        x_r, x_t, _, _ = grid_init(batch.operator_paired, batch.y, config.k_r, config.k_t)
+        return np.concatenate([x_r, x_t])
     raise ValueError(f"unknown init {config.init!r}")
 
 
-def pgd_denoise(batch, config, b0=None, k_r=None, k_t=None):
-    """Projected-gradient denoising of the stacked slot vectors.
+def pgd_denoise(batch, config, b0=None):
+    """Projected gradient on beta = [x_R; x_T] under Psi_u.
 
-    Each iteration: b <- b + 2 mu Phi^H (y - Phi b), then lift every slot,
-    truncate the stack to rank K, average back, and (optionally) project the
-    slot trajectories onto span{1, g(t)} - the temporal structure the latent
-    model implies. Stops when the update norm falls below eps.
+    Gradient step on ||y - Psi_u^T beta||^2 (``refine.pgd``), then rank-K
+    truncation of the vertical pair [H(x_R); H(x_T)] - one root set for both
+    halves - and anti-diagonal averaging of each half.
 
-    The lift is never formed; every step runs in n x n form on the slot-major
-    iterate db (t_s x n). The stack's Gram matrix is a fixed gather-and-sum
-    over D = db^H db, its top-K eigenvectors V_K give P = V_K V_K^H, and
-    truncating and averaging the lift is the one right-multiply db @ M(P)
+    The pair is never formed; the projection runs in n x n form on the 2 x n
+    matrix V = [x_R; x_T]. The pair's Gram matrix is a fixed gather-and-sum
+    over D = V^H V, its top-K eigenvectors U_K give P = U_K U_K^H, and
+    truncating and averaging the pair is the one right-multiply V @ M(P)
     (see ``structured_linalg._stacked_maps``).
     """
-    rows, t_s, n, alpha, mu = _resolve(batch, config)
-    y = batch.y
-    K = config.k
-    b = initial_iterate(batch, config, mu, k_r, k_t) if b0 is None else b0.copy()
-    b = np.ascontiguousarray(b.T)                            # slot-major (t_s, n)
+    psi, alpha = lifting(batch, config)
+    n = psi.shape[0] // 2
     gather, T = sl._stacked_maps(n, alpha)
-    P_t = _temporal_projector(batch.g) if config.temporal_projection else None
-    rows_c = 2 * mu * rows.conj()
-    history = []
-    converged = False
-    it = 0
-    for it in range(1, config.i_max + 1):
-        res = y - np.einsum('tn,tn->t', rows, b)
-        db = b + res[:, None] * rows_c
-        D = db.conj().T @ db
-        _, V = np.linalg.eigh(D.ravel()[gather].sum(axis=0).reshape(alpha + 1, alpha + 1))
-        Vk = V[:, -K:]
+
+    def project(db):
+        V = db.reshape(2, n)
+        D = V.conj().T @ V
+        _, U = np.linalg.eigh(D.ravel()[gather].sum(axis=0).reshape(alpha + 1, alpha + 1))
+        Uk = U[:, -config.k:]
         # T is real: multiply the (re, im) pairs of vec(P) as a real (., 2) matrix
-        P = (Vk @ Vk.conj().T).reshape(-1).view(float).reshape(-1, 2)
-        db = db @ (T @ P).view(complex).reshape(n, n)
-        if P_t is not None:
-            db = P_t @ db
-        step = np.linalg.norm(db - b)
-        history.append(step)
-        b = db
-        if step <= config.eps:
-            converged = True
-            break
-    return b.T, it, history, converged
+        P = (Uk @ Uk.conj().T).reshape(-1).view(float).reshape(-1, 2)
+        return (V @ (T @ P).view(complex).reshape(n, n)).reshape(-1)
+
+    if b0 is None:
+        b0 = initial_iterate(batch, config, psi, alpha)
+    return pgd(batch, config, psi, alpha, b0, project)
 
 
 def extract_af(denoised, alpha):
-    """Annihilating filter of the denoised stack: smallest right singular
-    vector of the stacked Hankel lifting."""
-    b = np.asarray(denoised)
-    H = sl.stacked_hankel_lift(b.T, alpha)
-    c, degenerate = sl.smallest_right_singular_vector(H)
-    return c, degenerate
+    """Annihilating filter of a denoised beta: smallest right singular vector
+    of the vertical pair [H(x_R); H(x_T)]."""
+    return sl.smallest_right_singular_vector(
+        sl.stacked_hankel_lift(np.reshape(denoised, (2, -1)), alpha))
 
 
 def af_spectrum(af_coeffs, grid):
@@ -127,41 +96,23 @@ def af_spectrum(af_coeffs, grid):
     return v / peak if peak > 0 else v
 
 
-def label_subspaces(b, g, roots, k_r=None, k_t=None):
-    """Classify each recovered root as RS or TS from its per-slot gain track.
+def label_subspaces(b, g, roots, k_t):
+    """Mark as TS the k_t roots whose gain sits most in beta's x_T half.
 
-    The per-slot gains are recovered by least squares on the Vandermonde of
-    the roots; a source behind the surface inherits the known g(t) modulation
-    while a reflection-side source has a constant track. When the subspace
-    cardinalities are known the k_t roots with the largest TS margin are
-    assigned to TS.
+    Each root's gains s_R, s_T on the two halves are fitted by least squares
+    on the Vandermonde of the roots. Over the slots, the root contributes
+    s_R + g(t) s_T to the measured signal, so |s_T| ||g|| against
+    |s_R| sqrt(t_s) compares the energy of its TS and RS parts.
     """
-    n = b.shape[0]
-    V = np.vander(roots, n, increasing=True).T           # (n, K)
-    s_hat, *_ = np.linalg.lstsq(V, b, rcond=None)        # (K, t_s)
-    t_s = b.shape[1]
-    norm_s = np.maximum(np.linalg.norm(s_hat, axis=1), 1e-15)
-    corr_g = np.abs(s_hat @ g.conj()) / (norm_s * max(np.linalg.norm(g), 1e-15))
-    corr_c = np.abs(s_hat.sum(axis=1)) / (norm_s * np.sqrt(t_s))
-    margin = corr_g - corr_c
-    K = len(roots)
-    if k_t is None:
-        is_ts = margin > 0
-    else:
-        is_ts = np.zeros(K, bool)
-        is_ts[np.argsort(-margin)[:k_t]] = True
+    V = np.vander(roots, len(b) // 2, increasing=True).T     # (n, K)
+    s, *_ = np.linalg.lstsq(V, b.reshape(2, -1).T, rcond=None)   # (K, 2): s_R, s_T
+    margin = np.abs(s[:, 1]) * np.linalg.norm(g) - np.abs(s[:, 0]) * np.sqrt(len(g))
+    is_ts = np.zeros(len(roots), bool)
+    is_ts[np.argsort(-margin)[:k_t]] = True
     return is_ts
 
 
-def uniform_assumption_operator(batch):
-    """The paired operator the uniform latent model implies: bottom half is
-    g(t) times the top half. Identical to the exact operator in the uniform
-    scenario; deliberately mismatched otherwise."""
-    rows_t = batch.operator_uniform.T                    # (n, t_s)
-    return np.vstack([rows_t, batch.g[None, :] * rows_t])
-
-
-def estimate_angles_uniform(batch, config, k_r=None, k_t=None):
+def estimate_angles_uniform(batch, config):
     """End-to-end Algorithm 1 inside the shared residual-gated multistart.
 
     The multistart runs only when the solver's model matches the batch
@@ -169,28 +120,27 @@ def estimate_angles_uniform(batch, config, k_r=None, k_t=None):
     carries no accuracy contract.
     """
     if batch.scenario != UNIFORM:
-        return _estimate_uniform_once(batch, config, k_r, k_t)
+        return _estimate_uniform_once(batch, config)
     return multistart(batch, uniform_assumption_operator(batch), config,
-                      lambda cfg: _estimate_uniform_once(batch, cfg, k_r, k_t))
+                      lambda cfg: _estimate_uniform_once(batch, cfg))
 
 
-def _estimate_uniform_once(batch, config, k_r=None, k_t=None):
+def _estimate_uniform_once(batch, config):
     """One denoise / annihilate / root / label / polish pass."""
-    rows, t_s, n, alpha, _ = _resolve(batch, config)
-    b, it, history, converged = pgd_denoise(batch, config, k_r=k_r, k_t=k_t)
+    psi, alpha = lifting(batch, config)
+    b, it, history, converged = pgd_denoise(batch, config)
     c, degenerate = extract_af(b, alpha)
     if degenerate:
         # no filter to root: spread placeholder roots over the aperture
         roots = steering_matrix(np.degrees(np.arcsin(np.linspace(-0.5, 0.5, config.k))), 2)[1]
     else:
-        roots = select_roots_by_energy(sl.polynomial_roots(c), config.k, b)
+        roots = select_roots_by_energy(sl.polynomial_roots(c), config.k, b.reshape(2, -1).T)
     angles = sl.roots_to_angles(roots)
-    is_ts = label_subspaces(b, batch.g, roots, k_r, k_t)
+    is_ts = label_subspaces(b, batch.g, roots, config.k_t)
     th_r = np.sort(angles[~is_ts])
     th_t = np.sort(angles[is_ts])
     if config.polish and not degenerate:
-        psi_u = uniform_assumption_operator(batch)
-        th_r, th_t = polish_angles(batch.y, psi_u, th_r, th_t)
+        th_r, th_t = polish_angles(batch.y, psi, th_r, th_t)
     return RecoveryResult(
         angles=label_angles(th_r, th_t), af_coeffs=c, iterations=it,
         residual_history=history, converged=converged, denoised=b,

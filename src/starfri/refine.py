@@ -10,6 +10,9 @@ Both algorithms run their iterative denoiser inside the same pieces:
   angles (gains eliminated in closed form) interleaved with per-angle global
   rescans on a fine grid, so the final estimate sits in the ML basin instead
   of wherever the algebraic extraction left it,
+* the projected-gradient loop (``pgd``) on the latent beta = [x_R; x_T]: one
+  config (``PgdConfig``), one step rule and one gradient step, with the
+  solver's projection of its Hankel lifting passed in,
 * a residual-gated multistart (``multistart``) that reruns the whole solve,
   starting over with each other initialization, while the polished fit sits
   above the noise floor; and the RS/TS-labelled result every solver returns.
@@ -24,7 +27,24 @@ from dataclasses import dataclass, replace
 import numpy as np
 from scipy.optimize import least_squares
 
+from . import structured_linalg as sl
 from .star_ris_model import steering_derivative, steering_matrix
+
+
+@dataclass
+class PgdConfig:
+    """Settings of one solve, shared by both algorithms."""
+    k_r: int = 2               # reflection-side sources
+    k_t: int = 2               # transmission-side sources
+    alpha: int = None          # lifting order; None -> the solver's default
+    i_max: int = 200
+    eps: float = 1e-7
+    init: str = "Backprojection"   # Zero | Backprojection | Grid
+    polish: bool = True
+
+    @property
+    def k(self):
+        return self.k_r + self.k_t
 
 
 @dataclass
@@ -247,6 +267,39 @@ def polish_angles(y, psi, th_r, th_t):
     if np.array_equal(new_r, th_r) and np.array_equal(new_t, th_t):
         return th_r, th_t
     return varpro_refine(y, psi, new_r, new_t)
+
+
+def pgd_step(psi, alpha):
+    """Midpoint of the admissible step interval for the 2n x t_s operator psi:
+    lambda_max of the normal matrix is sigma_max(psi)^2."""
+    lo, hi = sl.step_size_bounds(np.linalg.svd(psi, compute_uv=False)[0] ** 2, alpha)
+    return 0.5 * (lo + hi)
+
+
+def pgd(batch, config, psi, alpha, b0, project):
+    """Projected gradient on beta = [x_R; x_T] from the start b0.
+
+    Each iteration: b <- project(b + 2 mu psi^* (y - psi^T b)), with mu from
+    ``pgd_step`` and project the solver's rank-K truncation of its lifting.
+    Stops once the update norm is at most config.eps. Returns
+    (b, iterations, update norms, converged).
+    """
+    mu = pgd_step(psi, alpha)
+    y = batch.y
+    b = b0.copy()
+    psi_c = psi.conj()
+    history = []
+    converged = False
+    it = 0
+    for it in range(1, config.i_max + 1):
+        db = project(b + 2 * mu * (psi_c @ (y - psi.T @ b)))
+        step = np.linalg.norm(db - b)
+        history.append(step)
+        b = db
+        if step <= config.eps:
+            converged = True
+            break
+    return b, it, history, converged
 
 
 def _fit_residual(y, psi, th_r, th_t):

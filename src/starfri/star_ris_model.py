@@ -92,13 +92,6 @@ class MeasurementBatch:
             raise ValueError(f"MeasurementBatch.sigma_n2={value!r} is not a finite variance")
         super().__setattr__(name, value)
 
-    @property
-    def operator_uniform(self):
-        """(t_s, n) C-contiguous rows h^T Phi_R(t) of the uniform-regime
-        latent model: the top half of operator_paired, transposed."""
-        n = self.operator_paired.shape[0] // 2
-        return np.ascontiguousarray(self.operator_paired[:n].T)
-
 
 def steering_matrix(thetas, n):
     """Half-wavelength ULA responses exp(-j pi m sin theta), m = 0..n-1, for
@@ -111,11 +104,6 @@ def steering_derivative(thetas, n):
     (-j pi m cos theta_k) exp(-j pi m sin theta_k)."""
     rad = np.radians(thetas)
     return (-1j * np.pi * np.arange(n)[:, None] * np.cos(rad)) * steering_matrix(thetas, n)
-
-
-def steering_vector(theta, n):
-    """Steering response of one angle (degrees) as a length-n vector."""
-    return steering_matrix(theta, n)[:, 0]
 
 
 def generate_profile(scenario, n, t_s, rng, randomize_sign=True):
@@ -154,17 +142,18 @@ def build_paired_operator(profile, channel):
 
 
 def latent_fri_vectors(scene, profile):
-    """Static x = [x_R; x_T] (both regimes) and the per-slot combined vector
-    r(t) = x_R + g(t) x_T, the latter only in the uniform regime."""
+    """The static latent x = [x_R; x_T] of both regimes: each half is the
+    K-term exponential sum of its side's users."""
     n = profile.n
     x_r = steering_matrix(scene.theta_rs, n) @ scene.gains[:scene.k_r]
     x_t = steering_matrix(scene.theta_ts, n) @ scene.gains[scene.k_r:]
-    x = np.concatenate([x_r, x_t])
-    r = None
-    if profile.scenario == UNIFORM:
-        g = profile.gain_sequence()
-        r = x_r[:, None] + g[None, :] * x_t[:, None]       # (n, t_s)
-    return r, x
+    return np.concatenate([x_r, x_t])
+
+
+def check_snr_db(snr_db):
+    """Reject an SNR that is NaN or -inf; +inf stands for the noiseless case."""
+    if np.isnan(snr_db) or snr_db == -np.inf:
+        raise ValueError(f"snr_db={snr_db!r} is not an SNR (inf gives the noiseless batch)")
 
 
 def synthesize_measurements(scene, profile, channel, snr_db, rng, seed=0):
@@ -172,12 +161,14 @@ def synthesize_measurements(scene, profile, channel, snr_db, rng, seed=0):
 
     Noise is circular complex Gaussian with sigma_n^2 = 10^(-snr_db/10), so
     the per-user SNR eta = |s_k|^2 / sigma_n^2 equals the dB value for
-    unit-modulus gains. snr_db = inf gives the noiseless batch.
+    unit-modulus gains. snr_db = inf gives the noiseless batch; NaN and -inf
+    raise ValueError.
     """
     if scene.k == 0:
         raise ValueError("empty scene")
+    check_snr_db(snr_db)
     psi = build_paired_operator(profile, channel)
-    _, x = latent_fri_vectors(scene, profile)
+    x = latent_fri_vectors(scene, profile)
     y = psi.T @ x
     sigma_n2 = 0.0
     if np.isfinite(snr_db):

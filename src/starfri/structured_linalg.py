@@ -9,11 +9,12 @@ liftings only by a number: the admissible step interval (a function of the
 operator's lambda_max and the order alpha), the rank-feasibility check (a
 function of the lift's column count) and the root -> angle map.
 
-The stacked lift of t_s slot vectors (the rows of a t_s x n matrix V) also has
-an n x n form that never builds the t_s(n-alpha) x (alpha+1) stack: its Gram
-matrix is a fixed gather-and-sum over D = V^H V, and lifting, right-multiplying
-by any (alpha+1) x (alpha+1) matrix P and averaging back to slots is V @ M(P),
-with M(P) linear in P (see ``_stacked_maps``).
+The stacked lift of the rows of an m x n matrix V (for Algorithm 1, m = 2 and
+V = [x_R; x_T], the vertical pair [H(x_R); H(x_T)]) also has an n x n form that
+never builds the m(n-alpha) x (alpha+1) stack: its Gram matrix is a fixed
+gather-and-sum over D = V^H V, and lifting, right-multiplying by any
+(alpha+1) x (alpha+1) matrix P and averaging back to rows is V @ M(P), with
+M(P) linear in P (see ``_stacked_maps``).
 """
 
 import functools
@@ -48,12 +49,8 @@ def hankel_lift(v, alpha):
 
 
 def stacked_hankel_lift(vs, alpha):
-    """Vertically stack the per-slot Hankel lifts (slot order preserved)."""
-    vs = np.asarray(vs)
-    if vs.ndim != 2:
-        vs = np.stack([np.asarray(v) for v in vs])
-    blocks = hankel_lift(vs, alpha)          # (T_s, n-alpha, alpha+1)
-    return blocks.reshape(-1, alpha + 1)
+    """Vertically stack the Hankel lifts of the rows of vs (row order preserved)."""
+    return hankel_lift(np.asarray(vs), alpha).reshape(-1, alpha + 1)
 
 
 def paired_hankel_lift(v_r, v_t, alpha):
@@ -87,11 +84,11 @@ def _avg(rows, cols):
 def _stacked_maps(n, alpha):
     """Fixed (gather, T) of the n x n form of the stacked lift of order alpha.
 
-    For a t_s x n slot matrix V with D = V^H V, the Gram matrix of
+    For an m x n matrix V with D = V^H V, the Gram matrix of
     stacked_hankel_lift(V, alpha) is
         D.ravel()[gather].sum(axis=0).reshape(alpha + 1, alpha + 1),
     since G[l, m] = sum_{i < n-alpha} D[i+l, i+m]. For any (alpha+1)-square P,
-    inverse_hankel(lift @ P) per slot equals V @ (T @ P.ravel()).reshape(n, n):
+    inverse_hankel(lift @ P) per row equals V @ (T @ P.ravel()).reshape(n, n):
     M[j, k] = sum_i P[j-i, k-i] / c_k, with c_k the anti-diagonal count. T is
     real and n^2 x (alpha+1)^2. Both arrays are read-only.
     """

@@ -23,9 +23,9 @@ from starfri.bounds import ZzbInputs, fisher_information, zzb_full
 from starfri.experiments import (ExperimentConfig, local_minima, make_batch,
                                  match_and_score, run_convergence, run_method,
                                  run_spectrum)
-from starfri.fri_nonuniform import (PairedPgdConfig, estimate_angles_nonuniform,
-                                    subspace_af_coeffs)
-from starfri.fri_uniform import PgdConfig, estimate_angles_uniform
+from starfri.fri_nonuniform import estimate_angles_nonuniform, subspace_af_coeffs
+from starfri.fri_uniform import estimate_angles_uniform
+from starfri.refine import PgdConfig
 
 SNRS = (0.0, 5.0, 10.0, 15.0, 20.0, 25.0, 30.0)
 TRIALS = 200
@@ -262,7 +262,7 @@ def test_criterion_7_noiseless_annihilation():
     rng = np.random.default_rng(6)
     scene = sm.draw_scene(rng, 2, 2)
     prof = sm.generate_profile(sm.NONUNIFORM, 16, 32, rng)
-    _, x = sm.latent_fri_vectors(scene, prof)
+    x = sm.latent_fri_vectors(scene, prof)
     c_r, c_t = subspace_af_coeffs(x, 5)
     for c, v in ((c_r, x[:16]), (c_t, x[16:])):
         h = sl.hankel_lift(v, 5)
@@ -279,7 +279,7 @@ def test_criterion_7_fim_finite_difference():
 
     def mean_y(theta_rs):
         s2 = sm.UserScene(list(theta_rs), list(scene.theta_ts), scene.gains)
-        _, x = sm.latent_fri_vectors(s2, prof)
+        x = sm.latent_fri_vectors(s2, prof)
         return psi.T @ x
 
     h = 1e-6
@@ -304,9 +304,9 @@ def test_criterion_7_noiseless_end_to_end_exactness():
         ch = sm.draw_channel(rng, 16)
         batch = sm.synthesize_measurements(scene, prof, ch, np.inf, rng)
         if run == "M1":
-            res = estimate_angles_uniform(batch, PgdConfig(k=4, init="Grid"), 2, 2)
+            res = estimate_angles_uniform(batch, PgdConfig(init="Grid"))
         else:
-            res = estimate_angles_nonuniform(batch, PairedPgdConfig(init="Grid"))
+            res = estimate_angles_nonuniform(batch, PgdConfig(init="Grid"))
         rs, ts = res.by_subspace()
         assert np.max(np.abs(rs - np.sort(scene.theta_rs))) <= 1e-6
         assert np.max(np.abs(ts - np.sort(scene.theta_ts))) <= 1e-6

@@ -40,8 +40,8 @@ def test_steering_derivative_finite_difference():
     D = steering_derivative(thetas, 8)
     assert D.shape == (8, 4)
     for j, theta in enumerate(thetas):
-        fd = (sm.steering_vector(theta + np.degrees(h), 8)
-              - sm.steering_vector(theta - np.degrees(h), 8)) / (2 * h)
+        fd = (sm.steering_matrix(theta + np.degrees(h), 8)[:, 0]
+              - sm.steering_matrix(theta - np.degrees(h), 8)[:, 0]) / (2 * h)
         assert np.max(np.abs(D[:, j] - fd)) <= 1e-6 * np.max(np.abs(D[:, j]) + 1)
     # the matrix form, differenced as a whole, against itself column by column
     fd = (sm.steering_matrix(np.add(thetas, np.degrees(h)), 8)
@@ -78,7 +78,7 @@ def test_fisher_finite_difference():
 
         def mean_y(theta_rs):
             s2 = sm.UserScene(list(theta_rs), list(scene.theta_ts), scene.gains)
-            _, x = sm.latent_fri_vectors(s2, prof)
+            x = sm.latent_fri_vectors(s2, prof)
             return psi.T @ x
 
         h = 1e-6

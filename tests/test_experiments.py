@@ -11,8 +11,9 @@ from starfri import experiments
 from starfri import star_ris_model as sm
 from starfri.experiments import (CSV_COLUMNS, ExperimentConfig, _aggregate,
                                  local_minima, main, make_batch, match_and_score,
-                                 run_aperture_sweep, run_method, run_snr_sweep, run_sweep,
-                                 run_trial, to_full_space, write_records)
+                                 run_aperture_sweep, run_convergence, run_method, run_snr_sweep,
+                                 run_spectrum, run_sweep, run_trial, to_full_space,
+                                 write_records)
 
 
 def _scene(theta_rs, theta_ts):
@@ -210,5 +211,20 @@ def test_fewer_slots_than_sources_rejected(runner):
 def test_cli_rejects_fewer_slots_than_sources(tmp_path):
     with pytest.raises(ValueError, match=r"t_s=3.*=4"):
         main(["sweep", "--ts", "3", "--trials", "1", "--methods", "FFT",
+              "--out", str(tmp_path / "o.csv")])
+    assert not (tmp_path / "o.csv").exists()
+
+
+@pytest.mark.parametrize("snr_db", [np.nan, -np.inf, [15.0, np.nan], [-np.inf, 15.0]])
+@pytest.mark.parametrize("runner", [run_sweep, run_snr_sweep, run_convergence, run_spectrum])
+def test_non_finite_snr_rejected_before_any_trial(runner, snr_db):
+    cfg = ExperimentConfig(snr_db=snr_db, trials=1, methods=("FFT",))
+    with pytest.raises(ValueError, match="snr_db"):
+        runner(cfg)
+
+
+def test_cli_rejects_a_nan_snr(tmp_path):
+    with pytest.raises(ValueError, match="snr_db=nan"):
+        main(["sweep", "--snr-db", "nan", "--trials", "1", "--methods", "FFT",
               "--out", str(tmp_path / "o.csv")])
     assert not (tmp_path / "o.csv").exists()

@@ -5,9 +5,10 @@ import pytest
 
 from starfri import star_ris_model as sm
 from starfri import structured_linalg as sl
-from starfri.fri_nonuniform import (PairedPgdConfig, estimate_angles_nonuniform,
-                                    pgd_denoise_paired, subspace_af_coeffs)
-from starfri.fri_uniform import PgdConfig, estimate_angles_uniform
+from starfri.fri_nonuniform import (estimate_angles_nonuniform, pgd_denoise_paired,
+                                    subspace_af_coeffs)
+from starfri.fri_uniform import estimate_angles_uniform
+from starfri.refine import PgdConfig
 
 
 def _batch(theta_rs, theta_ts, snr_db=np.inf, seed=0, scenario=sm.NONUNIFORM, n=16, t_s=32):
@@ -20,9 +21,10 @@ def _batch(theta_rs, theta_ts, snr_db=np.inf, seed=0, scenario=sm.NONUNIFORM, n=
 
 
 def test_paired_step_size_bounds(liftings, operator_batch):
-    # one unit column: sigma_max = 1 under both liftings, midpoint step 1/2
+    # one unit column with equal halves: with g = 1 the uniform-assumption
+    # operator is Psi itself, sigma_max = 1 under both liftings, midpoint step 1/2
     psi = np.zeros((6, 4), complex)
-    psi[:, 0] = np.eye(6)[:, 0]
+    psi[:, 0] = (np.eye(6)[:, 0] + np.eye(6)[:, 3]) / np.sqrt(2)
     for step, _ in liftings.values():
         assert np.isclose(step(operator_batch(psi), 1), 0.5)
     # lambda_max agrees with a sigma_max oracle on each lifting's operator,
@@ -44,7 +46,7 @@ def test_paired_step_size_bounds(liftings, operator_batch):
 def test_paired_feasibility_rejection(liftings):
     _, _, batch = _batch([10.0], [-20.0], snr_db=15.0, n=9)
     with pytest.raises(ValueError):
-        pgd_denoise_paired(batch, PairedPgdConfig(alpha=3, k_r=4, k_t=4))
+        pgd_denoise_paired(batch, PgdConfig(alpha=3, k_r=4, k_t=4))
     # n=9, alpha=3: the stacked 6 x 4 lift holds K <= 4; the paired 6 x 8 one
     # is bound by its 6 rows
     for name, k_max in (("stacked", 4), ("paired", 6)):
@@ -57,25 +59,25 @@ def test_paired_feasibility_rejection(liftings):
 def test_zero_measurement_zero_fixed_point():
     _, _, batch = _batch([10.0], [-20.0], snr_db=15.0)
     batch.y = np.zeros_like(batch.y)
-    b, it, hist, converged = pgd_denoise_paired(batch, PairedPgdConfig(k_r=1, k_t=1, init="Zero"))
+    b, it, hist, converged = pgd_denoise_paired(batch, PgdConfig(k_r=1, k_t=1, init="Zero"))
     assert not np.any(b) and converged and it == 1
 
 
 def test_noiseless_denoise_recovers_latent():
     for scen in (sm.UNIFORM, sm.NONUNIFORM):
         scene, prof, batch = _batch([-12.0, 39.0], [-47.0, 16.0], scenario=scen, seed=1)
-        _, x = sm.latent_fri_vectors(scene, prof)
+        x = sm.latent_fri_vectors(scene, prof)
         # a tighter stop is needed for the latent vectors themselves to reach
         # 1e-6 relative accuracy (the update norm decays ~10x faster)
         b, _, _, converged = pgd_denoise_paired(
-            batch, PairedPgdConfig(init="Grid", i_max=20000, eps=1e-9))
+            batch, PgdConfig(init="Grid", i_max=20000, eps=1e-9))
         assert converged
         assert np.linalg.norm(b - x) / np.linalg.norm(x) <= 1e-6
 
 
 def test_noiseless_single_user_per_subspace_exact():
     scene, prof, batch = _batch([23.4], [-51.7], seed=2)
-    res = estimate_angles_nonuniform(batch, PairedPgdConfig(k_r=1, k_t=1, init="Grid"))
+    res = estimate_angles_nonuniform(batch, PgdConfig(k_r=1, k_t=1, init="Grid"))
     rs, ts = res.by_subspace()
     assert abs(rs[0] - 23.4) <= 1e-6
     assert abs(ts[0] + 51.7) <= 1e-6
@@ -88,7 +90,7 @@ def test_noiseless_exactness_randomized():
         prof = sm.generate_profile(sm.NONUNIFORM, 16, 32, rng)
         ch = sm.draw_channel(rng, 16)
         batch = sm.synthesize_measurements(scene, prof, ch, np.inf, rng)
-        res = estimate_angles_nonuniform(batch, PairedPgdConfig(init="Grid"))
+        res = estimate_angles_nonuniform(batch, PgdConfig(init="Grid"))
         rs, ts = res.by_subspace()
         assert np.max(np.abs(rs - np.sort(scene.theta_rs))) <= 1e-6
         assert np.max(np.abs(ts - np.sort(scene.theta_ts))) <= 1e-6
@@ -96,7 +98,7 @@ def test_noiseless_exactness_randomized():
 
 def test_per_subspace_annihilation_noiseless():
     scene, prof, batch = _batch([-12.0, 39.0], [-47.0, 16.0], seed=3)
-    _, x = sm.latent_fri_vectors(scene, prof)
+    x = sm.latent_fri_vectors(scene, prof)
     c_r, c_t = subspace_af_coeffs(x, 5)
     H_r = sl.hankel_lift(x[:16], 5)
     H_t = sl.hankel_lift(x[16:], 5)
@@ -112,13 +114,13 @@ def test_matches_uniform_solver_on_scenario1():
     prof = sm.generate_profile(sm.UNIFORM, 16, 32, rng)
     ch = sm.draw_channel(rng, 16)
     batch = sm.synthesize_measurements(scene, prof, ch, 15.0, rng)
-    a1 = estimate_angles_uniform(batch, PgdConfig(k=4, init="Grid"), 2, 2).by_subspace()
-    a2 = estimate_angles_nonuniform(batch, PairedPgdConfig(init="Grid")).by_subspace()
+    a1 = estimate_angles_uniform(batch, PgdConfig(init="Grid")).by_subspace()
+    a2 = estimate_angles_nonuniform(batch, PgdConfig(init="Grid")).by_subspace()
     assert np.max(np.abs(np.concatenate(a1) - np.concatenate(a2))) <= 0.1
 
 
 def test_result_iteration_history():
     _, _, batch = _batch([10.0], [-20.0], snr_db=15.0, seed=4)
-    res = estimate_angles_nonuniform(batch, PairedPgdConfig(k_r=1, k_t=1, init="Grid", i_max=60))
+    res = estimate_angles_nonuniform(batch, PgdConfig(k_r=1, k_t=1, init="Grid", i_max=60))
     assert res.iterations == 60 and len(res.residual_history) == 60
     assert not res.converged

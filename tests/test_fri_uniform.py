@@ -1,4 +1,6 @@
-"""Tests for the uniform-regime solver (stacked lifting PGD + AF extraction)."""
+"""Tests for the uniform-regime solver (vertical-pair PGD on beta + AF extraction)."""
+
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -6,9 +8,10 @@ import pytest
 from starfri import star_ris_model as sm
 from starfri import structured_linalg as sl
 from starfri.experiments import ExperimentConfig, make_batch
-from starfri.fri_uniform import (PgdConfig, _resolve, _temporal_projector, af_spectrum,
-                                 estimate_angles_uniform, extract_af, initial_iterate,
-                                 pgd_denoise, uniform_assumption_operator)
+from starfri.fri_uniform import (af_spectrum, estimate_angles_uniform, extract_af, initial_iterate,
+                                 label_subspaces, lifting, pgd_denoise,
+                                 uniform_assumption_operator)
+from starfri.refine import PgdConfig, pgd_step
 
 
 def _uniform_batch(theta_rs, theta_ts, snr_db=np.inf, seed=0, gains=None, n=16, t_s=32):
@@ -28,9 +31,11 @@ def _uniform_batch(theta_rs, theta_ts, snr_db=np.inf, seed=0, gains=None, n=16, 
 def test_step_size_bounds_unit_rows(liftings, operator_batch):
     lo, hi = sl.step_size_bounds(1.0, 3)
     assert np.isclose(lo, 0.25) and np.isclose(hi, 0.75)
-    # unit slot rows in the top half, nothing below: lambda_max = 1 under both
+    # orthonormal slot columns [e_t; e_t] / sqrt(2): with g = 1 the
+    # uniform-assumption operator is Psi itself, lambda_max = 1 under both
     # liftings, so each solver steps at the interval's midpoint 1/2
-    batch = operator_batch(np.vstack([np.eye(4)[:, :3], np.zeros((4, 3))]))
+    half = np.eye(4)[:, :3] / np.sqrt(2)
+    batch = operator_batch(np.vstack([half, half]))
     for step, _ in liftings.values():
         assert np.isclose(step(batch, 1), 0.5)
 
@@ -60,8 +65,9 @@ def test_step_size_bounds_scaling(liftings, operator_batch):
 def test_feasibility_rejection(liftings):
     _, _, batch = _uniform_batch([10.0], [], snr_db=20.0, n=8)
     with pytest.raises(ValueError):
-        pgd_denoise(batch, PgdConfig(alpha=2, k=7))
-    # n=8, alpha=2: the stacked 6 x 3 lift holds K <= 3, the paired 6 x 6 one K <= 6
+        pgd_denoise(batch, PgdConfig(alpha=2, k_r=7, k_t=0))
+    # n=8, alpha=2: each 6 x 3 half of the stacked lift holds K <= 3, the
+    # paired 6 x 6 one K <= 6
     for name, k_max in (("stacked", 3), ("paired", 6)):
         step, _ = liftings[name]
         step(batch, k_max, alpha=2)
@@ -74,52 +80,46 @@ def test_feasibility_rejection(liftings):
 def test_zero_measurement_zero_fixed_point():
     _, _, batch = _uniform_batch([10.0], [-20.0], snr_db=15.0)
     batch.y = np.zeros_like(batch.y)
-    b, it, hist, converged = pgd_denoise(batch, PgdConfig(k=2, init="Zero"))
+    b, it, hist, converged = pgd_denoise(batch, PgdConfig(k_r=1, k_t=1, init="Zero"))
     assert not np.any(b) and converged and it == 1
 
 
-def _reference_pgd_denoise(batch, config, k_r=None, k_t=None):
-    # the stacked-lift loop: build the t_s(n-alpha) x (alpha+1) lift, truncate
-    # it through its Gram matrix, average every slot block back
-    rows, t_s, n, alpha, mu = _resolve(batch, config)
-    K = config.k
-    b = np.ascontiguousarray(initial_iterate(batch, config, mu, k_r, k_t).T)
-    WT = sl._avg(n - alpha, alpha + 1).T
-    P_t = _temporal_projector(batch.g) if config.temporal_projection else None
-    rows_c = 2 * mu * rows.conj()
-    lift_idx = (np.arange(n - alpha)[:, None] + np.arange(alpha + 1)[None, :]).reshape(-1)
+def _reference_pgd_denoise(batch, config):
+    # the explicit loop: gradient step on beta, build the vertical pair
+    # [H(x_R); H(x_T)], truncate it by SVD, average each half back
+    psi, alpha = lifting(batch, config)
+    n = psi.shape[0] // 2
+    mu = pgd_step(psi, alpha)
+    b = initial_iterate(batch, config, psi, alpha)
     history = []
     converged = False
     it = 0
     for it in range(1, config.i_max + 1):
-        res = batch.y - np.einsum('tn,tn->t', rows, b)
-        db = b + res[:, None] * rows_c
-        H = db[:, lift_idx].reshape(-1, alpha + 1)
-        _, V = np.linalg.eigh(H.conj().T @ H)
-        Vk = V[:, -K:]
-        db = ((H @ Vk) @ Vk.conj().T).reshape(t_s, -1) @ WT
-        if P_t is not None:
-            db = P_t @ db
+        db = b + 2 * mu * (psi.conj() @ (batch.y - psi.T @ b))
+        Hk = sl.rank_truncate(sl.stacked_hankel_lift(db.reshape(2, n), alpha), config.k)
+        db = np.concatenate([sl.inverse_hankel(half)
+                             for half in Hk.reshape(2, n - alpha, alpha + 1)])
         step = np.linalg.norm(db - b)
         history.append(step)
         b = db
         if step <= config.eps:
             converged = True
             break
-    return b.T, it, history, converged
+    return b, it, history, converged
 
 
 @pytest.mark.parametrize("scenario,snr_db,options", [
     (1, 0.0, {}), (1, 15.0, {}), (1, 30.0, {}),
     (2, 0.0, {}), (2, 15.0, {}), (2, 30.0, {}),
-    (1, 15.0, {"temporal_projection": False}), (2, 15.0, {"temporal_projection": False}),
-    (1, 15.0, {"alpha": 6}), (2, 30.0, {"alpha": 10, "temporal_projection": False}),
+    (1, 15.0, {"init": "Backprojection"}), (2, 15.0, {"init": "Zero"}),
+    (1, 15.0, {"alpha": 6}), (2, 30.0, {"alpha": 10}),
 ])
 def test_nxn_pgd_matches_stacked_lift_reference(scenario, snr_db, options):
     _, _, _, batch = make_batch(ExperimentConfig(scenario=scenario, snr_db=snr_db, seed=0), 0)
-    cfg = PgdConfig(k=4, init="Grid", **options)
-    b, it, hist, converged = pgd_denoise(batch, cfg, k_r=2, k_t=2)
-    b_ref, it_ref, hist_ref, conv_ref = _reference_pgd_denoise(batch, cfg, k_r=2, k_t=2)
+    cfg = PgdConfig(**{"init": "Grid", **options})
+    b, it, hist, converged = pgd_denoise(batch, cfg)
+    b_ref, it_ref, hist_ref, conv_ref = _reference_pgd_denoise(batch, cfg)
+    assert b.shape == (32,)
     assert it == it_ref and converged == conv_ref
     assert np.linalg.norm(b - b_ref) <= 1e-10 * np.linalg.norm(b_ref)
     # relative over the whole trace: a late step of 1e-7 is a difference of
@@ -128,68 +128,75 @@ def test_nxn_pgd_matches_stacked_lift_reference(scenario, snr_db, options):
 
 
 def test_noiseless_k1_denoise():
-    # the midpoint step size converges to the exact latent vectors, though it
+    # the midpoint step size converges to the exact latent beta, though it
     # takes a few hundred iterations to hit the 1e-7 update tolerance
     scene, prof, batch = _uniform_batch([23.0], [], gains=[1.0 + 0j])
-    r, _ = sm.latent_fri_vectors(scene, prof)
-    b, it, _, converged = pgd_denoise(batch, PgdConfig(k=1, init="Backprojection", i_max=1000))
+    x = sm.latent_fri_vectors(scene, prof)
+    b, it, _, converged = pgd_denoise(
+        batch, PgdConfig(k_r=1, k_t=0, init="Backprojection", i_max=1000))
     assert converged
-    assert np.linalg.norm(b - r) / np.linalg.norm(r) <= 1e-6
+    assert np.linalg.norm(b - x) / np.linalg.norm(x) <= 1e-6
 
 
 def test_noiseless_fixed_point_reached():
     # the full update (with rank truncation) reaches the eps=1e-7 fixed point
-    # on random noiseless scenes, given a generous iteration budget
+    # on random noiseless scenes, given a generous iteration budget, and the
+    # fixed point is the latent beta
     for i in range(3):
         rng = np.random.default_rng([100, i])
         scene = sm.draw_scene(rng, 2, 2)
         prof = sm.generate_profile(sm.UNIFORM, 16, 32, rng)
         ch = sm.draw_channel(rng, 16)
         batch = sm.synthesize_measurements(scene, prof, ch, np.inf, rng)
-        _, _, _, converged = pgd_denoise(batch, PgdConfig(k=4, init="Grid", i_max=5000), k_r=2, k_t=2)
+        x = sm.latent_fri_vectors(scene, prof)
+        b, _, _, converged = pgd_denoise(batch, PgdConfig(init="Grid", i_max=5000))
         assert converged
+        assert np.linalg.norm(b - x) / np.linalg.norm(x) <= 1e-6
 
 
 def test_linear_update_contraction_factor():
-    # gradient step followed by the lifting obeys the
-    # sqrt(alpha+1) * ||I - 2 mu Phi^H Phi||_2 Lipschitz factor
+    # gradient step followed by the vertical-pair lifting obeys the
+    # sqrt(alpha+1) * ||I - 2 mu Psi_u^* Psi_u^T||_2 Lipschitz factor
     rng = np.random.default_rng(3)
     _, _, batch = _uniform_batch([10.0, -30.0], [5.0], snr_db=15.0, seed=3)
-    rows = batch.operator_uniform
-    t_s, n = rows.shape
-    alpha = n // 2
-    mu = _resolve(batch, PgdConfig(k=3))[-1]
-    gain = max(np.abs(np.linalg.eigvals(np.eye(n) - 2 * mu * np.outer(r.conj(), r))).max()
-               for r in rows)
+    psi, alpha = lifting(batch, PgdConfig(k_r=2, k_t=1))
+    n = psi.shape[0] // 2
+    mu = pgd_step(psi, alpha)
+    gain = np.linalg.norm(np.eye(2 * n) - 2 * mu * psi.conj() @ psi.T, 2)
     factor = np.sqrt(alpha + 1) * gain
 
     def lifted_grad(b):
-        res = batch.y - np.einsum('tn,nt->t', rows, b)
-        db = b + 2 * mu * (rows.conj().T * res[None, :])
-        return sl.stacked_hankel_lift(db.T, alpha)
+        db = b + 2 * mu * (psi.conj() @ (batch.y - psi.T @ b))
+        return sl.stacked_hankel_lift(db.reshape(2, n), alpha)
 
     for _ in range(50):
-        b1 = rng.standard_normal((n, t_s)) + 1j * rng.standard_normal((n, t_s))
-        b2 = rng.standard_normal((n, t_s)) + 1j * rng.standard_normal((n, t_s))
+        b1 = rng.standard_normal(2 * n) + 1j * rng.standard_normal(2 * n)
+        b2 = rng.standard_normal(2 * n) + 1j * rng.standard_normal(2 * n)
         lhs = np.linalg.norm(lifted_grad(b1) - lifted_grad(b2))
         assert lhs <= factor * np.linalg.norm(b1 - b2) + 1e-9
 
 
 # ------------------------------------------------------------------ extraction
 
+def _pair_beta(seed=0):
+    # one RS and one TS source: the two halves of beta carry different roots,
+    # and the vertical pair's filter must annihilate both
+    scene, prof, batch = _uniform_batch([-41.0], [22.0], gains=[1.0, -0.5 + 1j], seed=seed)
+    x = sm.latent_fri_vectors(scene, prof)
+    return batch, x
+
+
 def test_extract_af_noiseless_annihilation():
-    scene, prof, batch = _uniform_batch([-41.0, 22.0], [], gains=[1.0, -0.5 + 1j])
-    r, _ = sm.latent_fri_vectors(scene, prof)
-    c, degenerate = extract_af(r, 8)
-    H = sl.stacked_hankel_lift(r.T, 8)
+    _, x = _pair_beta()
+    c, degenerate = extract_af(x, 8)
+    H = sl.stacked_hankel_lift(x.reshape(2, 16), 8)
     assert not degenerate
     assert np.linalg.norm(H @ c) <= 1e-9 * np.linalg.norm(H)
 
 
 def test_extract_af_alpha_equals_k_matches_product():
-    scene, prof, batch = _uniform_batch([-41.0, 22.0], [], gains=[1.0, -0.5 + 1j])
-    r, _ = sm.latent_fri_vectors(scene, prof)
-    c, _ = extract_af(r, 2)
+    _, x = _pair_beta()
+    c, _ = extract_af(x, 2)
     z = np.exp(-1j * np.pi * np.sin(np.radians([-41.0, 22.0])))
     want = np.poly(z)[::-1]
     want = want / np.linalg.norm(want)
@@ -200,24 +207,22 @@ def test_extract_af_alpha_equals_k_matches_product():
 def test_extract_af_noise_perturbation():
     # alpha = K keeps the null space one-dimensional, so the filter is a
     # stable function of the data; 30 dB entry noise barely rotates it
-    scene, prof, batch = _uniform_batch([-41.0, 22.0], [], gains=[1.0, -0.5 + 1j])
-    r, _ = sm.latent_fri_vectors(scene, prof)
+    _, x = _pair_beta()
     rng = np.random.default_rng(5)
-    sig = np.sqrt(np.mean(np.abs(r) ** 2)) * 10 ** (-30 / 20)
-    noisy = r + sig * (rng.standard_normal(r.shape) + 1j * rng.standard_normal(r.shape)) / np.sqrt(2)
-    c0, _ = extract_af(r, 2)
+    sig = np.sqrt(np.mean(np.abs(x) ** 2)) * 10 ** (-30 / 20)
+    noisy = x + sig * (rng.standard_normal(x.shape) + 1j * rng.standard_normal(x.shape)) / np.sqrt(2)
+    c0, _ = extract_af(x, 2)
     c1, _ = extract_af(noisy, 2)
     principal_angle = np.arccos(min(1.0, abs(np.vdot(c0, c1))))
     assert principal_angle <= 1e-2
 
 
 def test_null_space_dimension_and_root_containment():
-    # noiseless rank-K stacked lift with alpha > K: null space has dimension
+    # noiseless rank-K vertical pair with alpha > K: null space has dimension
     # >= alpha+1-K and every null vector's polynomial contains the true roots
-    scene, prof, batch = _uniform_batch([-41.0, 22.0], [], gains=[1.0, -0.5 + 1j])
-    r, _ = sm.latent_fri_vectors(scene, prof)
+    _, x = _pair_beta()
     alpha, K = 6, 2
-    H = sl.stacked_hankel_lift(r.T, alpha)
+    H = sl.stacked_hankel_lift(x.reshape(2, 16), alpha)
     s = np.linalg.svd(H, compute_uv=False)
     null_dim = np.sum(s <= 1e-10 * s[0])
     assert null_dim >= alpha + 1 - K
@@ -231,6 +236,18 @@ def test_null_space_dimension_and_root_containment():
         roots = sl.polynomial_roots(c)
         for z in z_true:
             assert np.min(np.abs(roots - z)) <= 1e-6
+
+
+def test_label_subspaces_on_beta_halves():
+    # each root's gain sits in the half of beta of its own side; the k_t
+    # roots with the largest TS margin are labelled TS, in the given order
+    theta_rs, theta_ts = [-41.0, 10.0], [22.0, -5.0]
+    scene, prof, batch = _uniform_batch(theta_rs, theta_ts, seed=4)
+    x = sm.latent_fri_vectors(scene, prof)
+    roots = sm.steering_matrix(theta_ts + theta_rs, 2)[1]
+    assert list(label_subspaces(x, batch.g, roots, 2)) == [True, True, False, False]
+    assert list(label_subspaces(x, batch.g, roots[::-1], 2)) == [False, False, True, True]
+    assert not label_subspaces(x, batch.g, roots, 0).any()
 
 
 # ------------------------------------------------------------------- spectrum
@@ -254,7 +271,7 @@ def test_af_spectrum_nulls_at_sources():
 
 def test_noiseless_single_rs_user_exact():
     scene, prof, batch = _uniform_batch([23.4], [], gains=[1.0 + 0j])
-    res = estimate_angles_uniform(batch, PgdConfig(k=1, init="Backprojection"), k_r=1, k_t=0)
+    res = estimate_angles_uniform(batch, PgdConfig(k_r=1, k_t=0, init="Backprojection"))
     assert len(res.angles) == 1
     angle, label = res.angles[0]
     assert label == 'RS' and abs(angle - 23.4) <= 1e-6
@@ -263,7 +280,7 @@ def test_noiseless_single_rs_user_exact():
 
 def test_noiseless_full_scene_exact():
     scene, prof, batch = _uniform_batch([-12.23, 39.19], [-47.34, 15.57], seed=9)
-    res = estimate_angles_uniform(batch, PgdConfig(k=4, init="Grid"), k_r=2, k_t=2)
+    res = estimate_angles_uniform(batch, PgdConfig(init="Grid"))
     rs, ts = res.by_subspace()
     assert np.max(np.abs(rs - [-12.23, 39.19])) <= 1e-6
     assert np.max(np.abs(ts - [-47.34, 15.57])) <= 1e-6
@@ -275,7 +292,7 @@ def test_scenario2_batch_flagged_mismatched():
     prof = sm.generate_profile(sm.NONUNIFORM, 16, 32, rng)
     ch = sm.draw_channel(rng, 16)
     batch = sm.synthesize_measurements(scene, prof, ch, 15.0, rng)
-    res = estimate_angles_uniform(batch, PgdConfig(k=4, init="Grid"), k_r=2, k_t=2)
+    res = estimate_angles_uniform(batch, PgdConfig(init="Grid"))
     assert res.mismatched
 
 
@@ -286,12 +303,17 @@ def test_uniform_assumption_operator_matches_exact_in_scenario1():
 
 def test_initial_iterate_variants():
     _, _, batch = _uniform_batch([10.0], [-20.0], snr_db=15.0, seed=13)
-    mu = _resolve(batch, PgdConfig(k=2, alpha=8))[-1]
-    z = initial_iterate(batch, PgdConfig(k=2, init="Zero"), mu)
-    assert not np.any(z)
-    bp = initial_iterate(batch, PgdConfig(k=2, init="Backprojection"), mu)
-    assert np.allclose(bp, 2 * mu * batch.operator_uniform.conj().T * batch.y[None, :])
-    gr = initial_iterate(batch, PgdConfig(k=2, init="Grid"), mu, k_r=1, k_t=1)
-    assert gr.shape == (16, 32)
+    cfg = PgdConfig(k_r=1, k_t=1, alpha=8)
+    psi, alpha = lifting(batch, cfg)
+    z = initial_iterate(batch, replace(cfg, init="Zero"), psi, alpha)
+    assert z.shape == (32,) and not np.any(z)
+    bp = initial_iterate(batch, replace(cfg, init="Backprojection"), psi, alpha)
+    mu = pgd_step(psi, alpha)
+    assert np.allclose(bp, 2 * mu * uniform_assumption_operator(batch).conj() @ batch.y)
+    gr = initial_iterate(batch, replace(cfg, init="Grid"), psi, alpha)
+    assert gr.shape == (32,)
+    # a one-atom start per side: each half of beta is one grid steering vector
+    for half in gr.reshape(2, 16):
+        assert np.linalg.matrix_rank(sl.hankel_lift(half, 8), tol=1e-9 * np.abs(half).max()) == 1
     with pytest.raises(ValueError):
-        initial_iterate(batch, PgdConfig(k=2, init="Bogus"), mu)
+        initial_iterate(batch, replace(cfg, init="Bogus"), psi, alpha)

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from starfri import star_ris_model as sm
+from starfri.fri_uniform import uniform_assumption_operator
 
 
 def _profile(scenario="UniformES", n=16, t_s=32, seed=0, **kw):
@@ -23,9 +24,9 @@ def _manual_uniform_profile(n, t_s, beta=np.sqrt(2) / 2, phi=0.0, sign=1.0):
 # ------------------------------------------------------------------- steering
 
 def test_steering_vector_values():
-    assert np.allclose(sm.steering_vector(0.0, 4), np.ones(4))
-    assert np.allclose(sm.steering_vector(30.0, 2), [1.0, -1j])
-    v = sm.steering_vector(-47.34, 16)
+    assert np.allclose(sm.steering_matrix(0.0, 4), np.ones((4, 1)))
+    assert np.allclose(sm.steering_matrix(30.0, 2)[:, 0], [1.0, -1j])
+    v = sm.steering_matrix(-47.34, 16)[:, 0]
     m = np.arange(16)
     assert np.allclose(np.angle(v), np.angle(np.exp(1j * np.pi * m * np.sin(np.radians(47.34)))))
     # the matrix form equals the per-angle formula bit for bit, column by column
@@ -34,7 +35,7 @@ def test_steering_vector_values():
     assert S.shape == (16, grid.size)
     for j, t in enumerate(grid):
         assert np.array_equal(S[:, j], np.exp(-1j * np.pi * m * np.sin(np.radians(t))))
-        assert np.array_equal(sm.steering_vector(t, 16), S[:, j])
+        assert np.array_equal(sm.steering_matrix(t, 16)[:, 0], S[:, j])
     assert sm.steering_matrix([], 5).shape == (5, 0)
 
 
@@ -103,14 +104,18 @@ def _one_user_batch(p, ch):
 
 def test_uniform_operator_rows():
     p = _manual_uniform_profile(4, 3)
-    rows = _one_user_batch(p, sm.Channel(h=np.ones(4, complex))).operator_uniform
-    assert np.allclose(rows, np.sqrt(2) / 2)
-    # scalar oracle on random profiles, including a nonuniform one
+    psi_u = uniform_assumption_operator(_one_user_batch(p, sm.Channel(h=np.ones(4, complex))))
+    assert np.allclose(psi_u[:4], np.sqrt(2) / 2)
+    # scalar oracle on random profiles, including a nonuniform one; the
+    # bottom half is g(t) times the top half in both
     for scen in (sm.UNIFORM, sm.NONUNIFORM):
         p = _profile(scen, n=5, t_s=4, seed=17)
         ch = sm.draw_channel(np.random.default_rng(17), 5)
-        rows = _one_user_batch(p, ch).operator_uniform
-        assert rows.shape == (4, 5) and rows.flags.c_contiguous
+        batch = _one_user_batch(p, ch)
+        psi_u = uniform_assumption_operator(batch)
+        rows = psi_u[:5].T
+        assert psi_u.shape == (10, 4)
+        assert np.array_equal(psi_u[5:], batch.g[None, :] * psi_u[:5])
         for t in range(4):
             for m in range(5):
                 assert np.isclose(rows[t, m], ch.h[m] * p.beta_r[m, t] * np.exp(1j * p.phi_r[m, t]))
@@ -134,21 +139,20 @@ def test_paired_operator_halves():
 def test_latent_vectors():
     rng = np.random.default_rng(23)
     p = _profile(sm.UNIFORM, seed=23)
-    # no transmission-side users: r(t) identical across slots
+    # no transmission-side users: the x_T half is zero
     scene = sm.UserScene([10.0, -30.0], [], np.array([1.0, 1j]))
-    r, x = sm.latent_fri_vectors(scene, p)
-    assert np.allclose(r, r[:, :1])
+    x = sm.latent_fri_vectors(scene, p)
+    assert x.shape == (32,) and not np.any(x[16:])
     # uniform splitting: |g| = 1
     assert np.allclose(np.abs(p.gain_sequence()), 1.0)
-    # line-spectrum oracle entrywise
+    # line-spectrum oracle entrywise, on each half with its own side's users
     scene = sm.draw_scene(rng, 2, 2)
-    r, x = sm.latent_fri_vectors(scene, p)
-    g = p.gain_sequence()
-    z = np.exp(-1j * np.pi * np.sin(np.radians(np.concatenate([scene.theta_rs, scene.theta_ts]))))
-    for t in range(p.t_s):
-        s_t = np.concatenate([scene.gains[:2], g[t] * scene.gains[2:]])
+    x = sm.latent_fri_vectors(scene, p)
+    for half, thetas, gains in ((x[:16], scene.theta_rs, scene.gains[:2]),
+                                (x[16:], scene.theta_ts, scene.gains[2:])):
+        z = np.exp(-1j * np.pi * np.sin(np.radians(thetas)))
         for m in range(p.n):
-            assert np.isclose(r[m, t], np.sum(s_t * z ** m))
+            assert np.isclose(half[m], np.sum(gains * z ** m))
 
 
 def test_synthesize_trivial_case():
@@ -160,15 +164,15 @@ def test_synthesize_trivial_case():
 
 
 def test_three_path_consistency():
-    # direct synthesis, the uniform latent path and the paired-operator path
-    # must produce the same noiseless y
+    # direct synthesis, the uniform-assumption operator and the exact paired
+    # operator must produce the same noiseless y from the latent x
     rng = np.random.default_rng(29)
     scene = sm.draw_scene(rng, 2, 2)
     p = _profile(sm.UNIFORM, seed=29)
     ch = sm.draw_channel(rng, 16)
     batch = sm.synthesize_measurements(scene, p, ch, np.inf, rng)
-    r, x = sm.latent_fri_vectors(scene, p)
-    y_uniform = np.einsum('tn,nt->t', batch.operator_uniform, r)
+    x = sm.latent_fri_vectors(scene, p)
+    y_uniform = uniform_assumption_operator(batch).T @ x
     y_paired = batch.operator_paired.T @ x
     scale = np.linalg.norm(batch.y)
     assert np.linalg.norm(batch.y - y_uniform) <= 1e-10 * scale
@@ -195,6 +199,19 @@ def test_synthesize_determinism_and_empty_scene():
     with pytest.raises(ValueError):
         sm.synthesize_measurements(sm.UserScene([], [], np.zeros(0)), p, ch, 15.0, np.random.default_rng(0))
 
+
+
+@pytest.mark.parametrize("snr_db", [np.nan, -np.inf])
+def test_non_finite_snr_rejected(snr_db):
+    p = _profile(sm.UNIFORM, seed=37)
+    ch = sm.draw_channel(np.random.default_rng(37), 16)
+    scene = sm.draw_scene(np.random.default_rng(37), 2, 2)
+    with pytest.raises(ValueError, match="snr_db"):
+        sm.synthesize_measurements(scene, p, ch, snr_db, np.random.default_rng(1))
+    # +inf stays the noiseless batch
+    batch = sm.synthesize_measurements(scene, p, ch, np.inf, np.random.default_rng(1))
+    x = sm.latent_fri_vectors(scene, p)
+    assert batch.sigma_n2 == 0.0 and np.array_equal(batch.y, batch.operator_paired.T @ x)
 
 def test_draw_scene_separation():
     rng = np.random.default_rng(41)
