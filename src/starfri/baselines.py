@@ -20,6 +20,7 @@ import numpy as np
 from .star_ris_model import steering_matrix
 
 DEFAULT_GRID = np.arange(-60.0, 60.0 + 1e-9, 0.1)
+GUARD_DEG = 1.0   # least separation of two picked spectrum peaks, degrees
 
 
 @dataclass
@@ -49,9 +50,9 @@ def build_dictionary(batch, subspace, grid=None):
                           basis=basis, steer=steer, scale=1.0 / norms)
 
 
-def _pick_peaks(P, grid, k_i, guard_deg):
+def _pick_peaks(P, grid, k_i):
     """k_i highest local maxima of a spectrum, separated by at least
-    guard_deg; padded with the best remaining grid points (flagged) when the
+    GUARD_DEG; padded with the best remaining grid points (flagged) when the
     spectrum has fewer usable peaks. k_i = 0 picks nothing, unflagged."""
     if k_i == 0:
         return grid[:0], False
@@ -66,7 +67,7 @@ def _pick_peaks(P, grid, k_i, guard_deg):
     for i in order:
         if not interior[i]:
             continue
-        if all(abs(grid[i] - grid[j]) >= guard_deg for j in picked):
+        if all(abs(grid[i] - grid[j]) >= GUARD_DEG for j in picked):
             picked.append(i)
         if len(picked) == k_i:
             break
@@ -79,13 +80,13 @@ def _pick_peaks(P, grid, k_i, guard_deg):
     return np.sort(grid[picked]), flagged
 
 
-def fft_scan(batch, dictionary, k_i, guard_deg=1.0):
+def fft_scan(batch, dictionary, k_i):
     """Beam-scan spectrum P(theta) = |atom^H y|^2; returns its k_i highest
     well-separated peaks."""
     if k_i < 1:
         raise ValueError("k_i >= 1")
     P = np.abs(dictionary.atoms.conj().T @ batch.y) ** 2
-    return _pick_peaks(P, dictionary.grid, k_i, guard_deg)
+    return _pick_peaks(P, dictionary.grid, k_i)
 
 
 def omp(batch, dictionary, k_i):
@@ -185,7 +186,7 @@ def sbl_gamma(y, dictionaries, sigma_n2, config=None):
     return gamma, False
 
 
-def sbl_full_space(batch, dict_rs, dict_ts, k_r, k_t, config=None, guard_deg=1.0):
+def sbl_full_space(batch, dict_rs, dict_ts, k_r, k_t, config=None):
     """SBL over the joint RS/TS dictionary, read out per subspace.
 
     A single-subspace dictionary cannot explain the energy arriving through
@@ -196,6 +197,6 @@ def sbl_full_space(batch, dict_rs, dict_ts, k_r, k_t, config=None, guard_deg=1.0
     """
     gamma, aborted = sbl_gamma(batch.y, (dict_rs, dict_ts), batch.sigma_n2, config)
     n_r = dict_rs.grid.size
-    a_r, f_r = _pick_peaks(gamma[:n_r], dict_rs.grid, k_r, guard_deg)
-    a_t, f_t = _pick_peaks(gamma[n_r:], dict_ts.grid, k_t, guard_deg)
+    a_r, f_r = _pick_peaks(gamma[:n_r], dict_rs.grid, k_r)
+    a_t, f_t = _pick_peaks(gamma[n_r:], dict_ts.grid, k_t)
     return a_r, a_t, f_r or f_t or aborted

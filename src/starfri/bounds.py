@@ -71,19 +71,12 @@ def p_l(k, t_s, n, eta):
     return float(np.exp(k * t_s * (log_term + x ** 2)) * q)
 
 
-def u_tilde(k, t_s, n, eta, fim=None, zeta=ZETA_DEFAULT, use_min_form=False):
-    """Transition argument; the simplified closed form by default, or the
-    min with the FIM-dependent term when use_min_form is set."""
+def u_tilde(k, t_s, n, eta):
+    """Transition argument in its simplified closed form
+    k t_s (n eta / (2 + n eta))^2, which is k t_s when noiseless."""
     if eta == np.inf:
-        u = float(k * t_s)
-    else:
-        u = float(k * t_s * (n * eta / (2.0 + n * eta)) ** 2)
-    if use_min_form:
-        if fim is None:
-            raise ValueError("min form needs the FIM")
-        ones = np.ones(fim.shape[0])
-        u = min(u, float(k ** 2 * zeta ** 2 / (8.0 * ones @ np.linalg.solve(fim, ones))))
-    return u
+        return float(k * t_s)
+    return float(k * t_s * (n * eta / (2.0 + n * eta)) ** 2)
 
 
 def valley_weight(u):
@@ -92,7 +85,7 @@ def valley_weight(u):
     return float(gammainc(1.5, u))
 
 
-def zzb_subspace(inputs, subspace, use_min_form=False):
+def zzb_subspace(inputs, subspace):
     """Per-subspace MSE lower bound in radians^2."""
     scene = inputs.scene
     k_i = scene.k_r if subspace == 'RS' else scene.k_t
@@ -104,7 +97,7 @@ def zzb_subspace(inputs, subspace, use_min_form=False):
     eta = inputs.eta
     F, singular = fisher_information(inputs, subspace)
     apb = 2.0 * p_l(k, t_s, n, eta) * k_i * inputs.zeta ** 2 / ((k_i + 1) ** 2 * (k_i + 2))
-    u = u_tilde(k, t_s, n, eta, fim=F, zeta=inputs.zeta, use_min_form=use_min_form)
+    u = u_tilde(k, t_s, n, eta)
     if singular:
         tr_inv = float(np.trace(np.linalg.pinv(F)))
     else:
@@ -112,7 +105,7 @@ def zzb_subspace(inputs, subspace, use_min_form=False):
     return apb + valley_weight(u) * tr_inv / k_i
 
 
-def zzb_full(inputs, use_min_form=False):
+def zzb_full(inputs):
     """Count-weighted aggregation of the two subspace bounds (radians^2)."""
     scene = inputs.scene
     if scene.k == 0:
@@ -120,5 +113,5 @@ def zzb_full(inputs, use_min_form=False):
     total = 0.0
     for sub, k_i in (('RS', scene.k_r), ('TS', scene.k_t)):
         if k_i:
-            total += k_i * zzb_subspace(inputs, sub, use_min_form)
+            total += k_i * zzb_subspace(inputs, sub)
     return total / scene.k

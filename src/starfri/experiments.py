@@ -1,10 +1,11 @@
 """Monte Carlo experiment harness and CLI.
 
 Five experiments: annihilating-filter spectra at fixed angles, a full-space
-success/RMSE/runtime sweep at fixed SNR, convergence traces, an SNR sweep
-against the baselines and the Ziv-Zakai bound, and an aperture sweep. Metrics
-go to CSV (one row per method and sweep point) with a JSON sidecar echoing the
-configuration; the spectrum experiment emits JSON grids.
+success/RMSE/runtime sweep at each SNR given, convergence traces, an SNR sweep
+of the methods and the baselines, and an aperture sweep. Only the acceptance
+suite compares the SNR sweep with the Ziv-Zakai bound (``bounds.zzb_full``).
+Metrics go to CSV (one row per method and sweep point) with a JSON sidecar
+echoing the configuration; the spectrum experiment emits JSON grids.
 
 Every trial owns an RNG stream seeded by (master seed, trial index), so
 results are independent of execution order and worker count.
@@ -17,12 +18,12 @@ import time
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import asdict, dataclass, fields, replace
 from importlib.metadata import PackageNotFoundError, version
+from itertools import repeat
 
 import numpy as np
 from scipy.optimize import linear_sum_assignment
 
 from . import baselines as bl
-from . import bounds
 from . import fri_nonuniform, fri_uniform
 from .fri_nonuniform import estimate_angles_nonuniform, pgd_denoise_paired, subspace_af_coeffs
 from .fri_uniform import af_spectrum, estimate_angles_uniform, extract_af, pgd_denoise
@@ -32,9 +33,6 @@ from .star_ris_model import (NONUNIFORM, UNIFORM, UserScene, check_snr_db, draw_
 
 EXP1_THETA_RS = [-12.23, 39.19]
 EXP1_THETA_TS = [-47.34, 15.57]
-
-CSV_COLUMNS = ["experiment", "method", "scenario", "n", "ts", "snr_db", "trials",
-               "successes", "success_prob", "rmse_deg", "mean_iterations", "mean_runtime_s"]
 
 
 @dataclass
@@ -72,6 +70,9 @@ class MetricsRecord:
     mean_runtime_s: float
 
 
+CSV_COLUMNS = [fld.name for fld in fields(MetricsRecord)]
+
+
 def to_full_space(angles_labeled):
     """Map labeled semi-space angles to the single full-space axis: a
     reflection-side angle maps to itself, a transmission-side angle theta to
@@ -101,13 +102,11 @@ def scenario_name(scenario):
     return UNIFORM if scenario == 1 else NONUNIFORM
 
 
-def make_batch(config, trial_index, scene=None, randomize_sign=True):
+def make_batch(config, trial_index):
     rng = np.random.default_rng([config.seed, trial_index])
-    if scene is None:
-        lo, hi = config.angle_region
-        scene = draw_scene(rng, config.k_r, config.k_t, lo, hi, config.min_sep_deg)
-    profile = generate_profile(scenario_name(config.scenario), config.n, config.t_s,
-                               rng, randomize_sign=randomize_sign)
+    lo, hi = config.angle_region
+    scene = draw_scene(rng, config.k_r, config.k_t, lo, hi, config.min_sep_deg)
+    profile = generate_profile(scenario_name(config.scenario), config.n, config.t_s, rng)
     channel = draw_channel(rng, config.n)
     snr = config.snr_db if np.isscalar(config.snr_db) else config.snr_db[0]
     batch = synthesize_measurements(scene, profile, channel, snr, rng, seed=trial_index)
@@ -175,7 +174,7 @@ def run_trial(config, trial_index):
     return results
 
 
-def _aggregate(config, trial_results, snr_db=None, n=None):
+def _aggregate(config, trial_results):
     records = []
     for method in config.methods:
         per = [tr[method] for tr in trial_results]
@@ -183,9 +182,7 @@ def _aggregate(config, trial_results, snr_db=None, n=None):
         errs = np.concatenate([p["errors"] for p in succ]) if succ else np.array([])
         records.append(MetricsRecord(
             experiment=config.experiment, method=method, scenario=config.scenario,
-            n=n if n is not None else config.n, ts=config.t_s,
-            snr_db=snr_db if snr_db is not None else config.snr_db,
-            trials=len(per), successes=len(succ),
+            n=config.n, ts=config.t_s, snr_db=config.snr_db, trials=len(per), successes=len(succ),
             success_prob=len(succ) / len(per),
             rmse_deg=float(np.sqrt(np.mean(errs ** 2))) if errs.size else float("nan"),
             mean_iterations=float(np.mean([p["iterations"] for p in per])),
@@ -197,37 +194,24 @@ def _aggregate(config, trial_results, snr_db=None, n=None):
 def _map_trials(config, indices):
     if config.workers > 1:
         with ProcessPoolExecutor(max_workers=config.workers) as pool:
-            return list(pool.map(_trial_star, [(config, i) for i in indices]))
+            return list(pool.map(run_trial, repeat(config), indices))
     return [run_trial(config, i) for i in indices]
 
 
-def _trial_star(args):
-    return run_trial(*args)
-
-
 def run_sweep(config):
+    """One record per method at each value of config.snr_db (a scalar or a
+    list); every SNR point runs the same trial draws."""
     check_config(config)
-    trial_results = _map_trials(config, range(config.trials))
-    return _aggregate(config, trial_results)
-
-
-def run_snr_sweep(config):
-    check_config(config)
-    snrs = config.snr_db if not np.isscalar(config.snr_db) else [config.snr_db]
     records = []
-    for snr in snrs:
-        sub = ExperimentConfig(**{**asdict(config), "snr_db": float(snr)})
-        records += _aggregate(sub, _map_trials(sub, range(sub.trials)), snr_db=float(snr))
+    for snr in np.atleast_1d(config.snr_db):
+        point = replace(config, snr_db=float(snr))
+        records += _aggregate(point, _map_trials(point, range(point.trials)))
     return records
 
 
 def run_aperture_sweep(config, n_list=(8, 10, 12, 14, 16, 18, 20)):
-    check_config(config)
-    records = []
-    for n in n_list:
-        sub = ExperimentConfig(**{**asdict(config), "n": int(n)})
-        records += _aggregate(sub, _map_trials(sub, range(sub.trials)), n=int(n))
-    return records
+    """run_sweep at each aperture n of n_list."""
+    return [rec for n in n_list for rec in run_sweep(replace(config, n=int(n)))]
 
 
 def run_convergence(config):
@@ -374,9 +358,7 @@ def main(argv=None):
                        "traces": {k: [list(map(float, t)) for t in v] for k, v in traces.items()}}, f)
         print(f"wrote {path}")
         return 0
-    if cfg.experiment == "snr":
-        records = run_snr_sweep(cfg)
-    elif cfg.experiment == "aperture":
+    if cfg.experiment == "aperture":
         records = run_aperture_sweep(cfg)
     else:
         records = run_sweep(cfg)

@@ -24,19 +24,19 @@ def lifting(batch, config):
     return psi, alpha
 
 
-def initial_iterate(batch, config, psi, alpha):
+def initial_iterate(batch, config, psi):
     """Start on beta: zero, the backprojection 2 mu Psi^* y, or the grid start."""
     if config.init == "Zero":
         return np.zeros(psi.shape[0], complex)
     if config.init == "Backprojection":
-        return 2 * pgd_step(psi, alpha) * (psi.conj() @ batch.y)
+        return 2 * pgd_step(psi) * (psi.conj() @ batch.y)
     if config.init == "Grid":
         x_r, x_t, _, _ = grid_init(psi, batch.y, config.k_r, config.k_t)
         return np.concatenate([x_r, x_t])
     raise ValueError(f"unknown init {config.init!r}")
 
 
-def pgd_denoise_paired(batch, config, b0=None):
+def pgd_denoise_paired(batch, config):
     """Projected gradient on the static stacked vector beta = [x_R; x_T].
 
     Gradient step on ||y - Psi^T beta||^2 (``refine.pgd``), then rank-K
@@ -51,9 +51,7 @@ def pgd_denoise_paired(batch, config, b0=None):
         v_r, v_t = sl.inverse_paired_hankel(sl.rank_truncate(H, config.k))
         return np.concatenate([v_r, v_t])
 
-    if b0 is None:
-        b0 = initial_iterate(batch, config, psi, alpha)
-    return pgd(batch, config, psi, alpha, b0, project)
+    return pgd(batch, config, psi, initial_iterate(batch, config, psi), project)
 
 
 def estimate_angles_nonuniform(batch, config):

@@ -38,20 +38,20 @@ def lifting(batch, config):
     return psi, alpha
 
 
-def initial_iterate(batch, config, psi, alpha):
+def initial_iterate(batch, config, psi):
     """Start on beta: zero, the backprojection 2 mu Psi_u^* y, or the grid
     start, whose atoms are matched under the exact paired operator."""
     if config.init == "Zero":
         return np.zeros(psi.shape[0], complex)
     if config.init == "Backprojection":
-        return 2 * pgd_step(psi, alpha) * (psi.conj() @ batch.y)
+        return 2 * pgd_step(psi) * (psi.conj() @ batch.y)
     if config.init == "Grid":
         x_r, x_t, _, _ = grid_init(batch.operator_paired, batch.y, config.k_r, config.k_t)
         return np.concatenate([x_r, x_t])
     raise ValueError(f"unknown init {config.init!r}")
 
 
-def pgd_denoise(batch, config, b0=None):
+def pgd_denoise(batch, config):
     """Projected gradient on beta = [x_R; x_T] under Psi_u.
 
     Gradient step on ||y - Psi_u^T beta||^2 (``refine.pgd``), then rank-K
@@ -77,9 +77,7 @@ def pgd_denoise(batch, config, b0=None):
         P = (Uk @ Uk.conj().T).reshape(-1).view(float).reshape(-1, 2)
         return (V @ (T @ P).view(complex).reshape(n, n)).reshape(-1)
 
-    if b0 is None:
-        b0 = initial_iterate(batch, config, psi, alpha)
-    return pgd(batch, config, psi, alpha, b0, project)
+    return pgd(batch, config, psi, initial_iterate(batch, config, psi), project)
 
 
 def extract_af(denoised, alpha):

@@ -18,7 +18,7 @@ Both algorithms run their iterative denoiser inside the same pieces:
   above the noise floor; and the RS/TS-labelled result every solver returns.
 
 The grid steering matrices of the initializer and the rescan depend only on
-the aperture and the grid, so they are built once per process and cached.
+the aperture and the grid step, so they are built once per process and cached.
 """
 
 import functools
@@ -27,8 +27,11 @@ from dataclasses import dataclass, replace
 import numpy as np
 from scipy.optimize import least_squares
 
-from . import structured_linalg as sl
 from .star_ris_model import steering_derivative, steering_matrix
+
+GRID_LO, GRID_HI = -60.0, 60.0   # angle range of both grids, degrees
+INIT_STEP, INIT_CYCLES = 0.5, 3  # grid_init: grid step (degrees), re-selection sweeps
+RESCAN_STEP, RESCAN_CYCLES = 0.1, 2   # coordinate_rescan: grid step (degrees), sweeps
 
 
 @dataclass
@@ -69,16 +72,16 @@ def label_angles(th_r, th_t):
 
 
 @functools.lru_cache(maxsize=None)
-def _grid_steering(n, lo=-60.0, hi=60.0, step=0.5):
-    """(grid, n x G steering matrix), cached per arguments; both read-only."""
-    grid = np.arange(lo, hi + 1e-9, step)
+def _grid_steering(n, step):
+    """(grid over [GRID_LO, GRID_HI], n x G steering matrix), cached; both read-only."""
+    grid = np.arange(GRID_LO, GRID_HI + 1e-9, step)
     sv = steering_matrix(grid, n)
     grid.flags.writeable = False
     sv.flags.writeable = False
     return grid, sv
 
 
-def grid_init(psi, y, k_r, k_t, grid_step=0.5, cycles=3):
+def grid_init(psi, y, k_r, k_t):
     """Greedy matched-atom initialization of (x_R, x_T) on a coarse grid.
 
     Atoms are the operator responses psi_half^T a(theta). After the greedy
@@ -87,7 +90,7 @@ def grid_init(psi, y, k_r, k_t, grid_step=0.5, cycles=3):
     Returns the two initial latent vectors and the selected angles.
     """
     n = psi.shape[0] // 2
-    grid, sv = _grid_steering(n, step=grid_step)
+    grid, sv = _grid_steering(n, INIT_STEP)
     A_rs = psi[:n].T @ sv
     A_ts = psi[n:].T @ sv
     nr = np.maximum(np.linalg.norm(A_rs, axis=0), 1e-12)
@@ -111,7 +114,7 @@ def grid_init(psi, y, k_r, k_t, grid_step=0.5, cycles=3):
         A = cols_of(sel)
         coef, *_ = np.linalg.lstsq(A, y, rcond=None)
         res = y - A @ coef
-    for _ in range(cycles):
+    for _ in range(INIT_CYCLES):
         changed = False
         for j in range(len(sel)):
             rest = sel[:j] + sel[j + 1:]
@@ -219,7 +222,7 @@ def varpro_refine(y, psi, th_r, th_t):
     return sol.x[:k_r], sol.x[k_r:]
 
 
-def coordinate_rescan(y, psi, th_r, th_t, grid_step=0.1, lo=-60.0, hi=60.0, cycles=2):
+def coordinate_rescan(y, psi, th_r, th_t):
     """Per-angle global 1-D rescans to escape wrong local basins.
 
     For each angle in turn, the other atoms are projected out (QR) and the
@@ -231,7 +234,7 @@ def coordinate_rescan(y, psi, th_r, th_t, grid_step=0.1, lo=-60.0, hi=60.0, cycl
     candidates are never formed, only their K-1 coordinates Q^H c.
     """
     n = psi.shape[0] // 2
-    grid, sv = _grid_steering(n, lo, hi, grid_step)
+    grid, sv = _grid_steering(n, RESCAN_STEP)
     sides = []
     for half in (psi[:n], psi[n:]):
         cand = half.T @ sv
@@ -239,7 +242,7 @@ def coordinate_rescan(y, psi, th_r, th_t, grid_step=0.1, lo=-60.0, hi=60.0, cycl
     th = list(th_r) + list(th_t)
     k_r = len(th_r)
     K = len(th)
-    for _ in range(cycles):
+    for _ in range(RESCAN_CYCLES):
         changed = False
         for k in range(K):
             other_r = [th[j] for j in range(K) if j != k and j < k_r]
@@ -251,7 +254,7 @@ def coordinate_rescan(y, psi, th_r, th_t, grid_step=0.1, lo=-60.0, hi=60.0, cycl
             num = y_cand - (Q.conj().T @ y).conj() @ QC
             score = np.abs(num) ** 2 / np.maximum(cand_sq - (np.abs(QC) ** 2).sum(axis=0), 1e-12)
             i = int(np.argmax(score))
-            if abs(grid[i] - th[k]) > grid_step / 2:
+            if abs(grid[i] - th[k]) > RESCAN_STEP / 2:
                 th[k] = grid[i]
                 changed = True
         if not changed:
@@ -269,14 +272,16 @@ def polish_angles(y, psi, th_r, th_t):
     return varpro_refine(y, psi, new_r, new_t)
 
 
-def pgd_step(psi, alpha):
-    """Midpoint of the admissible step interval for the 2n x t_s operator psi:
-    lambda_max of the normal matrix is sigma_max(psi)^2."""
-    lo, hi = sl.step_size_bounds(np.linalg.svd(psi, compute_uv=False)[0] ** 2, alpha)
-    return 0.5 * (lo + hi)
+def pgd_step(psi):
+    """The PGD step 1 / (2 lambda_max) for the 2n x t_s operator psi, with
+    lambda_max = sigma_max(psi)^2, whatever the lifting and its order."""
+    lam = np.linalg.svd(psi, compute_uv=False)[0] ** 2
+    if lam == 0:
+        raise ValueError("zero operator")
+    return 0.5 / lam
 
 
-def pgd(batch, config, psi, alpha, b0, project):
+def pgd(batch, config, psi, b0, project):
     """Projected gradient on beta = [x_R; x_T] from the start b0.
 
     Each iteration: b <- project(b + 2 mu psi^* (y - psi^T b)), with mu from
@@ -284,7 +289,7 @@ def pgd(batch, config, psi, alpha, b0, project):
     Stops once the update norm is at most config.eps. Returns
     (b, iterations, update norms, converged).
     """
-    mu = pgd_step(psi, alpha)
+    mu = pgd_step(psi)
     y = batch.y
     b = b0.copy()
     psi_c = psi.conj()

@@ -5,9 +5,9 @@ pure function on numpy arrays; matrices never exceed a few hundred rows so we
 just call LAPACK through numpy and do not bother with anything iterative.
 
 Both PGD solvers also take from here the rules that differ between their
-liftings only by a number: the admissible step interval (a function of the
-operator's lambda_max and the order alpha), the rank-feasibility check (a
-function of the lift's column count) and the root -> angle map.
+liftings only by a number: the rank-feasibility check (a function of the
+lift's column count) and the root -> angle map. Their step, 1 / (2 lambda_max)
+of the data operator, does not depend on the lifting (``refine.pgd_step``).
 
 The stacked lift of the rows of an m x n matrix V (for Algorithm 1, m = 2 and
 V = [x_R; x_T], the vertical pair [H(x_R); H(x_T)]) also has an n x n form that
@@ -21,15 +21,6 @@ import functools
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
-
-
-def step_size_bounds(lam, alpha):
-    """Admissible PGD step interval (1 -+ 1/sqrt(alpha+1)) / (2 lam), with lam
-    the largest eigenvalue of the data operator's normal matrix."""
-    if lam == 0:
-        raise ValueError("zero operator")
-    w = 1.0 / np.sqrt(alpha + 1)
-    return (1.0 - w) / (2.0 * lam), (1.0 + w) / (2.0 * lam)
 
 
 def check_feasible(k, alpha, n, cols):

@@ -10,7 +10,7 @@ from starfri.refine import PgdConfig, pgd_step
 
 def _step(solver):
     def step(batch, k, alpha=None):
-        return pgd_step(*solver.lifting(batch, PgdConfig(k_r=k, k_t=0, alpha=alpha)))
+        return pgd_step(solver.lifting(batch, PgdConfig(k_r=k, k_t=0, alpha=alpha))[0])
     return step
 
 

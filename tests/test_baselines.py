@@ -134,7 +134,7 @@ def test_sbl_single_source_peak_at_truth():
 def test_pick_peaks_zero_count_is_empty_and_unflagged():
     grid = np.arange(5.0)
     for spectrum in (np.array([0.0, 1.0, 0.0, 2.0, 0.0]), np.zeros(5)):
-        angles, flagged = bl._pick_peaks(spectrum, grid, 0, 1.0)
+        angles, flagged = bl._pick_peaks(spectrum, grid, 0)
         assert angles.size == 0 and not flagged
 
 
@@ -189,8 +189,8 @@ def test_sbl_factorised_em_matches_dense_reference(scenario, snr_db, grid):
     assert aborted == ref_aborted
     assert np.abs(gamma - ref).max() <= 1e-6 * ref.max()
     n_r = d_r.grid.size
-    a_r, f_r = bl._pick_peaks(ref[:n_r], d_r.grid, cfg.k_r, 1.0)
-    a_t, f_t = bl._pick_peaks(ref[n_r:], d_t.grid, cfg.k_t, 1.0)
+    a_r, f_r = bl._pick_peaks(ref[:n_r], d_r.grid, cfg.k_r)
+    a_t, f_t = bl._pick_peaks(ref[n_r:], d_t.grid, cfg.k_t)
     got_r, got_t, flagged = bl.sbl_full_space(batch, d_r, d_t, cfg.k_r, cfg.k_t, config)
     assert np.array_equal(got_r, a_r) and np.array_equal(got_t, a_t)
     assert flagged == (f_r or f_t or ref_aborted)

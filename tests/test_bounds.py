@@ -113,14 +113,7 @@ def test_u_tilde():
     assert u_tilde(4, 10, 16, 0.0) == 0.0
     assert np.isclose(u_tilde(4, 10, 16, 1e9), 40.0, rtol=1e-6)
     assert np.isclose(u_tilde(4, 10, 16, 1.0), 40 * (16.0 / 18.0) ** 2)
-    # min form never exceeds the simplified form
-    inp = _random_inputs(4)
-    F, _ = fisher_information(inp, 'RS')
-    u_simple = u_tilde(4, 32, 16, inp.eta)
-    u_min = u_tilde(4, 32, 16, inp.eta, fim=F, use_min_form=True)
-    assert u_min <= u_simple + 1e-12
-    with pytest.raises(ValueError):
-        u_tilde(4, 32, 16, 1.0, use_min_form=True)
+    assert u_tilde(4, 10, 16, np.inf) == 40.0
 
 
 def test_valley_weight():

@@ -2,7 +2,7 @@
 
 import csv
 import json
-from dataclasses import replace
+from dataclasses import asdict, replace
 
 import numpy as np
 import pytest
@@ -11,9 +11,8 @@ from starfri import experiments
 from starfri import star_ris_model as sm
 from starfri.experiments import (CSV_COLUMNS, ExperimentConfig, _aggregate,
                                  local_minima, main, make_batch, match_and_score,
-                                 run_aperture_sweep, run_convergence, run_method, run_snr_sweep,
-                                 run_spectrum, run_sweep, run_trial, to_full_space,
-                                 write_records)
+                                 run_aperture_sweep, run_convergence, run_method, run_spectrum,
+                                 run_sweep, run_trial, to_full_space, write_records)
 
 
 def _scene(theta_rs, theta_ts):
@@ -110,6 +109,24 @@ def test_csv_round_trip(tmp_path):
     assert sidecar["config"]["scenario"] == 1
 
 
+def _without_runtime(records):
+    return [{**asdict(r), "mean_runtime_s": None} for r in records]
+
+
+def test_sweep_over_an_snr_list_runs_each_value():
+    cfg = ExperimentConfig(scenario=1, snr_db=[10.0, 20.0], trials=2, seed=0, methods=("FFT",))
+    records = run_sweep(cfg)
+    assert [r.snr_db for r in records] == [10.0, 20.0]
+    np.testing.assert_equal(_without_runtime(records[1:]),
+                            _without_runtime(run_sweep(replace(cfg, snr_db=20.0))))
+
+
+def test_sweep_with_two_workers_matches_one():
+    cfg = ExperimentConfig(scenario=2, snr_db=15.0, trials=2, seed=0, methods=("FFT",))
+    np.testing.assert_equal(_without_runtime(run_sweep(replace(cfg, workers=2))),
+                            _without_runtime(run_sweep(cfg)))
+
+
 def test_local_minima():
     grid = np.arange(5.0)
     spec = np.array([1.0, 0.2, 0.8, 0.1, 0.9])
@@ -201,7 +218,7 @@ def test_run_trial_records_a_non_finite_batch_as_failed(monkeypatch):
         assert not res["success"] and res["iterations"] == 0
 
 
-@pytest.mark.parametrize("runner", [run_sweep, run_aperture_sweep, run_snr_sweep])
+@pytest.mark.parametrize("runner", [run_sweep, run_aperture_sweep])
 def test_fewer_slots_than_sources_rejected(runner):
     cfg = ExperimentConfig(t_s=3, k_r=2, k_t=2, trials=1, methods=("FFT",))
     with pytest.raises(ValueError, match=r"t_s=3.*K_R\+K_T=4"):
@@ -216,7 +233,7 @@ def test_cli_rejects_fewer_slots_than_sources(tmp_path):
 
 
 @pytest.mark.parametrize("snr_db", [np.nan, -np.inf, [15.0, np.nan], [-np.inf, 15.0]])
-@pytest.mark.parametrize("runner", [run_sweep, run_snr_sweep, run_convergence, run_spectrum])
+@pytest.mark.parametrize("runner", [run_sweep, run_convergence, run_spectrum])
 def test_non_finite_snr_rejected_before_any_trial(runner, snr_db):
     cfg = ExperimentConfig(snr_db=snr_db, trials=1, methods=("FFT",))
     with pytest.raises(ValueError, match="snr_db"):

@@ -95,8 +95,8 @@ def test_coordinate_rescan_matches_projected_reference(scenario):
 
 
 def test_grid_steering_cached_and_read_only():
-    grid, sv = _grid_steering(16, -60.0, 60.0, 0.1)
-    assert _grid_steering(16, -60.0, 60.0, 0.1)[1] is sv
+    grid, sv = _grid_steering(16, 0.1)
+    assert _grid_steering(16, 0.1)[1] is sv
     assert sv.shape == (16, 1201) and grid.shape == (1201,)
     with pytest.raises(ValueError):
         sv[0, 0] = 0.0
