@@ -1,8 +1,13 @@
-"""Gridless full-space DOA estimation for STAR-RIS-assisted uplinks."""
+"""Gridless full-space DOA estimation for STAR-RIS-assisted uplinks.
 
-from . import baselines, bounds, experiments, fri_nonuniform, fri_uniform, star_ris_model, structured_linalg
+The experiment harness and CLI, ``starfri.experiments``, is not imported
+here, so that ``python -m starfri.experiments`` runs it once, as __main__;
+``from starfri import experiments`` imports it on demand.
+"""
+
+from . import baselines, bounds, fri_nonuniform, fri_uniform, star_ris_model, structured_linalg
 
 __all__ = [
-    "baselines", "bounds", "experiments",
+    "baselines", "bounds",
     "fri_nonuniform", "fri_uniform", "star_ris_model", "structured_linalg",
 ]

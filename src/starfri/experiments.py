@@ -103,13 +103,15 @@ def scenario_name(scenario):
 
 
 def make_batch(config, trial_index):
+    """Draw trial trial_index's scene, profile and channel and synthesize its
+    batch at the one SNR config.snr_db."""
     rng = np.random.default_rng([config.seed, trial_index])
     lo, hi = config.angle_region
     scene = draw_scene(rng, config.k_r, config.k_t, lo, hi, config.min_sep_deg)
     profile = generate_profile(scenario_name(config.scenario), config.n, config.t_s, rng)
     channel = draw_channel(rng, config.n)
-    snr = config.snr_db if np.isscalar(config.snr_db) else config.snr_db[0]
-    batch = synthesize_measurements(scene, profile, channel, snr, rng, seed=trial_index)
+    batch = synthesize_measurements(scene, profile, channel, float(config.snr_db), rng,
+                                    seed=trial_index)
     return scene, profile, channel, batch
 
 
@@ -142,6 +144,17 @@ def check_config(config):
         raise ValueError(f"t_s={config.t_s} slots cannot resolve K_R+K_T={k} sources")
     for snr in np.atleast_1d(config.snr_db):
         check_snr_db(float(snr))
+
+
+def single_snr(config, experiment):
+    """The one SNR of an experiment that runs at a single SNR: config.snr_db
+    as a scalar or a one-value list. Rejects a longer list, naming the
+    experiment, so that no value of it is dropped."""
+    snrs = np.atleast_1d(config.snr_db)
+    if snrs.size != 1:
+        raise ValueError(f"the {experiment} experiment runs at one SNR, "
+                         f"got snr_db={config.snr_db!r}")
+    return float(snrs[0])
 
 
 def _failed_trial(runtime):
@@ -215,8 +228,10 @@ def run_aperture_sweep(config, n_list=(8, 10, 12, 14, 16, 18, 20)):
 
 
 def run_convergence(config):
-    """Update-norm traces for both solvers over config.trials random batches."""
+    """Update-norm traces for both solvers over config.trials random batches,
+    all at the one SNR config.snr_db (see ``single_snr``)."""
     check_config(config)
+    config = replace(config, snr_db=single_snr(config, "convergence"))
     traces = {"M1": [], "M2": []}
     iters = {"M1": [], "M2": []}
     cfg = PgdConfig(k_r=config.k_r, k_t=config.k_t, init="Grid")
@@ -236,16 +251,17 @@ def run_spectrum(config):
     design), under which the uniform-regime latent mapping is exactly rank
     one and the two subspace filters of Algorithm 2 coincide in Scenario 1.
     Algorithm 1 is solved from both the backprojection and the grid
-    initialization and the better data fit is kept.
+    initialization and the better data fit is kept. Runs at the one SNR
+    config.snr_db (see ``single_snr``), which the result records.
     """
     check_config(config)
+    snr = single_snr(config, "spectrum")
     rng = np.random.default_rng([config.seed, 0])
     gains = np.exp(2j * np.pi * rng.random(4))
     scene = UserScene(EXP1_THETA_RS, EXP1_THETA_TS, gains)
     profile = generate_profile(scenario_name(config.scenario), config.n, config.t_s,
                                rng, randomize_sign=False)
     channel = draw_channel(rng, config.n)
-    snr = config.snr_db if np.isscalar(config.snr_db) else config.snr_db[0]
     batch = synthesize_measurements(scene, profile, channel, snr, rng)
     grid = np.arange(config.angle_region[0], config.angle_region[1] + 1e-9, 0.1)
     cfg = PgdConfig(k_r=config.k_r, k_t=config.k_t, i_max=500)
@@ -269,7 +285,7 @@ def run_spectrum(config):
     spec_r = af_spectrum(c_r, grid)
     spec_t = af_spectrum(c_t, grid)
     return dict(grid=grid, m1=spec_m1, m2_rs=spec_r, m2_ts=spec_t,
-                theta_rs=scene.theta_rs, theta_ts=scene.theta_ts)
+                theta_rs=scene.theta_rs, theta_ts=scene.theta_ts, snr_db=snr)
 
 
 def local_minima(grid, spectrum):
@@ -354,7 +370,7 @@ def main(argv=None):
         traces, iters = run_convergence(cfg)
         path = out if out.endswith(".json") else out.rsplit(".", 1)[0] + ".json"
         with open(path, "w") as f:
-            json.dump({"iterations": iters,
+            json.dump({"snr_db": single_snr(cfg, "convergence"), "iterations": iters,
                        "traces": {k: [list(map(float, t)) for t in v] for k, v in traces.items()}}, f)
         print(f"wrote {path}")
         return 0

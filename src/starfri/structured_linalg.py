@@ -15,12 +15,19 @@ never builds the m(n-alpha) x (alpha+1) stack: its Gram matrix is a fixed
 gather-and-sum over D = V^H V, and lifting, right-multiplying by any
 (alpha+1) x (alpha+1) matrix P and averaging back to rows is V @ M(P), with
 M(P) linear in P (see ``_stacked_maps``).
+
+Algorithm 2 lifts, truncates and averages back in every PGD iteration, so its
+kernels carry no set-up beyond their arithmetic: a Hankel lift is one gather
+v[..., idx] through a cached read-only index array (``_hankel_index``), the
+horizontal pair one gather from [v_r, v_t] (``_paired_index``), and each half
+of the paired average one product with a cached read-only complex averaging
+matrix (``_avg_t``). The tests hold each of them bit for bit to a
+window-view lift and a per-half average.
 """
 
 import functools
 
 import numpy as np
-from numpy.lib.stride_tricks import sliding_window_view
 
 
 def check_feasible(k, alpha, n, cols):
@@ -30,13 +37,38 @@ def check_feasible(k, alpha, n, cols):
                          f"(alpha={alpha}, n={n})")
 
 
-def hankel_lift(v, alpha):
-    """(n-alpha) x (alpha+1) Hankel matrix with entry (i, m) = v[i+m]."""
-    v = np.asarray(v)
-    n = v.shape[-1]
+@functools.lru_cache(maxsize=None)
+def _hankel_index(n, alpha):
+    """Read-only (n-alpha) x (alpha+1) index array idx[i, m] = i + m."""
+    idx = np.arange(n - alpha)[:, None] + np.arange(alpha + 1)
+    idx.flags.writeable = False
+    return idx
+
+
+@functools.lru_cache(maxsize=None)
+def _paired_index(n, alpha):
+    """Read-only index [idx, idx + n] of the paired lift into [v_r, v_t]."""
+    idx = _hankel_index(n, alpha)
+    pair = np.hstack([idx, idx + n])
+    pair.flags.writeable = False
+    return pair
+
+
+def _check_alpha(n, alpha):
     if not (1 <= alpha < n):
         raise ValueError("alpha out of range")
-    return sliding_window_view(v, alpha + 1, axis=-1).copy()
+
+
+def hankel_lift(v, alpha):
+    """(n-alpha) x (alpha+1) Hankel matrix with entry (i, m) = v[i+m].
+
+    One gather through the cached index ``_hankel_index(n, alpha)``; leading
+    axes of v are kept, so a t x n input gives t lifts.
+    """
+    v = np.asarray(v)
+    n = v.shape[-1]
+    _check_alpha(n, alpha)
+    return v[..., _hankel_index(n, alpha)]
 
 
 def stacked_hankel_lift(vs, alpha):
@@ -45,12 +77,17 @@ def stacked_hankel_lift(vs, alpha):
 
 
 def paired_hankel_lift(v_r, v_t, alpha):
-    """Horizontal concatenation [H_alpha(v_r), H_alpha(v_t)]."""
+    """Horizontal concatenation [H_alpha(v_r), H_alpha(v_t)] of two n-vectors.
+
+    One gather from [v_r, v_t] through the cached index ``_paired_index``.
+    """
     v_r = np.asarray(v_r)
     v_t = np.asarray(v_t)
     if v_r.shape != v_t.shape:
         raise ValueError("paired vectors must have equal length")
-    return np.hstack([hankel_lift(v_r, alpha), hankel_lift(v_t, alpha)])
+    n = v_r.shape[-1]
+    _check_alpha(n, alpha)
+    return np.concatenate([v_r, v_t])[_paired_index(n, alpha)]
 
 
 def _averaging_matrix(rows, cols):
@@ -105,13 +142,30 @@ def inverse_hankel(m):
     return m.reshape(*m.shape[:-2], rows * cols) @ _avg(rows, cols).T
 
 
+@functools.lru_cache(maxsize=None)
+def _avg_t(rows, cols):
+    """Read-only complex, C-contiguous transpose of ``_avg(rows, cols)``: the
+    (rows*cols) x n matrix that averages a flattened complex lift back."""
+    Wt = np.ascontiguousarray(_avg(rows, cols).T, dtype=complex)
+    Wt.flags.writeable = False
+    return Wt
+
+
 def inverse_paired_hankel(m):
-    """Average each half of a horizontally paired lift back to two vectors."""
+    """Average each half of a horizontally paired lift back to two vectors.
+
+    Each half is one product with the cached complex averaging matrix
+    ``_avg_t``. The halves stay two products: one product with a
+    block-diagonal matrix lets BLAS group the nonzero terms differently, which
+    changes the last bit for some lift shapes (alpha = 2 among them).
+    """
     m = np.asarray(m)
-    if m.shape[1] % 2:
+    rows, cols = m.shape
+    if cols % 2:
         raise ValueError("odd column count")
-    half = m.shape[1] // 2
-    return inverse_hankel(m[:, :half]), inverse_hankel(m[:, half:])
+    half = cols // 2
+    Wt = _avg_t(rows, half)
+    return m[:, :half].reshape(-1) @ Wt, m[:, half:].reshape(-1) @ Wt
 
 
 def rank_truncate(m, k):

@@ -2,6 +2,9 @@
 
 import csv
 import json
+import os
+import subprocess
+import sys
 from dataclasses import asdict, replace
 
 import numpy as np
@@ -169,6 +172,57 @@ def test_cli_convergence_smoke(tmp_path):
     payload = json.loads(out.read_text())
     assert set(payload["iterations"]) == {"M1", "M2"}
     assert len(payload["traces"]["M1"][0]) >= 1
+
+
+def _run_module(*args, cwd):
+    """Run ``python <args>`` with this checkout's starfri first on the path."""
+    src = os.path.dirname(os.path.dirname(experiments.__file__))
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    env = {**os.environ, "PYTHONPATH": path}
+    return subprocess.run([sys.executable, *args], cwd=cwd, env=env, capture_output=True, text=True)
+
+
+def _no_trial(*args, **kwargs):
+    raise AssertionError("a trial ran")
+
+
+@pytest.mark.parametrize("runner, name, draw", [
+    (run_convergence, "convergence", "make_batch"),
+    (run_spectrum, "spectrum", "synthesize_measurements"),
+])
+def test_single_snr_experiment_rejects_an_snr_list(monkeypatch, runner, name, draw):
+    monkeypatch.setattr(experiments, draw, _no_trial)
+    with pytest.raises(ValueError, match=rf"{name} experiment runs at one SNR.*10\.0, 30\.0"):
+        runner(ExperimentConfig(snr_db=[10.0, 30.0], trials=1))
+
+
+def test_convergence_one_value_list_equals_the_scalar():
+    cfg = ExperimentConfig(snr_db=30.0, trials=1)
+    np.testing.assert_equal(run_convergence(replace(cfg, snr_db=[30.0])), run_convergence(cfg))
+
+
+def test_cli_convergence_records_its_snr(tmp_path):
+    out = tmp_path / "conv.json"
+    assert main(["convergence", "--snr-db", "30", "--trials", "1", "--out", str(out)]) == 0
+    assert json.loads(out.read_text())["snr_db"] == 30.0
+
+
+def test_cli_convergence_rejects_an_snr_list_before_writing(tmp_path):
+    out = tmp_path / "conv.json"
+    proc = _run_module("-m", "starfri.experiments", "convergence", "--snr-db", "10,20",
+                       "--trials", "1", "--out", str(out), cwd=tmp_path)
+    assert proc.returncode != 0
+    assert "convergence experiment runs at one SNR" in proc.stderr
+    assert not out.exists()
+
+
+def test_module_entry_point_runs_without_runtime_warning(tmp_path):
+    # runpy warns when the package has already imported the module it runs
+    out = tmp_path / "m.csv"
+    proc = _run_module("-W", "error::RuntimeWarning", "-m", "starfri.experiments", "sweep",
+                       "--trials", "1", "--methods", "FFT", "--out", str(out), cwd=tmp_path)
+    assert proc.returncode == 0, proc.stderr
+    assert out.exists()
 
 
 def test_aperture_sweep_records_an_infeasible_size_as_failed():

@@ -3,8 +3,12 @@
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
+from numpy.lib.stride_tricks import sliding_window_view
 
 from starfri import structured_linalg as sl
+from starfri.experiments import ExperimentConfig, make_batch
+from starfri.fri_nonuniform import initial_iterate, lifting, pgd_denoise_paired
+from starfri.refine import PgdConfig, pgd
 
 
 def _rand_cvec(rng, n):
@@ -19,6 +23,112 @@ def _fri_vec(roots, gains, n):
 def _true_af(roots):
     # ascending coefficients of prod_k (z - z_k); annihilates any mix of z_k^m
     return np.poly(roots)[::-1]
+
+
+# Reference kernels: the window-view lift, the hstack pair and the per-half
+# average that the cached gathers and averaging matrices replace. Every
+# kernel must match them bit for bit.
+
+def _ref_hankel_lift(v, alpha):
+    return sliding_window_view(np.asarray(v), alpha + 1, axis=-1).copy()
+
+
+def _ref_paired_hankel_lift(v_r, v_t, alpha):
+    return np.hstack([_ref_hankel_lift(v_r, alpha), _ref_hankel_lift(v_t, alpha)])
+
+
+def _ref_inverse_hankel(m):
+    rows, cols = m.shape
+    W = np.zeros((rows + cols - 1, rows * cols))
+    for i in range(rows):
+        for j in range(cols):
+            W[i + j, i * cols + j] = 1.0
+    W /= W.sum(axis=1, keepdims=True)
+    return m.reshape(rows * cols) @ W.T
+
+
+def _ref_inverse_paired_hankel(m):
+    half = m.shape[1] // 2
+    return _ref_inverse_hankel(m[:, :half]), _ref_inverse_hankel(m[:, half:])
+
+
+# every valid (n, alpha) with 3 <= n <= 20
+_n_alpha = st.integers(3, 20).flatmap(lambda n: st.tuples(st.just(n), st.integers(1, n - 1)))
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(0, 2 ** 31 - 1), _n_alpha, st.sampled_from([(), (1,), (3,), (2, 3)]))
+def test_hankel_lift_matches_window_reference(seed, n_alpha, lead):
+    n, alpha = n_alpha
+    v = _rand_cvec(np.random.default_rng(seed), int(np.prod(lead)) * n).reshape(*lead, n)
+    got = sl.hankel_lift(v, alpha)
+    assert got.shape == (*lead, n - alpha, alpha + 1)
+    assert np.array_equal(got, _ref_hankel_lift(v, alpha))
+    if lead:
+        assert np.array_equal(sl.stacked_hankel_lift(v.reshape(-1, n), alpha),
+                              _ref_hankel_lift(v.reshape(-1, n), alpha).reshape(-1, alpha + 1))
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(0, 2 ** 31 - 1), _n_alpha)
+def test_paired_hankel_lift_matches_hstack_reference(seed, n_alpha):
+    n, alpha = n_alpha
+    rng = np.random.default_rng(seed)
+    v_r, v_t = _rand_cvec(rng, n), _rand_cvec(rng, n)
+    assert np.array_equal(sl.paired_hankel_lift(v_r, v_t, alpha),
+                          _ref_paired_hankel_lift(v_r, v_t, alpha))
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(0, 2 ** 31 - 1), _n_alpha)
+def test_inverse_paired_hankel_matches_per_half_reference(seed, n_alpha):
+    n, alpha = n_alpha
+    m = _rand_cvec(np.random.default_rng(seed), (n - alpha) * 2 * (alpha + 1))
+    m = m.reshape(n - alpha, 2 * (alpha + 1))
+    for got, want in zip(sl.inverse_paired_hankel(m), _ref_inverse_paired_hankel(m)):
+        assert np.array_equal(got, want)
+
+
+def test_lift_indices_and_average_are_cached_and_read_only():
+    idx = sl._hankel_index(16, 5)
+    pair = sl._paired_index(16, 5)
+    Wt = sl._avg_t(11, 6)
+    assert sl._hankel_index(16, 5) is idx and sl._paired_index(16, 5) is pair
+    assert sl._avg_t(11, 6) is Wt
+    assert np.array_equal(idx, np.arange(11)[:, None] + np.arange(6))
+    assert np.array_equal(pair, np.hstack([idx, idx + 16]))
+    assert Wt.shape == (66, 16) and Wt.dtype == complex
+    for a in (idx, pair, Wt):
+        assert not a.flags.writeable
+        with pytest.raises(ValueError):
+            a[0, 0] = 1
+
+
+def test_lifts_reject_alpha_out_of_range():
+    for alpha in (0, 6):
+        with pytest.raises(ValueError, match="alpha out of range"):
+            sl.hankel_lift(np.ones((2, 6)), alpha)
+        with pytest.raises(ValueError, match="alpha out of range"):
+            sl.paired_hankel_lift(np.ones(6), np.ones(6), alpha)
+
+
+@pytest.mark.parametrize("snr_db", [0.0, 15.0, 30.0])
+@pytest.mark.parametrize("scenario", [1, 2])
+def test_paired_pgd_matches_parent_lift_reference(scenario, snr_db):
+    # M2's whole PGD loop with the reference kernels in its projection
+    _, _, _, batch = make_batch(ExperimentConfig(scenario=scenario, snr_db=snr_db), 0)
+    cfg = PgdConfig(k_r=2, k_t=2, init="Grid")
+    psi, alpha = lifting(batch, cfg)
+    n = psi.shape[0] // 2
+
+    def project(db):
+        H = _ref_paired_hankel_lift(db[:n], db[n:], alpha)
+        return np.concatenate(_ref_inverse_paired_hankel(sl.rank_truncate(H, cfg.k)))
+
+    b, it, history, _ = pgd_denoise_paired(batch, cfg)
+    b_ref, it_ref, history_ref, _ = pgd(batch, cfg, psi, initial_iterate(batch, cfg, psi), project)
+    assert it == it_ref
+    assert np.array_equal(b, b_ref) and np.array_equal(history, history_ref)
 
 
 # ---------------------------------------------------------------- hankel_lift
