@@ -10,16 +10,16 @@ Every atom factorises as atoms = basis @ steer * scale: a t_s x n slot basis
 (the transposed operator half), the n x G Vandermonde steering matrix and the
 per-column normalisation. SBL runs each EM step through this factorisation,
 so a step costs O(n*G + t_s^2*n) instead of the O(t_s^2*G) of a dense solve
-against every atom.
+against every atom. The default grid and steering are the model's cached
+fine grid of the search range (``star_ris_model.grid_steering``).
 """
 
 from dataclasses import dataclass
 
 import numpy as np
 
-from .star_ris_model import steering_matrix
+from .star_ris_model import FINE_STEP, grid_steering, steering_matrix
 
-DEFAULT_GRID = np.arange(-60.0, 60.0 + 1e-9, 0.1)
 GUARD_DEG = 1.0   # least separation of two picked spectrum peaks, degrees
 
 
@@ -35,15 +35,17 @@ class GridDictionary:
 
 
 def build_dictionary(batch, subspace, grid=None):
-    if grid is None:
-        grid = DEFAULT_GRID
-    grid = np.asarray(grid, float)
-    if grid.size == 0:
-        raise ValueError("empty grid")
+    """The subspace's dictionary over grid (degrees), by default the cached fine grid."""
     psi = batch.operator_paired
     n = psi.shape[0] // 2
+    if grid is None:
+        grid, steer = grid_steering(n, FINE_STEP)
+    else:
+        grid = np.asarray(grid, float)
+        if grid.size == 0:
+            raise ValueError("empty grid")
+        steer = steering_matrix(grid, n)
     basis = (psi[:n] if subspace == 'RS' else psi[n:]).T
-    steer = steering_matrix(grid, n)
     atoms = basis @ steer
     norms = np.maximum(np.linalg.norm(atoms, axis=0), 1e-15)
     return GridDictionary(grid=grid, atoms=atoms / norms, subspace=subspace,

@@ -1,10 +1,11 @@
 """Ziv-Zakai lower bound on the full-space angle MSE.
 
-The bound mixes an a-priori term (dominant at low SNR, set by the angular
-search range zeta) with a Fisher-information term (dominant at high SNR)
-through a smooth valley-filling weight. Reflection and transmission spaces
-are bounded separately and aggregated with weights K_R, K_T. All angles are
-radians inside this module; degrees only appear at the reporting boundary.
+The bound mixes an a-priori term (dominant at low SNR, set by the width ZETA
+of the model's search range [ANGLE_LO, ANGLE_HI]) with a Fisher-information
+term (dominant at high SNR) through a smooth valley-filling weight.
+Reflection and transmission spaces are bounded separately and aggregated with
+weights K_R, K_T. All angles are radians inside this module; degrees only
+appear at the reporting boundary.
 """
 
 from dataclasses import dataclass
@@ -12,9 +13,9 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.special import gammainc, ndtr
 
-from .star_ris_model import build_paired_operator, steering_derivative
+from .star_ris_model import ANGLE_HI, ANGLE_LO, build_paired_operator, steering_derivative
 
-ZETA_DEFAULT = 2 * np.pi / 3   # the [-60 deg, 60 deg] search range
+ZETA = np.radians(ANGLE_HI - ANGLE_LO)   # width of the search range, radians
 
 
 @dataclass
@@ -23,7 +24,6 @@ class ZzbInputs:
     profile: object            # StarRisProfile
     channel: object            # Channel
     sigma_n2: float
-    zeta: float = ZETA_DEFAULT
 
     @property
     def eta(self):
@@ -96,7 +96,7 @@ def zzb_subspace(inputs, subspace):
     n = inputs.profile.n
     eta = inputs.eta
     F, singular = fisher_information(inputs, subspace)
-    apb = 2.0 * p_l(k, t_s, n, eta) * k_i * inputs.zeta ** 2 / ((k_i + 1) ** 2 * (k_i + 2))
+    apb = 2.0 * p_l(k, t_s, n, eta) * k_i * ZETA ** 2 / ((k_i + 1) ** 2 * (k_i + 2))
     u = u_tilde(k, t_s, n, eta)
     if singular:
         tr_inv = float(np.trace(np.linalg.pinv(F)))

@@ -14,6 +14,7 @@ results are independent of execution order and worker count.
 import argparse
 import csv
 import json
+import os
 import time
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import asdict, dataclass, fields, replace
@@ -28,8 +29,9 @@ from . import fri_nonuniform, fri_uniform
 from .fri_nonuniform import estimate_angles_nonuniform, pgd_denoise_paired, subspace_af_coeffs
 from .fri_uniform import af_spectrum, estimate_angles_uniform, extract_af, pgd_denoise
 from .refine import PgdConfig, label_angles
-from .star_ris_model import (NONUNIFORM, UNIFORM, UserScene, check_snr_db, draw_channel,
-                             draw_scene, generate_profile, synthesize_measurements)
+from .star_ris_model import (FINE_STEP, NONUNIFORM, UNIFORM, UserScene, check_snr_db,
+                             draw_channel, draw_scene, generate_profile, grid_steering,
+                             synthesize_measurements)
 
 EXP1_THETA_RS = [-12.23, 39.19]
 EXP1_THETA_TS = [-47.34, 15.57]
@@ -48,8 +50,6 @@ class ExperimentConfig:
     seed: int = 0
     methods: tuple = ("M1", "M2")
     success_threshold_deg: float = 5.0
-    angle_region: tuple = (-60.0, 60.0)
-    min_sep_deg: float = 2.0
     workers: int = 1
     out: str = None
 
@@ -106,12 +106,10 @@ def make_batch(config, trial_index):
     """Draw trial trial_index's scene, profile and channel and synthesize its
     batch at the one SNR config.snr_db."""
     rng = np.random.default_rng([config.seed, trial_index])
-    lo, hi = config.angle_region
-    scene = draw_scene(rng, config.k_r, config.k_t, lo, hi, config.min_sep_deg)
+    scene = draw_scene(rng, config.k_r, config.k_t)
     profile = generate_profile(scenario_name(config.scenario), config.n, config.t_s, rng)
     channel = draw_channel(rng, config.n)
-    batch = synthesize_measurements(scene, profile, channel, float(config.snr_db), rng,
-                                    seed=trial_index)
+    batch = synthesize_measurements(scene, profile, channel, float(config.snr_db), rng)
     return scene, profile, channel, batch
 
 
@@ -138,8 +136,14 @@ def run_method(method, batch, config):
 
 
 def check_config(config):
-    """Reject a configuration no method can solve before any trial runs."""
+    """Reject a configuration no method can solve, naming the field, before
+    any trial runs."""
+    for name, least in (("trials", 1), ("n", 2), ("k_r", 0), ("k_t", 0)):
+        if getattr(config, name) < least:
+            raise ValueError(f"{name}={getattr(config, name)} is below its least value {least}")
     k = config.k_r + config.k_t
+    if k == 0:
+        raise ValueError("k_r + k_t = 0: no source to estimate")
     if config.t_s < k:
         raise ValueError(f"t_s={config.t_s} slots cannot resolve K_R+K_T={k} sources")
     for snr in np.atleast_1d(config.snr_db):
@@ -263,7 +267,7 @@ def run_spectrum(config):
                                rng, randomize_sign=False)
     channel = draw_channel(rng, config.n)
     batch = synthesize_measurements(scene, profile, channel, snr, rng)
-    grid = np.arange(config.angle_region[0], config.angle_region[1] + 1e-9, 0.1)
+    grid = grid_steering(config.n, FINE_STEP)[0]
     cfg = PgdConfig(k_r=config.k_r, k_t=config.k_t, i_max=500)
 
     # Algorithm 1 spectrum: two initializations, keep the lower residual
@@ -300,7 +304,7 @@ def write_records(records, config, path):
         w.writeheader()
         for r in records:
             w.writerow(asdict(r))
-    sidecar = path.rsplit(".", 1)[0] + ".config.json"
+    sidecar = os.path.splitext(path)[0] + ".config.json"
     with open(sidecar, "w") as f:
         cfg = asdict(config)
         cfg["methods"] = list(cfg["methods"])
@@ -361,14 +365,14 @@ def main(argv=None):
     if cfg.experiment == "spectrum":
         spec = run_spectrum(cfg)
         payload = {k: (v.tolist() if isinstance(v, np.ndarray) else v) for k, v in spec.items()}
-        path = out if out.endswith(".json") else out.rsplit(".", 1)[0] + ".json"
+        path = os.path.splitext(out)[0] + ".json"
         with open(path, "w") as f:
             json.dump(payload, f)
         print(f"wrote {path}")
         return 0
     if cfg.experiment == "convergence":
         traces, iters = run_convergence(cfg)
-        path = out if out.endswith(".json") else out.rsplit(".", 1)[0] + ".json"
+        path = os.path.splitext(out)[0] + ".json"
         with open(path, "w") as f:
             json.dump({"snr_db": single_snr(cfg, "convergence"), "iterations": iters,
                        "traces": {k: [list(map(float, t)) for t in v] for k, v in traces.items()}}, f)

@@ -15,11 +15,11 @@ from .refine import (RecoveryResult, grid_init, label_angles, multistart, pgd, p
 
 
 def lifting(batch, config):
-    """(Psi, alpha): the exact paired operator and the lifting order, n // 3
-    unless config.alpha is set. Rejects an order K the paired lift cannot hold."""
+    """(Psi, alpha): the exact paired operator and the fixed lifting order
+    n // 3. Rejects an order K the paired lift cannot hold."""
     psi = batch.operator_paired
     n = psi.shape[0] // 2
-    alpha = config.alpha if config.alpha is not None else n // 3
+    alpha = n // 3
     sl.check_feasible(config.k, alpha, n, 2 * (alpha + 1))
     return psi, alpha
 
@@ -80,7 +80,7 @@ def _estimate_nonuniform_once(batch, config):
         roots = select_roots_by_energy(sl.polynomial_roots(c), k_i, half[:, None])
         per_sub.append(np.sort(sl.roots_to_angles(roots)))
     th_r, th_t = per_sub
-    if config.polish and not any(degenerate):
+    if not any(degenerate):
         th_r, th_t = polish_angles(batch.y, psi, th_r, th_t)
     return RecoveryResult(
         angles=label_angles(th_r, th_t), af_coeffs=np.concatenate(coeffs), iterations=it,

@@ -28,12 +28,11 @@ def uniform_assumption_operator(batch):
 
 
 def lifting(batch, config):
-    """(Psi_u, alpha): the uniform-assumption operator and the lifting order,
-    n // 2 unless config.alpha is set. Rejects an order K the lift of one
-    half cannot hold."""
+    """(Psi_u, alpha): the uniform-assumption operator and the fixed lifting
+    order n // 2. Rejects an order K the lift of one half cannot hold."""
     psi = uniform_assumption_operator(batch)
     n = psi.shape[0] // 2
-    alpha = config.alpha if config.alpha is not None else n // 2
+    alpha = n // 2
     sl.check_feasible(config.k, alpha, n, alpha + 1)
     return psi, alpha
 
@@ -137,7 +136,7 @@ def _estimate_uniform_once(batch, config):
     is_ts = label_subspaces(b, batch.g, roots, config.k_t)
     th_r = np.sort(angles[~is_ts])
     th_t = np.sort(angles[is_ts])
-    if config.polish and not degenerate:
+    if not degenerate:
         th_r, th_t = polish_angles(batch.y, psi, th_r, th_t)
     return RecoveryResult(
         angles=label_angles(th_r, th_t), af_coeffs=c, iterations=it,

@@ -17,21 +17,19 @@ Both algorithms run their iterative denoiser inside the same pieces:
   starting over with each other initialization, while the polished fit sits
   above the noise floor; and the RS/TS-labelled result every solver returns.
 
-The grid steering matrices of the initializer and the rescan depend only on
-the aperture and the grid step, so they are built once per process and cached.
+Both grids, the initializer's at INIT_STEP and the rescan's at FINE_STEP, are
+the model's cached ``grid_steering`` over its search range.
 """
 
-import functools
 from dataclasses import dataclass, replace
 
 import numpy as np
 from scipy.optimize import least_squares
 
-from .star_ris_model import steering_derivative, steering_matrix
+from .star_ris_model import FINE_STEP, grid_steering, steering_derivative, steering_matrix
 
-GRID_LO, GRID_HI = -60.0, 60.0   # angle range of both grids, degrees
-INIT_STEP, INIT_CYCLES = 0.5, 3  # grid_init: grid step (degrees), re-selection sweeps
-RESCAN_STEP, RESCAN_CYCLES = 0.1, 2   # coordinate_rescan: grid step (degrees), sweeps
+INIT_STEP, INIT_CYCLES = 0.5, 3   # grid_init: grid step (degrees), re-selection sweeps
+RESCAN_CYCLES = 2                 # coordinate_rescan: sweeps over the fine grid
 
 
 @dataclass
@@ -39,11 +37,9 @@ class PgdConfig:
     """Settings of one solve, shared by both algorithms."""
     k_r: int = 2               # reflection-side sources
     k_t: int = 2               # transmission-side sources
-    alpha: int = None          # lifting order; None -> the solver's default
     i_max: int = 200
     eps: float = 1e-7
     init: str = "Backprojection"   # Zero | Backprojection | Grid
-    polish: bool = True
 
     @property
     def k(self):
@@ -71,16 +67,6 @@ def label_angles(th_r, th_t):
     return [(float(a), 'RS') for a in np.sort(th_r)] + [(float(a), 'TS') for a in np.sort(th_t)]
 
 
-@functools.lru_cache(maxsize=None)
-def _grid_steering(n, step):
-    """(grid over [GRID_LO, GRID_HI], n x G steering matrix), cached; both read-only."""
-    grid = np.arange(GRID_LO, GRID_HI + 1e-9, step)
-    sv = steering_matrix(grid, n)
-    grid.flags.writeable = False
-    sv.flags.writeable = False
-    return grid, sv
-
-
 def grid_init(psi, y, k_r, k_t):
     """Greedy matched-atom initialization of (x_R, x_T) on a coarse grid.
 
@@ -90,7 +76,7 @@ def grid_init(psi, y, k_r, k_t):
     Returns the two initial latent vectors and the selected angles.
     """
     n = psi.shape[0] // 2
-    grid, sv = _grid_steering(n, INIT_STEP)
+    grid, sv = grid_steering(n, INIT_STEP)
     A_rs = psi[:n].T @ sv
     A_ts = psi[n:].T @ sv
     nr = np.maximum(np.linalg.norm(A_rs, axis=0), 1e-12)
@@ -234,7 +220,7 @@ def coordinate_rescan(y, psi, th_r, th_t):
     candidates are never formed, only their K-1 coordinates Q^H c.
     """
     n = psi.shape[0] // 2
-    grid, sv = _grid_steering(n, RESCAN_STEP)
+    grid, sv = grid_steering(n, FINE_STEP)
     sides = []
     for half in (psi[:n], psi[n:]):
         cand = half.T @ sv
@@ -254,7 +240,7 @@ def coordinate_rescan(y, psi, th_r, th_t):
             num = y_cand - (Q.conj().T @ y).conj() @ QC
             score = np.abs(num) ** 2 / np.maximum(cand_sq - (np.abs(QC) ** 2).sum(axis=0), 1e-12)
             i = int(np.argmax(score))
-            if abs(grid[i] - th[k]) > RESCAN_STEP / 2:
+            if abs(grid[i] - th[k]) > FINE_STEP / 2:
                 th[k] = grid[i]
                 changed = True
         if not changed:
@@ -329,13 +315,11 @@ def multistart(batch, psi, config, solve_once):
     """Residual-gated multistart around one solver.
 
     solve_once(config) runs one whole solve from config.init and returns a
-    RecoveryResult. With config.polish set, while the best fit to y under the
-    paired operator psi sits above the noise-floor gate, the solve is rerun
-    with each remaining initialization and the lowest residual wins.
+    RecoveryResult. While the best fit to y under the paired operator psi
+    sits above the noise-floor gate, the solve is rerun with each remaining
+    initialization and the lowest residual wins.
     """
     res = solve_once(config)
-    if not config.polish:
-        return res
     gate = _residual_gate(batch)
     best = (_fit_residual(batch.y, psi, *res.by_subspace()), res)
     for init in _retry_inits(config.init):

@@ -2,7 +2,9 @@
 
 The one steering-matrix builder of the package lives here: every module that
 needs exp(-j pi m sin theta) over an aperture, or its angle derivative, calls
-``steering_matrix`` or ``steering_derivative``.
+``steering_matrix`` or ``steering_derivative``. So does the one search range
+[ANGLE_LO, ANGLE_HI]: scenes are drawn in it, the Ziv-Zakai bound takes its
+width, and every angle grid spans it through the cached ``grid_steering``.
 
 Each metasurface element splits the incident wave into a reflected part
 (amplitude beta_r, phase phi_r) and a transmitted part whose amplitude follows
@@ -12,12 +14,17 @@ behind the surface collects one complex scalar per slot, so all spatial
 information enters through the known per-slot control sequence.
 """
 
-from dataclasses import dataclass, field
+import functools
+from dataclasses import dataclass
 
 import numpy as np
 
 UNIFORM = "UniformES"
 NONUNIFORM = "NonuniformES"
+
+ANGLE_LO, ANGLE_HI = -60.0, 60.0   # the search range of every estimator, degrees
+MIN_SEP_DEG = 2.0   # least separation of two drawn users of one side, degrees
+FINE_STEP = 0.1     # step of the fine grid (rescan, dictionaries, spectra), degrees
 
 
 @dataclass
@@ -83,7 +90,6 @@ class MeasurementBatch:
     operator_paired: np.ndarray   # (2n, t_s) columns psi(t)
     g: np.ndarray                 # per-slot scalar gain sequence (see above)
     scenario: str
-    seed: int = 0
 
     def __setattr__(self, name, value):
         if name == "y" and not np.all(np.isfinite(value)):
@@ -104,6 +110,16 @@ def steering_derivative(thetas, n):
     (-j pi m cos theta_k) exp(-j pi m sin theta_k)."""
     rad = np.radians(thetas)
     return (-1j * np.pi * np.arange(n)[:, None] * np.cos(rad)) * steering_matrix(thetas, n)
+
+
+@functools.lru_cache(maxsize=None)
+def grid_steering(n, step):
+    """(grid over [ANGLE_LO, ANGLE_HI], n x G steering matrix), cached; both read-only."""
+    grid = np.arange(ANGLE_LO, ANGLE_HI + 1e-9, step)
+    sv = steering_matrix(grid, n)
+    grid.flags.writeable = False
+    sv.flags.writeable = False
+    return grid, sv
 
 
 def generate_profile(scenario, n, t_s, rng, randomize_sign=True):
@@ -156,7 +172,7 @@ def check_snr_db(snr_db):
         raise ValueError(f"snr_db={snr_db!r} is not an SNR (inf gives the noiseless batch)")
 
 
-def synthesize_measurements(scene, profile, channel, snr_db, rng, seed=0):
+def synthesize_measurements(scene, profile, channel, snr_db, rng):
     """One batch of T_s scalar observations plus the sensing operators.
 
     Noise is circular complex Gaussian with sigma_n^2 = 10^(-snr_db/10), so
@@ -175,22 +191,17 @@ def synthesize_measurements(scene, profile, channel, snr_db, rng, seed=0):
         sigma_n2 = 10.0 ** (-snr_db / 10.0)
         t_s = profile.t_s
         y = y + np.sqrt(sigma_n2 / 2) * (rng.standard_normal(t_s) + 1j * rng.standard_normal(t_s))
-    return MeasurementBatch(
-        y=y, sigma_n2=sigma_n2,
-        operator_paired=psi,
-        g=profile.gain_sequence(),
-        scenario=profile.scenario,
-        seed=seed,
-    )
+    return MeasurementBatch(y=y, sigma_n2=sigma_n2, operator_paired=psi,
+                            g=profile.gain_sequence(), scenario=profile.scenario)
 
 
-def draw_scene(rng, k_r, k_t, lo=-60.0, hi=60.0, min_sep=2.0):
-    """Random user angles, iid uniform per subspace with a minimum pairwise
-    separation guard, plus unit-modulus gains with uniform phases."""
+def draw_scene(rng, k_r, k_t):
+    """Random user angles, iid uniform on the search range and MIN_SEP_DEG
+    apart per side, plus unit-modulus gains with uniform phases."""
     def draw(k):
         while True:
-            a = np.sort(rng.uniform(lo, hi, k))
-            if k < 2 or np.diff(a).min() >= min_sep:
+            a = np.sort(rng.uniform(ANGLE_LO, ANGLE_HI, k))
+            if k < 2 or np.diff(a).min() >= MIN_SEP_DEG:
                 return a
     tr = draw(k_r)
     tt = draw(k_t)

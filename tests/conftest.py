@@ -9,8 +9,8 @@ from starfri.refine import PgdConfig, pgd_step
 
 
 def _step(solver):
-    def step(batch, k, alpha=None):
-        return pgd_step(solver.lifting(batch, PgdConfig(k_r=k, k_t=0, alpha=alpha))[0])
+    def step(batch, k):
+        return pgd_step(solver.lifting(batch, PgdConfig(k_r=k, k_t=0))[0])
     return step
 
 
@@ -18,8 +18,8 @@ def _step(solver):
 def liftings():
     """{lifting: (step, dense)} for M1's stacked and M2's paired lifting.
 
-    step(batch, k, alpha=None) runs the solver's set-up at order k and returns
-    the step it picks (raising on an infeasible order); dense(batch) is the
+    step(batch, k) runs the solver's set-up at order k and returns the step
+    it picks (raising on an infeasible order); dense(batch) is the
     matrix that maps the solver's unknowns beta to y: Psi_u^T for the stacked
     lifting, Psi^T for the paired.
     """

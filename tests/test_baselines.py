@@ -38,6 +38,16 @@ def test_dictionary_atoms_unit_norm():
         bl.build_dictionary(batch, 'RS', grid=np.array([]))
 
 
+def test_default_dictionary_matches_explicit_fine_grid():
+    # the cached default equals a dictionary built on the fine grid spelled out
+    batch = _batch([20.0], [-35.0])
+    for sub in ('RS', 'TS'):
+        got = bl.build_dictionary(batch, sub)
+        want = bl.build_dictionary(batch, sub, np.arange(-60.0, 60.0 + 1e-9, 0.1))
+        for name in ("grid", "atoms", "steer", "scale"):
+            assert np.array_equal(getattr(got, name), getattr(want, name))
+
+
 def test_rs_and_ts_atoms_differ():
     batch = _batch([20.0], [-35.0])
     d_r = bl.build_dictionary(batch, 'RS', COARSE)

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from starfri import star_ris_model as sm
-from starfri.bounds import (ZzbInputs, fisher_information, p_l, u_tilde, valley_weight,
+from starfri.bounds import (ZETA, ZzbInputs, fisher_information, p_l, u_tilde, valley_weight,
                             zzb_full, zzb_subspace)
 from starfri.star_ris_model import steering_derivative
 
@@ -125,10 +125,10 @@ def test_valley_weight():
 
 
 def test_zzb_subspace_limits():
-    # low SNR: the a-priori term dominates; K_i = 1 gives zeta^2 / 12
+    # low SNR: the a-priori term dominates; K_i = 1 gives ZETA^2 / 12
     inp = _random_inputs(5, sigma_n2=1e12, k_r=1, k_t=1)
     apb = zzb_subspace(inp, 'RS')
-    assert np.isclose(apb, inp.zeta ** 2 / 12, rtol=1e-3)
+    assert np.isclose(apb, ZETA ** 2 / 12, rtol=1e-3)
     # high SNR: collapses onto the Fisher (CRB-type) term
     inp = _random_inputs(5, sigma_n2=1e-9, k_r=1, k_t=1)
     F, _ = fisher_information(inp, 'RS')

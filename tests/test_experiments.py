@@ -158,11 +158,28 @@ def test_cli_config_file_with_flag_override(tmp_path):
 
 
 def test_cli_config_file_rejects_unknown_key(tmp_path):
+    # the search range and the scene separation are the model's, not settings
     cfg_path = tmp_path / "cfg.json"
-    cfg_path.write_text(json.dumps({"trials": 1, "snr": 20.0}))
-    with pytest.raises(SystemExit, match="'snr'"):
-        main(["sweep", "--config", str(cfg_path), "--out", str(tmp_path / "o.csv")])
-    assert not (tmp_path / "o.csv").exists()
+    for key, val in (("snr", 20.0), ("angle_region", [-60.0, 60.0]), ("min_sep_deg", 2.0)):
+        cfg_path.write_text(json.dumps({"trials": 1, key: val}))
+        with pytest.raises(SystemExit, match=f"'{key}'"):
+            main(["sweep", "--config", str(cfg_path), "--out", str(tmp_path / "o.csv")])
+        assert not (tmp_path / "o.csv").exists()
+
+
+@pytest.mark.parametrize("experiment, out, written", [
+    ("sweep", "sweep", ["sweep", "sweep.config.json"]),
+    ("spectrum", "spec", ["spec.json"]),
+    ("convergence", "conv", ["conv.json"]),
+])
+def test_cli_output_stays_in_a_directory_with_a_dot(tmp_path, experiment, out, written):
+    # only the file name's extension is replaced, never a directory's
+    out_dir = tmp_path / "res.d"
+    out_dir.mkdir()
+    assert main([experiment, "--trials", "1", "--methods", "FFT", "--out",
+                 str(out_dir / out)]) == 0
+    assert sorted(os.listdir(out_dir)) == written
+    assert sorted(os.listdir(tmp_path)) == ["res.d"]
 
 
 def test_cli_convergence_smoke(tmp_path):
@@ -292,6 +309,22 @@ def test_non_finite_snr_rejected_before_any_trial(runner, snr_db):
     cfg = ExperimentConfig(snr_db=snr_db, trials=1, methods=("FFT",))
     with pytest.raises(ValueError, match="snr_db"):
         runner(cfg)
+
+
+@pytest.mark.parametrize("overrides, message", [
+    ({"trials": 0}, "trials=0"),
+    ({"n": 0}, "n=0"),
+    ({"n": 1}, "n=1"),
+    ({"k_r": -1}, "k_r=-1"),
+    ({"k_t": -1}, "k_t=-1"),
+    ({"k_r": 0, "k_t": 0}, "no source to estimate"),
+], ids=["no-trials", "n0", "n1", "negative-k_r", "negative-k_t", "no-users"])
+@pytest.mark.parametrize("runner", [run_sweep, run_convergence, run_spectrum])
+def test_degenerate_config_rejected_before_any_trial(monkeypatch, runner, overrides, message):
+    monkeypatch.setattr(experiments, "make_batch", _no_trial)
+    monkeypatch.setattr(experiments, "synthesize_measurements", _no_trial)
+    with pytest.raises(ValueError, match=message):
+        runner(replace(ExperimentConfig(trials=1, methods=("FFT",)), **overrides))
 
 
 def test_cli_rejects_a_nan_snr(tmp_path):

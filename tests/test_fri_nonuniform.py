@@ -43,14 +43,14 @@ def test_paired_step_size_bounds(liftings, operator_batch):
 def test_paired_feasibility_rejection(liftings):
     _, _, batch = _batch([10.0], [-20.0], snr_db=15.0, n=9)
     with pytest.raises(ValueError):
-        pgd_denoise_paired(batch, PgdConfig(alpha=3, k_r=4, k_t=4))
-    # n=9, alpha=3: the stacked 6 x 4 lift holds K <= 4; the paired 6 x 8 one
-    # is bound by its 6 rows
-    for name, k_max in (("stacked", 4), ("paired", 6)):
+        pgd_denoise_paired(batch, PgdConfig(k_r=4, k_t=4))
+    # n=9: each 5 x 5 half of the stacked lift (alpha=4) holds K <= 5; the
+    # paired 6 x 8 one (alpha=3) is bound by its 6 rows
+    for name, k_max in (("stacked", 5), ("paired", 6)):
         step, _ = liftings[name]
-        step(batch, k_max, alpha=3)
+        step(batch, k_max)
         with pytest.raises(ValueError):
-            step(batch, k_max + 1, alpha=3)
+            step(batch, k_max + 1)
 
 
 def test_zero_measurement_zero_fixed_point():

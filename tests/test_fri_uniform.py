@@ -56,14 +56,14 @@ def test_step_size_bounds_scaling(liftings, operator_batch):
 def test_feasibility_rejection(liftings):
     _, _, batch = _uniform_batch([10.0], [], snr_db=20.0, n=8)
     with pytest.raises(ValueError):
-        pgd_denoise(batch, PgdConfig(alpha=2, k_r=7, k_t=0))
-    # n=8, alpha=2: each 6 x 3 half of the stacked lift holds K <= 3, the
-    # paired 6 x 6 one K <= 6
-    for name, k_max in (("stacked", 3), ("paired", 6)):
+        pgd_denoise(batch, PgdConfig(k_r=7, k_t=0))
+    # n=8: each 4 x 5 half of the stacked lift (alpha=4) holds K <= 4, the
+    # paired 6 x 6 one (alpha=2) K <= 6
+    for name, k_max in (("stacked", 4), ("paired", 6)):
         step, _ = liftings[name]
-        step(batch, k_max, alpha=2)
+        step(batch, k_max)
         with pytest.raises(ValueError):
-            step(batch, k_max + 1, alpha=2)
+            step(batch, k_max + 1)
 
 
 # -------------------------------------------------------------------- denoise
@@ -103,14 +103,19 @@ def _reference_pgd_denoise(batch, config):
     (1, 0.0, {}), (1, 15.0, {}), (1, 30.0, {}),
     (2, 0.0, {}), (2, 15.0, {}), (2, 30.0, {}),
     (1, 15.0, {"init": "Backprojection"}), (2, 15.0, {"init": "Zero"}),
-    (1, 15.0, {"alpha": 6}), (2, 30.0, {"alpha": 10}),
+    (1, 15.0, {"n": 12}), (2, 30.0, {"n": 20}),
 ])
 def test_nxn_pgd_matches_stacked_lift_reference(scenario, snr_db, options):
-    _, _, _, batch = make_batch(ExperimentConfig(scenario=scenario, snr_db=snr_db, seed=0), 0)
+    # "n" sets the batch's aperture, hence the lifting order n // 2 (6 and 10);
+    # the other options are the solve's
+    options = dict(options)
+    n = options.pop("n", 16)
+    _, _, _, batch = make_batch(
+        ExperimentConfig(scenario=scenario, snr_db=snr_db, seed=0, n=n), 0)
     cfg = PgdConfig(**{"init": "Grid", **options})
     b, it, hist, converged = pgd_denoise(batch, cfg)
     b_ref, it_ref, hist_ref, conv_ref = _reference_pgd_denoise(batch, cfg)
-    assert b.shape == (32,)
+    assert b.shape == (2 * n,)
     assert it == it_ref and converged == conv_ref
     assert np.linalg.norm(b - b_ref) <= 1e-10 * np.linalg.norm(b_ref)
     # relative over the whole trace: a late step of 1e-7 is a difference of
@@ -294,7 +299,7 @@ def test_uniform_assumption_operator_matches_exact_in_scenario1():
 
 def test_initial_iterate_variants():
     _, _, batch = _uniform_batch([10.0], [-20.0], snr_db=15.0, seed=13)
-    cfg = PgdConfig(k_r=1, k_t=1, alpha=8)
+    cfg = PgdConfig(k_r=1, k_t=1)
     psi, _ = lifting(batch, cfg)
     z = initial_iterate(batch, replace(cfg, init="Zero"), psi)
     assert z.shape == (32,) and not np.any(z)

@@ -6,8 +6,9 @@ import pytest
 from starfri import star_ris_model as sm
 from starfri.experiments import ExperimentConfig, make_batch
 from starfri.fri_uniform import uniform_assumption_operator
-from starfri.refine import (_atoms, _grid_steering, coordinate_rescan, grid_init,
-                            polish_angles, select_roots_by_energy, varpro_refine)
+from starfri.refine import (_atoms, coordinate_rescan, grid_init, polish_angles,
+                            select_roots_by_energy, varpro_refine)
+from starfri.star_ris_model import grid_steering
 
 
 def _batch(theta_rs, theta_ts, snr_db=np.inf, seed=0, scenario=sm.NONUNIFORM):
@@ -95,8 +96,8 @@ def test_coordinate_rescan_matches_projected_reference(scenario):
 
 
 def test_grid_steering_cached_and_read_only():
-    grid, sv = _grid_steering(16, 0.1)
-    assert _grid_steering(16, 0.1)[1] is sv
+    grid, sv = grid_steering(16, 0.1)
+    assert grid_steering(16, 0.1)[1] is sv
     assert sv.shape == (16, 1201) and grid.shape == (1201,)
     with pytest.raises(ValueError):
         sv[0, 0] = 0.0

@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from starfri import baselines, bounds, refine
 from starfri import star_ris_model as sm
 from starfri.fri_uniform import uniform_assumption_operator
 
@@ -216,6 +217,31 @@ def test_non_finite_snr_rejected(snr_db):
 def test_draw_scene_separation():
     rng = np.random.default_rng(41)
     for _ in range(50):
-        scene = sm.draw_scene(rng, 3, 2, min_sep=2.0)
+        scene = sm.draw_scene(rng, 3, 2)
         assert np.diff(np.sort(scene.theta_rs)).min() >= 2.0
         assert np.all(np.abs(scene.gains) > 0)
+
+
+def test_search_range_is_decided_once():
+    # the dictionaries share the model's cached fine grid and its steering
+    p = _profile(sm.NONUNIFORM, seed=43)
+    scene = sm.UserScene([20.0], [-35.0], np.ones(2, complex))
+    batch = sm.synthesize_measurements(scene, p, sm.draw_channel(np.random.default_rng(43), 16),
+                                       30.0, np.random.default_rng(44))
+    grid, sv = sm.grid_steering(16, sm.FINE_STEP)
+    for sub in ('RS', 'TS'):
+        d = baselines.build_dictionary(batch, sub)
+        assert d.grid is grid and d.steer is sv
+    # the bound's a-priori width is the range's
+    assert bounds.ZETA == 2 * np.pi / 3
+    # the initializer's grid and the rescan's span the range end to end
+    for step in (refine.INIT_STEP, sm.FINE_STEP):
+        g = sm.grid_steering(16, step)[0]
+        assert g[0] == sm.ANGLE_LO and np.isclose(g[-1], sm.ANGLE_HI, rtol=0, atol=1e-9)
+    # drawn users lie in the range, each side MIN_SEP_DEG apart
+    rng = np.random.default_rng(45)
+    for _ in range(50):
+        scene = sm.draw_scene(rng, 3, 3)
+        for side in (scene.theta_rs, scene.theta_ts):
+            assert min(side) >= sm.ANGLE_LO and max(side) <= sm.ANGLE_HI
+            assert np.diff(np.sort(side)).min() >= sm.MIN_SEP_DEG
