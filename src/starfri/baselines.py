@@ -27,7 +27,6 @@ GUARD_DEG = 1.0   # least separation of two picked spectrum peaks, degrees
 class GridDictionary:
     grid: np.ndarray      # angles, degrees, strictly increasing
     atoms: np.ndarray     # (t_s, len(grid)), unit-norm columns
-    subspace: str         # 'RS' | 'TS'
     # factors of atoms = basis @ steer * scale, filled by build_dictionary
     basis: np.ndarray = None   # (t_s, n) slot basis
     steer: np.ndarray = None   # (n, len(grid)) Vandermonde steering matrix
@@ -48,8 +47,8 @@ def build_dictionary(batch, subspace, grid=None):
     basis = (psi[:n] if subspace == 'RS' else psi[n:]).T
     atoms = basis @ steer
     norms = np.maximum(np.linalg.norm(atoms, axis=0), 1e-15)
-    return GridDictionary(grid=grid, atoms=atoms / norms, subspace=subspace,
-                          basis=basis, steer=steer, scale=1.0 / norms)
+    return GridDictionary(grid=grid, atoms=atoms / norms, basis=basis, steer=steer,
+                          scale=1.0 / norms)
 
 
 def _pick_peaks(P, grid, k_i):

@@ -35,6 +35,7 @@ from .star_ris_model import (FINE_STEP, NONUNIFORM, UNIFORM, UserScene, check_sn
 
 EXP1_THETA_RS = [-12.23, 39.19]
 EXP1_THETA_TS = [-47.34, 15.57]
+METHODS = ("M1", "M2", "FFT", "OMP", "SBL")
 
 
 @dataclass
@@ -137,7 +138,12 @@ def run_method(method, batch, config):
 
 def check_config(config):
     """Reject a configuration no method can solve, naming the field, before
-    any trial runs."""
+    any trial runs: an unknown method or scenario among them."""
+    for method in config.methods:
+        if method not in METHODS:
+            raise ValueError(f"unknown method {method!r}; choose from {', '.join(METHODS)}")
+    if config.scenario not in (1, 2):
+        raise ValueError(f"scenario={config.scenario!r} is neither 1 nor 2")
     for name, least in (("trials", 1), ("n", 2), ("k_r", 0), ("k_t", 0)):
         if getattr(config, name) < least:
             raise ValueError(f"{name}={getattr(config, name)} is below its least value {least}")
@@ -277,7 +283,7 @@ def run_spectrum(config):
         b, _, _, _ = pgd_denoise(batch, replace(cfg, init=init))
         fits.append((np.linalg.norm(batch.y - psi_u.T @ b), b))
     b1 = min(fits, key=lambda f: f[0])[1]
-    c1, _ = extract_af(b1, alpha1)
+    c1 = extract_af(b1, alpha1)
     spec_m1 = af_spectrum(c1, grid)
 
     # Algorithm 2 spectra: backprojection suffices in the uniform scenario;

@@ -10,8 +10,8 @@ then done per subspace, which makes the RS/TS labels inherent.
 import numpy as np
 
 from . import structured_linalg as sl
-from .refine import (RecoveryResult, grid_init, label_angles, multistart, pgd, pgd_step,
-                     polish_angles, select_roots_by_energy)
+from .refine import (RecoveryResult, check_nonzero, grid_init, label_angles, multistart, pgd,
+                     pgd_step, polish_angles, select_roots_by_energy)
 
 
 def lifting(batch, config):
@@ -58,8 +58,9 @@ def estimate_angles_nonuniform(batch, config):
     """End-to-end Algorithm 2 inside the shared residual-gated multistart.
 
     The exact paired model holds in both scenarios, so the gate is always
-    active.
+    active. All-zero measurements are rejected.
     """
+    check_nonzero(batch.y)
     return multistart(batch, batch.operator_paired, config,
                       lambda cfg: _estimate_nonuniform_once(batch, cfg))
 
@@ -68,30 +69,17 @@ def _estimate_nonuniform_once(batch, config):
     """One denoise / per-subspace annihilate / root / polish pass."""
     psi, alpha = lifting(batch, config)
     b, it, history, converged = pgd_denoise_paired(batch, config)
-    coeffs = subspace_af_coeffs(b, alpha)
-    halves = np.split(b, 2)
-    # a half's filter is degenerate exactly when the half, hence its lift, is all zero
-    degenerate = [not np.any(half) for half in halves]
     per_sub = []
-    for half, c, k_i, deg in zip(halves, coeffs, (config.k_r, config.k_t), degenerate):
-        if deg or k_i == 0:
-            per_sub.append(np.zeros(k_i))
-            continue
+    for half, c, k_i in zip(np.split(b, 2), subspace_af_coeffs(b, alpha),
+                            (config.k_r, config.k_t)):
         roots = select_roots_by_energy(sl.polynomial_roots(c), k_i, half[:, None])
         per_sub.append(np.sort(sl.roots_to_angles(roots)))
-    th_r, th_t = per_sub
-    if not any(degenerate):
-        th_r, th_t = polish_angles(batch.y, psi, th_r, th_t)
-    return RecoveryResult(
-        angles=label_angles(th_r, th_t), af_coeffs=np.concatenate(coeffs), iterations=it,
-        residual_history=history, converged=converged, denoised=b,
-    )
+    th_r, th_t = polish_angles(batch.y, psi, *per_sub)
+    return RecoveryResult(angles=label_angles(th_r, th_t), iterations=it,
+                          residual_history=history, converged=converged)
 
 
 def subspace_af_coeffs(denoised, alpha):
-    """The two per-subspace annihilating filters of a denoised [x_R; x_T].
-
-    A half that is all zero gets the filter e_1 (see
-    ``structured_linalg.smallest_right_singular_vector``)."""
-    return tuple(sl.smallest_right_singular_vector(sl.hankel_lift(half, alpha))[0]
+    """The two per-subspace annihilating filters of a denoised [x_R; x_T]."""
+    return tuple(sl.smallest_right_singular_vector(sl.hankel_lift(half, alpha))
                  for half in np.split(np.asarray(denoised), 2))

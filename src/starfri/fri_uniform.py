@@ -13,8 +13,8 @@ which half carries its gain.
 import numpy as np
 
 from . import structured_linalg as sl
-from .refine import (RecoveryResult, grid_init, label_angles, multistart, pgd, pgd_step,
-                     polish_angles, select_roots_by_energy)
+from .refine import (RecoveryResult, check_nonzero, grid_init, label_angles, multistart, pgd,
+                     pgd_step, polish_angles, select_roots_by_energy)
 from .star_ris_model import UNIFORM, steering_matrix
 
 
@@ -114,8 +114,10 @@ def estimate_angles_uniform(batch, config):
 
     The multistart runs only when the solver's model matches the batch
     scenario: a mismatched-scenario solve is returned as it is, since it
-    carries no accuracy contract.
+    carries no accuracy contract. All-zero measurements are rejected in
+    either case.
     """
+    check_nonzero(batch.y)
     if batch.scenario != UNIFORM:
         return _estimate_uniform_once(batch, config)
     return multistart(batch, uniform_assumption_operator(batch), config,
@@ -126,20 +128,12 @@ def _estimate_uniform_once(batch, config):
     """One denoise / annihilate / root / label / polish pass."""
     psi, alpha = lifting(batch, config)
     b, it, history, converged = pgd_denoise(batch, config)
-    c, degenerate = extract_af(b, alpha)
-    if degenerate:
-        # no filter to root: spread placeholder roots over the aperture
-        roots = steering_matrix(np.degrees(np.arcsin(np.linspace(-0.5, 0.5, config.k))), 2)[1]
-    else:
-        roots = select_roots_by_energy(sl.polynomial_roots(c), config.k, b.reshape(2, -1).T)
+    c = extract_af(b, alpha)
+    roots = select_roots_by_energy(sl.polynomial_roots(c), config.k, b.reshape(2, -1).T)
     angles = sl.roots_to_angles(roots)
     is_ts = label_subspaces(b, batch.g, roots, config.k_t)
-    th_r = np.sort(angles[~is_ts])
-    th_t = np.sort(angles[is_ts])
-    if not degenerate:
-        th_r, th_t = polish_angles(batch.y, psi, th_r, th_t)
+    th_r, th_t = polish_angles(batch.y, psi, np.sort(angles[~is_ts]), np.sort(angles[is_ts]))
     return RecoveryResult(
-        angles=label_angles(th_r, th_t), af_coeffs=c, iterations=it,
-        residual_history=history, converged=converged, denoised=b,
-        mismatched=(batch.scenario != UNIFORM),
+        angles=label_angles(th_r, th_t), iterations=it, residual_history=history,
+        converged=converged, mismatched=(batch.scenario != UNIFORM),
     )

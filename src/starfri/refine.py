@@ -49,11 +49,9 @@ class PgdConfig:
 @dataclass
 class RecoveryResult:
     angles: list               # [(theta_deg, 'RS'|'TS'), ...]
-    af_coeffs: np.ndarray
     iterations: int
     residual_history: list     # per-iteration update norms ||b_new - b_old||
     converged: bool
-    denoised: np.ndarray
     mismatched: bool = False   # solver model does not match the batch scenario
 
     def by_subspace(self):
@@ -77,57 +75,42 @@ def grid_init(psi, y, k_r, k_t):
     """
     n = psi.shape[0] // 2
     grid, sv = grid_steering(n, INIT_STEP)
-    A_rs = psi[:n].T @ sv
-    A_ts = psi[n:].T @ sv
-    nr = np.maximum(np.linalg.norm(A_rs, axis=0), 1e-12)
-    nt = np.maximum(np.linalg.norm(A_ts, axis=0), 1e-12)
-    sel = []
+    atoms = (psi[:n].T @ sv, psi[n:].T @ sv)     # per side: RS, then TS
+    norms = [np.maximum(np.linalg.norm(a, axis=0), 1e-12) for a in atoms]
+    sel = []                                     # (side, grid index) per atom
 
-    def cols_of(s):
-        if not s:
-            return np.zeros((len(y), 0), complex)
-        return np.column_stack([(A_rs if side == 'r' else A_ts)[:, i] for side, i in s])
+    def fit(support):
+        """Residual and gains of the least-squares fit of y on the atoms support."""
+        A = (np.column_stack([atoms[s][:, i] for s, i in support]) if support
+             else np.zeros((len(y), 0), complex))
+        coef, *_ = np.linalg.lstsq(A, y, rcond=None)
+        return y - A @ coef, coef
+
+    def score(side, residual):
+        return np.abs(atoms[side].conj().T @ residual) / norms[side]
 
     res = y.copy()
     for _ in range(k_r + k_t):
-        cr = np.abs(A_rs.conj().T @ res) / nr
-        ct = np.abs(A_ts.conj().T @ res) / nt
-        if sum(side == 'r' for side, _ in sel) >= k_r:
-            cr[:] = -1
-        if sum(side == 't' for side, _ in sel) >= k_t:
-            ct[:] = -1
-        sel.append(('r', int(np.argmax(cr))) if cr.max() >= ct.max() else ('t', int(np.argmax(ct))))
-        A = cols_of(sel)
-        coef, *_ = np.linalg.lstsq(A, y, rcond=None)
-        res = y - A @ coef
+        c = [score(s, res) if sum(t == s for t, _ in sel) < k else np.full(len(grid), -1.0)
+             for s, k in enumerate((k_r, k_t))]
+        side = 0 if c[0].max() >= c[1].max() else 1
+        sel.append((side, int(np.argmax(c[side]))))
+        res, _ = fit(sel)
     for _ in range(INIT_CYCLES):
         changed = False
-        for j in range(len(sel)):
-            rest = sel[:j] + sel[j + 1:]
-            A = cols_of(rest)
-            coef, *_ = np.linalg.lstsq(A, y, rcond=None)
-            r = y - A @ coef
-            side = sel[j][0]
-            c = np.abs((A_rs if side == 'r' else A_ts).conj().T @ r) / (nr if side == 'r' else nt)
-            i = int(np.argmax(c))
-            if i != sel[j][1]:
-                sel[j] = (side, i)
+        for j, (side, i) in enumerate(sel):
+            best = int(np.argmax(score(side, fit(sel[:j] + sel[j + 1:])[0])))
+            if best != i:
+                sel[j] = (side, best)
                 changed = True
         if not changed:
             break
-    A = cols_of(sel)
-    coef, *_ = np.linalg.lstsq(A, y, rcond=None)
-    x_r = np.zeros(n, complex)
-    x_t = np.zeros(n, complex)
-    th_r, th_t = [], []
-    for (side, i), c in zip(sel, coef):
-        if side == 'r':
-            x_r += c * sv[:, i]
-            th_r.append(grid[i])
-        else:
-            x_t += c * sv[:, i]
-            th_t.append(grid[i])
-    return x_r, x_t, np.sort(th_r), np.sort(th_t)
+    x = np.zeros((2, n), complex)
+    th = ([], [])
+    for (side, i), c in zip(sel, fit(sel)[1]):
+        x[side] += c * sv[:, i]
+        th[side].append(grid[i])
+    return x[0], x[1], np.sort(th[0]), np.sort(th[1])
 
 
 def select_roots_by_energy(roots, k, sig_cols):
@@ -302,6 +285,12 @@ def _fit_residual(y, psi, th_r, th_t):
 
 def _retry_inits(first_init):
     return [i for i in ("Zero", "Backprojection", "Grid") if i != first_init]
+
+
+def check_nonzero(y):
+    """Reject all-zero measurements: they carry no source to estimate."""
+    if not np.any(y):
+        raise ValueError("all-zero measurements y: no source to estimate")
 
 
 def _residual_gate(batch):

@@ -180,16 +180,11 @@ def smallest_right_singular_vector(m):
     """Unit right singular vector of the smallest singular value.
 
     Phase-normalized so the first entry with magnitude above 1e-12 is real
-    positive. An all-zero input returns (e_1, degenerate=True) so Monte Carlo
-    loops survive pathological draws.
+    positive.
     """
     m = np.asarray(m)
     if m.shape[1] < 2:
         raise ValueError("need at least 2 columns")
-    if not np.any(m):
-        e = np.zeros(m.shape[1], complex)
-        e[0] = 1.0
-        return e, True
     if m.shape[0] >= m.shape[1]:
         _, _, vh = np.linalg.svd(m, full_matrices=False)
     else:
@@ -198,7 +193,7 @@ def smallest_right_singular_vector(m):
     nz = np.flatnonzero(np.abs(v) > 1e-12)
     if nz.size:
         v = v * (np.abs(v[nz[0]]) / v[nz[0]])
-    return v, False
+    return v
 
 
 def polynomial_roots(coeffs):

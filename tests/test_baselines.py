@@ -90,7 +90,7 @@ def test_omp_orthogonal_atoms_exact_support():
     batch = _batch([20.0], [])
     d5 = bl.build_dictionary(batch, 'RS', np.arange(-60.0, 60.0 + 1e-9, 5.0))
     Q, _ = np.linalg.qr(d5.atoms[:, :24])
-    dq = bl.GridDictionary(grid=d5.grid[:24], atoms=Q, subspace='RS')
+    dq = bl.GridDictionary(grid=d5.grid[:24], atoms=Q)
     y = Q[:, 3] + 0.5 * Q[:, 17]
     angles, _ = bl.omp(_with_y(batch, y), dq, 2)
     assert np.allclose(np.sort(angles), np.sort([dq.grid[3], dq.grid[17]]))

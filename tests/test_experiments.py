@@ -10,7 +10,7 @@ from dataclasses import asdict, replace
 import numpy as np
 import pytest
 
-from starfri import experiments
+from starfri import experiments, fri_nonuniform, fri_uniform
 from starfri import star_ris_model as sm
 from starfri.experiments import (CSV_COLUMNS, ExperimentConfig, _aggregate,
                                  local_minima, main, make_batch, match_and_score,
@@ -318,13 +318,58 @@ def test_non_finite_snr_rejected_before_any_trial(runner, snr_db):
     ({"k_r": -1}, "k_r=-1"),
     ({"k_t": -1}, "k_t=-1"),
     ({"k_r": 0, "k_t": 0}, "no source to estimate"),
-], ids=["no-trials", "n0", "n1", "negative-k_r", "negative-k_t", "no-users"])
+    ({"methods": ("FFT", "FTT")}, "unknown method 'FTT'"),
+    ({"scenario": 3}, "scenario=3"),
+], ids=["no-trials", "n0", "n1", "negative-k_r", "negative-k_t", "no-users", "unknown-method",
+        "scenario3"])
 @pytest.mark.parametrize("runner", [run_sweep, run_convergence, run_spectrum])
 def test_degenerate_config_rejected_before_any_trial(monkeypatch, runner, overrides, message):
     monkeypatch.setattr(experiments, "make_batch", _no_trial)
     monkeypatch.setattr(experiments, "synthesize_measurements", _no_trial)
     with pytest.raises(ValueError, match=message):
         runner(replace(ExperimentConfig(trials=1, methods=("FFT",)), **overrides))
+
+
+def test_cli_rejects_unknown_method_and_scenario_before_writing(tmp_path):
+    out = tmp_path / "o.csv"
+    with pytest.raises(ValueError, match="unknown method 'FTT'"):
+        main(["sweep", "--trials", "1", "--methods", "FTT", "--out", str(out)])
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps({"scenario": 3}))
+    with pytest.raises(ValueError, match="scenario=3"):
+        main(["sweep", "--config", str(cfg_path), "--trials", "1", "--methods", "FFT",
+              "--out", str(out)])
+    assert sorted(os.listdir(tmp_path)) == ["cfg.json"]
+
+
+@pytest.mark.parametrize("scenario", [1, 2])
+@pytest.mark.parametrize("method", ["M1", "M2"])
+def test_all_zero_y_rejected_before_any_solve(monkeypatch, method, scenario):
+    cfg = ExperimentConfig(scenario=scenario, snr_db=15.0, seed=0, methods=(method,))
+    _, _, _, batch = make_batch(cfg, 0)
+    batch.y = np.zeros_like(batch.y)
+    monkeypatch.setattr(fri_uniform, "pgd_denoise", _no_trial)
+    monkeypatch.setattr(fri_nonuniform, "pgd_denoise_paired", _no_trial)
+    with pytest.raises(ValueError, match="all-zero measurements"):
+        run_method(method, batch, cfg)
+
+
+def test_all_zero_y_is_a_failed_trial_and_the_sweep_goes_on(monkeypatch):
+    draw = experiments.make_batch
+
+    def zero_first_trial(config, trial_index):
+        scene, profile, channel, batch = draw(config, trial_index)
+        if trial_index == 0:
+            batch.y = np.zeros_like(batch.y)
+        return scene, profile, channel, batch
+
+    monkeypatch.setattr(experiments, "make_batch", zero_first_trial)
+    cfg = ExperimentConfig(scenario=1, snr_db=30.0, trials=2, seed=0, methods=("M1", "M2"))
+    first = run_trial(cfg, 0)
+    for res in first.values():
+        assert res["angles"] == [] and res["errors"] is None and not res["success"]
+    recs = run_sweep(cfg)
+    assert [(r.method, r.trials, r.successes) for r in recs] == [("M1", 2, 1), ("M2", 2, 1)]
 
 
 def test_cli_rejects_a_nan_snr(tmp_path):
