@@ -8,10 +8,13 @@ per-subspace source counts, and are grid-limited by construction.
 
 Every atom factorises as atoms = basis @ steer * scale: a t_s x n slot basis
 (the transposed operator half), the n x G Vandermonde steering matrix and the
-per-column normalisation. SBL runs each EM step through this factorisation,
-so a step costs O(n*G + t_s^2*n) instead of the O(t_s^2*G) of a dense solve
-against every atom. The default grid and steering are the model's cached
-fine grid of the search range (``star_ris_model.grid_steering``).
+per-column normalisation. SBL maximises the evidence by Tipping & Faul's fast
+update, which adds, re-estimates or deletes one atom per step, and scores
+every atom's move through this factorisation: a step costs O(n*G) over the
+G atoms plus t_s x t_s and M x M dense algebra for M active atoms, instead
+of the O(t_s^2*G) of a dense solve against every atom. The default grid and
+steering are the model's cached fine grid of the search range
+(``star_ris_model.grid_steering``).
 """
 
 from dataclasses import dataclass
@@ -27,7 +30,8 @@ GUARD_DEG = 1.0   # least separation of two picked spectrum peaks, degrees
 class GridDictionary:
     grid: np.ndarray      # angles, degrees, strictly increasing
     atoms: np.ndarray     # (t_s, len(grid)), unit-norm columns
-    # factors of atoms = basis @ steer * scale, filled by build_dictionary
+    # factors of atoms = basis @ steer * scale, filled by build_dictionary; SBL
+    # scores all G atoms per step from them in O(n*G) (see _SblFactors)
     basis: np.ndarray = None   # (t_s, n) slot basis
     steer: np.ndarray = None   # (n, len(grid)) Vandermonde steering matrix
     scale: np.ndarray = None   # (len(grid),) inverse column norms
@@ -63,6 +67,7 @@ def _pick_peaks(P, grid, k_i):
     interior[1:-1] = (P[1:-1] >= P[:-2]) & (P[1:-1] >= P[2:])
     interior[0] = P[0] >= P[1]
     interior[-1] = P[-1] >= P[-2]
+    interior &= P > 0     # a run of zeros (pruned SBL atoms) holds no peak
     order = np.argsort(-P)
     picked = []
     for i in order:
@@ -113,9 +118,10 @@ def omp(batch, dictionary, k_i):
 
 @dataclass
 class SblConfig:
-    max_em: int = 200
-    prune_tol: float = 1e-6
-    tol: float = 1e-6
+    max_em: int = 200        # cap on the number of single-atom update steps
+    prune_tol: float = 1e-6  # kept for callers that count an atom as active when its gamma
+                             # exceeds prune_tol * max(gamma); pruned atoms are exactly 0
+    tol: float = 1e-3        # stop when no single-atom move gains more log-evidence, nats
 
 
 def _lag_sums(n):
@@ -127,71 +133,116 @@ def _lag_sums(n):
     return (lag == k[:, None]) * np.where(k == 0, 1.0, 2.0)[:, None]
 
 
-def sbl_gamma(y, dictionaries, sigma_n2, config=None):
-    """EM evidence maximization: per-atom prior variances gamma under known
-    noise variance, over the atoms of all dictionaries jointly (returned
-    concatenated in dictionary order). The EM update is
-    gamma_g <- |mu_g|^2 + Sigma_gg (Wipf & Rao, IEEE TSP 2004).
+class _SblFactors:
+    """Per-call constants of the fast update, and the scores of one step.
 
-    Each step runs through the factorisation atoms_h = basis_h @ steer_h *
-    scale_h of every dictionary h: with weights w = gamma * scale^2, the
-    prior covariance basis_h R_h basis_h^H has the Hermitian Toeplitz R_h
-    whose first column is steer_h @ w_h, so Sy = sigma^2 I + sum_h basis_h
-    R_h basis_h^H. One solve against [y, basis_1, basis_2, ...] then gives
-    mu = gamma * scale * steer^H (basis^H Sy^-1 y) and the posterior-variance
-    term a^H Sy^-1 a = scale^2 * Re(steer^H c), with c the lag sums of
-    basis^H Sy^-1 basis. A step costs O(n*G + t_s^2*n) for G atoms, n
-    elements and t_s slots. Returns (gamma, aborted_flag)."""
+    The atoms of dictionary h factorise as basis_h @ steer_h * scale_h. For
+    every atom, S = a^H C^-1 a and Q = a^H C^-1 y come through that
+    factorisation: one solve of the t_s x t_s covariance
+    C = sigma^2 I + sum_m gamma_m a_m a_m^H against [y, bases] gives
+    basis^H C^-1 [y, bases], per-dictionary lag sums turn the S quadratic
+    form into one n-vector, and one real (3, 2n) x (2n, G_h) product per
+    dictionary gives S and Q of all its atoms. An inactive atom's s and q are
+    its S and Q. An active atom's s = S / (1 - gamma S) and
+    q = Q / (1 - gamma S) lose all precision when gamma S is close to 1, so
+    they are taken from the posterior (Sigma, mu) of the active set instead:
+    s = 1/Sigma_mm - 1/gamma_m and q = mu_m / Sigma_mm."""
+
+    def __init__(self, y, dictionaries, sigma_n2):
+        sig2 = max(sigma_n2, 1e-10)
+        n = dictionaries[0].basis.shape[1]
+        self.atoms = np.hstack([d.atoms for d in dictionaries])
+        self.atoms_y = (y.conj() @ self.atoms).conj() / sig2     # a^H y / sig2
+        bases = np.hstack([d.basis for d in dictionaries])
+        self.bases_h = bases.conj().T
+        self.rhs = np.column_stack([y, bases])
+        self.noise = sig2 * np.eye(len(y))
+        self.sig2 = sig2
+        # [Re steer_h; Im steer_h], so that Re(steer_h^H v) = W_h^T [Re v; Im v]
+        self.steers = [np.concatenate([d.steer.real, d.steer.imag]) for d in dictionaries]
+        self.scale2 = np.concatenate([d.scale for d in dictionaries]) ** 2
+        self.n = n
+        self.lag_sums_t = _lag_sums(n).T.astype(complex)
+
+    def scores(self, act, g):
+        """(s, |q|^2, gain) of every atom when the atoms act are active with
+        prior variances g and all others are 0; gain is the log-evidence gain
+        of the atom's best single move. An atom contributes
+        l(gamma) = -log(1 + gamma s) + |q|^2 gamma / (1 + gamma s), largest at
+        gamma = (|q|^2 - s) / s^2 when |q|^2 > s (add or re-estimate) and at
+        gamma = 0 otherwise (delete, or leave out), where it is
+        theta - 1 - log(theta) with theta = max(|q|^2 / s, 1)."""
+        n = self.n
+        A = self.atoms[:, act]
+        A_h = A.conj().T
+        proj = self.bases_h @ np.linalg.solve(self.noise + (A * g) @ A_h, self.rhs)
+        H = A_h @ A / self.sig2             # posterior precision of the active set
+        H.flat[::len(act) + 1] += 1.0 / g
+        Sigma = np.linalg.inv(H)
+        mu = Sigma @ self.atoms_y[act]
+        blocks = np.stack([proj[r:r + n, 1 + r:1 + r + n].ravel() for r in range(0, len(proj), n)])
+        c = blocks @ self.lag_sums_t       # per dictionary: v^H M v = Re(v^H c)
+        v = proj[:, 0].reshape(c.shape)
+        probes = np.stack([c, v, -1j * v], axis=1)
+        probes = np.concatenate([probes.real, probes.imag], axis=2)
+        # rows: Re(steer^H c), Re(steer^H v) and Im(steer^H v)
+        per_atom = np.hstack([p @ W for p, W in zip(probes, self.steers)])
+        s = self.scale2 * per_atom[0]
+        q2 = self.scale2 * (per_atom[1] ** 2 + per_atom[2] ** 2)
+        d = Sigma.diagonal().real
+        s[act] = 1.0 / d - 1.0 / g
+        q2[act] = (mu.real ** 2 + mu.imag ** 2) / d ** 2
+        theta = np.maximum(q2 / s, 1.0)
+        gain = theta - 1.0 - np.log(theta)
+        x = g * s[act]
+        gain[act] -= q2[act] * g / (1.0 + x) - np.log1p(x)
+        return s, q2, gain
+
+
+def sbl_gamma(y, dictionaries, sigma_n2, config=None):
+    """Evidence maximization by Tipping & Faul's fast marginal-likelihood
+    update (AISTATS 2003): per-atom prior variances gamma under known noise
+    variance, over the atoms of all dictionaries jointly (returned
+    concatenated in dictionary order, exactly 0 for every pruned atom).
+
+    Starting from the empty model, each step scores the log-evidence gain
+    of adding, re-estimating or deleting every atom and applies the single
+    best move; it stops when no move gains more than config.tol nats, or
+    after config.max_em steps. The scores come through the dictionaries'
+    factorisation (``_SblFactors``): a step costs O(n*G) for G atoms and n
+    elements, plus t_s x t_s and M x M dense algebra for t_s slots and M
+    active atoms. Returns (gamma, aborted_flag), the flag set on a
+    non-finite step."""
     if config is None:
         config = SblConfig()
-    sig2 = max(sigma_n2, 1e-10)
-    n = dictionaries[0].basis.shape[1]
-    bases = np.hstack([d.basis for d in dictionaries])
-    bases_h = bases.conj().T
-    rhs = np.column_stack([y, bases])
-    steers_h = [np.ascontiguousarray(d.steer.conj().T) for d in dictionaries]
-    scale = np.concatenate([d.scale for d in dictionaries])
-    scale2 = scale ** 2
-    splits = np.cumsum([d.scale.size for d in dictionaries])[:-1]
-    rows = [slice(h * n, (h + 1) * n) for h in range(len(dictionaries))]
-    toeplitz_index = np.subtract.outer(np.arange(n), np.arange(n)) + n - 1
-    lag_sums = _lag_sums(n)
-    noise = sig2 * np.eye(len(y), dtype=complex)
-    by = bases_h @ y
-    gamma = np.abs(scale * np.concatenate(
-        [s_h @ by[r] for s_h, r in zip(steers_h, rows)])) ** 2   # matched-filter start
+    factors = _SblFactors(y, dictionaries, sigma_n2)
+    active = {}     # atom index -> gamma
+    aborted = False
     for _ in range(config.max_em):
-        act = gamma > config.prune_tol * max(gamma.max(), 1e-30)
-        ga = np.where(act, gamma, 0.0)
-        w = ga * scale2
-        Sy = noise.copy()
-        for d, w_h, r in zip(dictionaries, np.split(w, splits), rows):
-            first = d.steer @ w_h                          # first column of R_h
-            R = np.concatenate([first[:0:-1].conj(), first])[toeplitz_index]
-            Sy += d.basis @ R @ bases_h[r]
-        proj = bases_h @ np.linalg.solve(Sy, rhs)   # basis^H Sy^-1 [y, bases]
-        # per atom: column 0 is a^H Sy^-1 y / scale, and the real part of
-        # column 1 is a^H Sy^-1 a / scale^2
-        per_atom = np.concatenate([
-            s_h @ np.column_stack([proj[r, 0], lag_sums @ proj[r, 1 + r.start:1 + r.stop].ravel()])
-            for s_h, r in zip(steers_h, rows)])
-        mu = ga * scale * per_atom[:, 0]
-        diag = ga - ga ** 2 * scale2 * per_atom[:, 1].real
-        new = np.abs(mu) ** 2 + np.maximum(diag, 0.0)
-        if not np.all(np.isfinite(new)):
-            return gamma, True
-        delta = np.abs(new - gamma).max()
-        gamma = new
-        if delta <= config.tol * max(gamma.max(), 1e-30):
+        act = np.fromiter(active, int, len(active))
+        g = np.fromiter(active.values(), float, len(active))
+        s, q2, gain = factors.scores(act, g)
+        k = int(np.argmax(gain))
+        target = (q2[k] - s[k]) / s[k] ** 2
+        if not np.isfinite(gain[k] + target):
+            aborted = True
             break
-    return gamma, False
+        if gain[k] <= config.tol:
+            break
+        if target > 0:
+            active[k] = target
+        else:
+            del active[k]
+    gamma = np.zeros(factors.atoms.shape[1])
+    gamma[list(active)] = list(active.values())
+    return gamma, aborted
 
 
 def sbl_full_space(batch, dict_rs, dict_ts, k_r, k_t, config=None):
     """SBL over the joint RS/TS dictionary, read out per subspace.
 
     A single-subspace dictionary cannot explain the energy arriving through
-    the other side of the surface, so the EM noise model is violated and the
+    the other side of the surface, so the noise model is violated and the
     evidence maximization wanders; fitting both halves jointly and picking
     peaks per half keeps the per-subspace reporting while the model stays
     well-specified.

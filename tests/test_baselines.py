@@ -148,6 +148,14 @@ def test_pick_peaks_zero_count_is_empty_and_unflagged():
         assert angles.size == 0 and not flagged
 
 
+def test_pick_peaks_zero_points_are_no_peaks():
+    # a pruned SBL spectrum: one nonzero peak where two are asked for, so the
+    # second angle is padding and flagged, not a zero-valued "local maximum"
+    grid = np.arange(6.0)
+    angles, flagged = bl._pick_peaks(np.array([0.0, 0.0, 3.0, 0.0, 0.0, 0.0]), grid, 2)
+    assert flagged and len(angles) == 2 and 2.0 in angles
+
+
 def test_sbl_full_space_two_users():
     # with users on both sides, only the joint dictionary is well-specified
     batch = _batch([20.0], [-35.0])
@@ -184,26 +192,137 @@ def _dense_sbl_gamma(y, atoms, sigma_n2, config):
     return gamma, False
 
 
+EM_CONFIG = bl.SblConfig(max_em=200, prune_tol=1e-6, tol=1e-6)   # the reference EM's settings
+
+
+def _log_evidence(y, atoms, sigma_n2, gamma):
+    """-log det C - y^H C^-1 y with C = sigma^2 I + A diag(gamma) A^H."""
+    C = max(sigma_n2, 1e-10) * np.eye(len(y)) + (atoms * gamma) @ atoms.conj().T
+    return -np.linalg.slogdet(C)[1] - np.real(y.conj() @ np.linalg.solve(C, y))
+
+
+def _dense_scores(y, atoms, sigma_n2, gamma):
+    """Reference (s, |q|^2, gain) of every atom, by dense t_s x G solves: s
+    and q are a^H C^-1 a and a^H C^-1 y of the model without that atom, so an
+    active atom's come from a covariance rebuilt from the other atoms."""
+    sig2 = max(sigma_n2, 1e-10)
+    act = np.flatnonzero(gamma)
+
+    def cov(keep):
+        return sig2 * np.eye(len(y)) + (atoms[:, keep] * gamma[keep]) @ atoms[:, keep].conj().T
+
+    Ci = np.linalg.inv(cov(act))
+    s = np.real(np.einsum('tg,tg->g', atoms.conj(), Ci @ atoms))
+    q = atoms.conj().T @ Ci @ y
+    for m in act:
+        a = atoms[:, m]
+        Cm = np.linalg.inv(cov(act[act != m]))
+        s[m] = np.real(a.conj() @ Cm @ a)
+        q[m] = a.conj() @ Cm @ y
+    q2 = np.abs(q) ** 2
+    return s, q2, _gains(s, q2, gamma)
+
+
+def _gains(s, q2, gamma):
+    """Log-evidence gain of each atom's best move: l(gamma) = -log(1 + gamma s)
+    + |q|^2 gamma / (1 + gamma s), at its maximiser minus at gamma."""
+    def ell(g):
+        return -np.log1p(g * s) + q2 * g / (1.0 + g * s)
+
+    best = np.where(q2 > s, ell(np.maximum(q2 - s, 0.0) / s ** 2), 0.0)
+    return best - ell(gamma)
+
+
 @pytest.mark.parametrize("grid", [None, COARSE], ids=["default_grid", "1deg_grid"])
 @pytest.mark.parametrize("snr_db", [0.0, 15.0, 30.0])
 @pytest.mark.parametrize("scenario", [1, 2], ids=["uniform", "nonuniform"])
 def test_sbl_factorised_em_matches_dense_reference(scenario, snr_db, grid):
+    # one step of the fast update: from the same gamma (ten steps in), the
+    # factorised s and |q|^2 of every atom match dense solves to 1e-9, and
+    # so do the move gains taken from them. Against gains from the dense s
+    # and |q|^2 the bound is 1e-6: theta = |q|^2 / s divides by the small s
+    # of atoms next to an active one, whose factorised lag-sum form carries
+    # rounding of order eps * max(s) (up to 7e-8 relative at 30 dB).
     cfg = ExperimentConfig(scenario=scenario, snr_db=snr_db, seed=0)
     _, _, _, batch = make_batch(cfg, 0)
-    d_r = bl.build_dictionary(batch, 'RS', grid)
-    d_t = bl.build_dictionary(batch, 'TS', grid)
+    dicts = (bl.build_dictionary(batch, 'RS', grid), bl.build_dictionary(batch, 'TS', grid))
+    gamma, aborted = bl.sbl_gamma(batch.y, dicts, batch.sigma_n2, bl.SblConfig(max_em=10))
+    act = np.flatnonzero(gamma)
+    assert not aborted and act.size > 0
+    s, q2, gain = bl._SblFactors(batch.y, dicts, batch.sigma_n2).scores(act, gamma[act])
+    s_ref, q2_ref, gain_ref = _dense_scores(batch.y, np.hstack([d.atoms for d in dicts]),
+                                            batch.sigma_n2, gamma)
+    assert np.abs(s - s_ref).max() <= 1e-9 * s_ref.max()
+    assert np.abs(q2 - q2_ref).max() <= 1e-9 * q2_ref.max()
+    assert np.abs(gain - _gains(s, q2, gamma)).max() <= 1e-9 * gain_ref.max()
+    assert np.abs(gain - gain_ref).max() <= 1e-6 * gain_ref.max()
+
+
+@pytest.mark.parametrize("grid", [None, COARSE], ids=["default_grid", "1deg_grid"])
+@pytest.mark.parametrize("snr_db", [0.0, 15.0, 30.0])
+@pytest.mark.parametrize("scenario", [1, 2], ids=["uniform", "nonuniform"])
+def test_sbl_evidence_at_least_dense_em(scenario, snr_db, grid):
+    cfg = ExperimentConfig(scenario=scenario, snr_db=snr_db, seed=0)
+    _, _, _, batch = make_batch(cfg, 0)
+    dicts = (bl.build_dictionary(batch, 'RS', grid), bl.build_dictionary(batch, 'TS', grid))
+    atoms = np.hstack([d.atoms for d in dicts])
+    gamma, aborted = bl.sbl_gamma(batch.y, dicts, batch.sigma_n2)
+    ref, ref_aborted = _dense_sbl_gamma(batch.y, atoms, batch.sigma_n2, EM_CONFIG)
+    assert not aborted and not ref_aborted
+    assert (_log_evidence(batch.y, atoms, batch.sigma_n2, gamma)
+            >= _log_evidence(batch.y, atoms, batch.sigma_n2, ref))
+
+
+def test_sbl_active_atoms_near_saturation_stay_finite():
+    # scenario 2 at 30 dB on the default grid drives gamma * S of an active
+    # atom to 1 - 1e-6 within three steps, where s = S / (1 - gamma S) is all
+    # rounding: the active atoms' s and |q|^2 must still match leave-one-out
+    # solves there and at the end, and the result must beat the EM's evidence
+    cfg = ExperimentConfig(scenario=2, snr_db=30.0, seed=0)
+    _, _, _, batch = make_batch(cfg, 0)
+    dicts = (bl.build_dictionary(batch, 'RS'), bl.build_dictionary(batch, 'TS'))
+    atoms = np.hstack([d.atoms for d in dicts])
+    for config, saturation in ((bl.SblConfig(max_em=3), 1 - 1e-5), (bl.SblConfig(), 1 - 1e-4)):
+        gamma, aborted = bl.sbl_gamma(batch.y, dicts, batch.sigma_n2, config)
+        assert not aborted and np.all(np.isfinite(gamma))
+        act = np.flatnonzero(gamma)
+        A, g = atoms[:, act], gamma[act]
+        C = batch.sigma_n2 * np.eye(len(batch.y)) + (A * g) @ A.conj().T
+        S = np.real(np.einsum('tg,tg->g', A.conj(), np.linalg.solve(C, A)))
+        assert np.max(g * S) > saturation
+        s, q2, _ = bl._SblFactors(batch.y, dicts, batch.sigma_n2).scores(act, g)
+        s_ref, q2_ref, _ = _dense_scores(batch.y, atoms, batch.sigma_n2, gamma)
+        assert np.allclose(s[act], s_ref[act], rtol=1e-6, atol=0)
+        assert np.allclose(q2[act], q2_ref[act], rtol=1e-6, atol=0)
+    ref, _ = _dense_sbl_gamma(batch.y, atoms, batch.sigma_n2, EM_CONFIG)
+    assert (_log_evidence(batch.y, atoms, batch.sigma_n2, gamma)
+            >= _log_evidence(batch.y, atoms, batch.sigma_n2, ref))
+
+
+@pytest.mark.parametrize("trial", range(12))
+def test_sbl_converges_and_prunes_on_the_benchmark_pool(trial, monkeypatch):
+    # the grid-baseline benchmark's pool of seed 0: scenario 1, n = 16,
+    # t_s = 32, two users per side, 0/15/30 dB in turn
+    cfg = ExperimentConfig(scenario=1, n=16, t_s=32, k_r=2, k_t=2,
+                           snr_db=(0.0, 15.0, 30.0)[trial % 3], seed=0)
+    _, _, _, batch = make_batch(cfg, trial)
+    dicts = (bl.build_dictionary(batch, 'RS'), bl.build_dictionary(batch, 'TS'))
+    scores = bl._SblFactors.scores
+    calls = []
+
+    def counted(self, act, g):
+        calls.append(act)
+        return scores(self, act, g)
+
+    monkeypatch.setattr(bl._SblFactors, "scores", counted)
     config = bl.SblConfig()
-    gamma, aborted = bl.sbl_gamma(batch.y, (d_r, d_t), batch.sigma_n2, config)
-    ref, ref_aborted = _dense_sbl_gamma(batch.y, np.hstack([d_r.atoms, d_t.atoms]),
-                                        batch.sigma_n2, config)
-    assert aborted == ref_aborted
-    assert np.abs(gamma - ref).max() <= 1e-6 * ref.max()
-    n_r = d_r.grid.size
-    a_r, f_r = bl._pick_peaks(ref[:n_r], d_r.grid, cfg.k_r)
-    a_t, f_t = bl._pick_peaks(ref[n_r:], d_t.grid, cfg.k_t)
-    got_r, got_t, flagged = bl.sbl_full_space(batch, d_r, d_t, cfg.k_r, cfg.k_t, config)
-    assert np.array_equal(got_r, a_r) and np.array_equal(got_t, a_t)
-    assert flagged == (f_r or f_t or ref_aborted)
+    gamma, aborted = bl.sbl_gamma(batch.y, dicts, batch.sigma_n2, config)
+    assert not aborted
+    assert len(calls) < config.max_em     # stopped by the gain test, not by the cap
+    act = np.flatnonzero(gamma)
+    assert act.size <= 64
+    _, _, gain = scores(bl._SblFactors(batch.y, dicts, batch.sigma_n2), act, gamma[act])
+    assert gain.max() <= config.tol
 
 
 def test_baselines_deterministic():
