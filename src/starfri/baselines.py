@@ -8,15 +8,18 @@ per-subspace source counts, and are grid-limited by construction.
 
 Every atom factorises as atoms = basis @ steer * scale: a t_s x n slot basis
 (the transposed operator half), the n x G Vandermonde steering matrix and the
-per-column normalisation. SBL maximises the evidence by Tipping & Faul's fast
-update, which adds, re-estimates or deletes one atom per step, and scores
-every atom's move through this factorisation: a step costs O(n*G) over the
-G atoms plus t_s x t_s and M x M dense algebra for M active atoms, instead
-of the O(t_s^2*G) of a dense solve against every atom. The default grid and
-steering are the model's cached fine grid of the search range
-(``star_ris_model.grid_steering``).
+per-column normalisation, whose column norms come from the n x n Gram matrix
+of the basis rather than from the t_s x G atoms. SBL maximises the evidence
+by Tipping & Faul's fast update, which adds, re-estimates or deletes one atom
+per step. It keeps S = a^H C^-1 a and Q = a^H C^-1 y of every atom across
+steps, and each move changes them by one rank-one term, taken for all G atoms
+through this factorisation: a step costs one O(n*G) product plus t_s x M and
+M x M dense algebra for M active atoms. The default grid and steering are the
+model's cached fine grid of the search range (``star_ris_model.grid_steering``).
 """
 
+import bisect
+import itertools
 from dataclasses import dataclass
 
 import numpy as np
@@ -31,7 +34,7 @@ class GridDictionary:
     grid: np.ndarray      # angles, degrees, strictly increasing
     atoms: np.ndarray     # (t_s, len(grid)), unit-norm columns
     # factors of atoms = basis @ steer * scale, filled by build_dictionary; SBL
-    # scores all G atoms per step from them in O(n*G) (see _SblFactors)
+    # updates all G atoms per step from them in O(n*G) (see _SblFactors)
     basis: np.ndarray = None   # (t_s, n) slot basis
     steer: np.ndarray = None   # (n, len(grid)) Vandermonde steering matrix
     scale: np.ndarray = None   # (len(grid),) inverse column norms
@@ -49,10 +52,11 @@ def build_dictionary(batch, subspace, grid=None):
             raise ValueError("empty grid")
         steer = steering_matrix(grid, n)
     basis = (psi[:n] if subspace == 'RS' else psi[n:]).T
-    atoms = basis @ steer
-    norms = np.maximum(np.linalg.norm(atoms, axis=0), 1e-15)
-    return GridDictionary(grid=grid, atoms=atoms / norms, basis=basis, steer=steer,
-                          scale=1.0 / norms)
+    # squared column norms |basis v|^2 = Re(v^H c), c the lag sums of basis^H basis
+    norms2 = (steer.conj().T @ (_lag_sums(n) @ (basis.conj().T @ basis).ravel())).real
+    scale = 1.0 / np.maximum(np.sqrt(np.maximum(norms2, 0.0)), 1e-15)
+    return GridDictionary(grid=grid, atoms=basis @ (steer * scale), basis=basis, steer=steer,
+                          scale=scale)
 
 
 def _pick_peaks(P, grid, k_i):
@@ -91,7 +95,7 @@ def fft_scan(batch, dictionary, k_i):
     well-separated peaks."""
     if k_i < 1:
         raise ValueError("k_i >= 1")
-    P = np.abs(dictionary.atoms.conj().T @ batch.y) ** 2
+    P = np.abs(batch.y.conj() @ dictionary.atoms) ** 2
     return _pick_peaks(P, dictionary.grid, k_i)
 
 
@@ -105,7 +109,7 @@ def omp(batch, dictionary, k_i):
     support = []
     flagged = False
     for _ in range(k_i):
-        c = np.abs(A.conj().T @ res)
+        c = np.abs(res.conj() @ A)
         c[support] = -1
         support.append(int(np.argmax(c)))
         As = A[:, support]
@@ -134,69 +138,139 @@ def _lag_sums(n):
 
 
 class _SblFactors:
-    """Per-call constants of the fast update, and the scores of one step.
+    """State of the fast update: the active set with its posterior, and
+    S = a^H C^-1 a and |Q|^2 = |a^H C^-1 y|^2 of every atom under the
+    current covariance C = sigma^2 I + sum_m gamma_m a_m a_m^H.
 
-    The atoms of dictionary h factorise as basis_h @ steer_h * scale_h. For
-    every atom, S = a^H C^-1 a and Q = a^H C^-1 y come through that
-    factorisation: one solve of the t_s x t_s covariance
-    C = sigma^2 I + sum_m gamma_m a_m a_m^H against [y, bases] gives
-    basis^H C^-1 [y, bases], per-dictionary lag sums turn the S quadratic
-    form into one n-vector, and one real (3, 2n) x (2n, G_h) product per
-    dictionary gives S and Q of all its atoms. An inactive atom's s and q are
-    its S and Q. An active atom's s = S / (1 - gamma S) and
-    q = Q / (1 - gamma S) lose all precision when gamma S is close to 1, so
-    they are taken from the posterior (Sigma, mu) of the active set instead:
-    s = 1/Sigma_mm - 1/gamma_m and q = mu_m / Sigma_mm."""
+    A move changes one gamma_k, so C^-1 changes by a rank-one term along
+    u = C_k^-1 a_k, where C_k is C without atom k. move() computes u and
+    C_k^-1 y afresh, by Woodbury with one M x M solve against the posterior
+    precision of the other active atoms, so no rounding carries over from
+    earlier steps. From them come atom k's s_k = a_k^H u and C^-1 y after
+    the move. One real (4, 2n) x (2n, G_h) product per dictionary
+    takes a^H u and a^H C^-1 y of every atom through the factorisation
+    atoms = basis_h @ steer_h * scale_h. S drops by kappa |a^H u|^2 with
+    kappa = (new - old) / ((1 + old s_k)(1 + new s_k)); the textbook
+    1 / (1 - gamma_k S_k) form is all rounding when gamma_k S_k is close to
+    1. Q is replaced outright.
+
+    An inactive atom's s and q are its S and Q. An active atom's
+    s = S / (1 - gamma S) and q = Q / (1 - gamma S) would lose all precision
+    in the same way, so they come from the posterior (Sigma, mu) of the
+    active set: s = 1/Sigma_mm - 1/gamma_m and q = mu_m / Sigma_mm."""
 
     def __init__(self, y, dictionaries, sigma_n2):
         sig2 = max(sigma_n2, 1e-10)
-        n = dictionaries[0].basis.shape[1]
-        self.atoms = np.hstack([d.atoms for d in dictionaries])
-        self.atoms_y = (y.conj() @ self.atoms).conj() / sig2     # a^H y / sig2
-        bases = np.hstack([d.basis for d in dictionaries])
-        self.bases_h = bases.conj().T
-        self.rhs = np.column_stack([y, bases])
-        self.noise = sig2 * np.eye(len(y))
-        self.sig2 = sig2
-        # [Re steer_h; Im steer_h], so that Re(steer_h^H v) = W_h^T [Re v; Im v]
-        self.steers = [np.concatenate([d.steer.real, d.steer.imag]) for d in dictionaries]
-        self.scale2 = np.concatenate([d.scale for d in dictionaries]) ** 2
-        self.n = n
-        self.lag_sums_t = _lag_sums(n).T.astype(complex)
+        self.y, self.sig2 = y, sig2
+        self.dictionaries = dictionaries
+        self.starts = list(itertools.accumulate((d.grid.size for d in dictionaries), initial=0))
+        # rows [basis_h^H; -i basis_h^H] per dictionary and W_h = [Re steer_h; Im steer_h]
+        # * scale_h: the real view of [b; -i b] times W_h gives Re and Im of a^H v
+        self.probes = np.vstack([np.vstack([B, -1j * B])
+                                 for B in (d.basis.conj().T for d in dictionaries)])
+        self.steers = [np.concatenate([d.steer.real, d.steer.imag]) * d.scale
+                       for d in dictionaries]
+        self.S = np.full(self.starts[-1], 1.0 / sig2)  # unit-norm atoms, empty model
+        av = self._products(y[:, None] / sig2)
+        self.Q2 = av[0] + av[1]
+        self.theta = self.Q2 / self.S                  # |q|^2 / s, -inf on active atoms
+        self.act = []                                  # active atoms, in order of entry
+        self.g = np.zeros(0)                           # their gammas
+        self.A = np.zeros((len(y), 0), complex)        # their atoms
+        self._posterior()
 
-    def scores(self, act, g):
-        """(s, |q|^2, gain) of every atom when the atoms act are active with
-        prior variances g and all others are 0; gain is the log-evidence gain
-        of the atom's best single move. An atom contributes
-        l(gamma) = -log(1 + gamma s) + |q|^2 gamma / (1 + gamma s), largest at
-        gamma = (|q|^2 - s) / s^2 when |q|^2 > s (add or re-estimate) and at
-        gamma = 0 otherwise (delete, or leave out), where it is
-        theta - 1 - log(theta) with theta = max(|q|^2 / s, 1)."""
-        n = self.n
-        A = self.atoms[:, act]
-        A_h = A.conj().T
-        proj = self.bases_h @ np.linalg.solve(self.noise + (A * g) @ A_h, self.rhs)
-        H = A_h @ A / self.sig2             # posterior precision of the active set
-        H.flat[::len(act) + 1] += 1.0 / g
-        Sigma = np.linalg.inv(H)
-        mu = Sigma @ self.atoms_y[act]
-        blocks = np.stack([proj[r:r + n, 1 + r:1 + r + n].ravel() for r in range(0, len(proj), n)])
-        c = blocks @ self.lag_sums_t       # per dictionary: v^H M v = Re(v^H c)
-        v = proj[:, 0].reshape(c.shape)
-        probes = np.stack([c, v, -1j * v], axis=1)
-        probes = np.concatenate([probes.real, probes.imag], axis=2)
-        # rows: Re(steer^H c), Re(steer^H v) and Im(steer^H v)
-        per_atom = np.hstack([p @ W for p, W in zip(probes, self.steers)])
-        s = self.scale2 * per_atom[0]
-        q2 = self.scale2 * (per_atom[1] ** 2 + per_atom[2] ** 2)
-        d = Sigma.diagonal().real
-        s[act] = 1.0 / d - 1.0 / g
-        q2[act] = (mu.real ** 2 + mu.imag ** 2) / d ** 2
-        theta = np.maximum(q2 / s, 1.0)
-        gain = theta - 1.0 - np.log(theta)
-        x = g * s[act]
-        gain[act] -= q2[act] * g / (1.0 + x) - np.log1p(x)
-        return s, q2, gain
+    def _atom(self, k):
+        h = bisect.bisect_right(self.starts, k) - 1
+        return self.dictionaries[h].atoms[:, k - self.starts[h]]
+
+    def _products(self, V):
+        """Rows Re(a^H v_0), Im(a^H v_0), Re(a^H v_1), ... over all atoms,
+        squared, for the columns v of V."""
+        X = (self.probes @ V).reshape(len(self.steers), -1, V.shape[1])
+        av = np.hstack([x.view(float).T @ W for x, W in zip(X, self.steers)])
+        av *= av
+        return av
+
+    def _posterior(self):
+        """s, |q|^2 and best-move gain of every active atom, from the
+        posterior of the active set."""
+        if not self.act:
+            self.s_act = self.q2_act = self.gain_act = np.zeros(0)
+            return
+        self.H = self._precision(self.A, self.g)
+        Sigma = np.linalg.inv(self.H)          # posterior covariance / sigma^2
+        mu = Sigma @ (self.A.conj().T @ self.y)
+        d = Sigma.diagonal().real * self.sig2
+        self.s_act = 1.0 / d - 1.0 / self.g
+        self.q2_act = (mu.real ** 2 + mu.imag ** 2) / d ** 2
+        theta = np.maximum(self.q2_act / self.s_act, 1.0)
+        x = self.g * self.s_act
+        self.gain_act = (theta - 1.0 - np.log(theta)
+                         - (self.q2_act * self.g / (1.0 + x) - np.log1p(x)))
+
+    def _precision(self, A, g):
+        """A^H A + sigma^2 diag(1/g): sigma^2 times the posterior precision
+        of atoms A with gammas g."""
+        H = A.conj().T @ A
+        H.reshape(-1)[::len(g) + 1] += self.sig2 / g
+        return H
+
+    def best_move(self):
+        """(k, gain, target) of the single move with the largest log-evidence
+        gain. An atom contributes l(gamma) = -log(1 + gamma s) +
+        |q|^2 gamma / (1 + gamma s), largest at target = (|q|^2 - s) / s^2
+        when |q|^2 > s (add or re-estimate) and at gamma = 0 otherwise
+        (delete, or leave out), where it is theta - 1 - log(theta) with
+        theta = max(|q|^2 / s, 1). That is monotone in theta, so of the
+        inactive atoms only the one of largest |q|^2 / s is scored."""
+        k = int(np.argmax(self.theta))
+        theta = max(self.theta[k], 1.0)
+        gain, s, q2 = theta - 1.0 - np.log(theta), self.S[k], self.Q2[k]
+        if self.act:
+            i = int(np.argmax(self.gain_act))
+            if not self.gain_act[i] <= gain:     # a NaN gain is taken, so that it aborts
+                k, gain, s, q2 = self.act[i], self.gain_act[i], self.s_act[i], self.q2_act[i]
+        return k, gain, (q2 - s) / s ** 2
+
+    def move(self, k, target):
+        """Set gamma_k to target (deleting atom k when target <= 0), and
+        update S and Q of every atom to the new covariance."""
+        M = len(self.act)
+        i = self.act.index(k) if k in self.act else M
+        A, g = self.A, self.g
+        a = self._atom(k)
+        B = np.column_stack([a, self.y])
+        if i < M:       # C_k leaves atom k out
+            A = np.concatenate([A[:, :i], A[:, i + 1:]], axis=1)
+            g = np.concatenate([g[:i], g[i + 1:]])
+        if g.size:      # C_k^-1 B = (B - A (A^H A + sigma^2 diag(1/g))^-1 A^H B) / sigma^2
+            H = self.H if i == M else self._precision(A, g)
+            B = B - A @ np.linalg.solve(H, A.conj().T @ B)
+        u, v = B.T / self.sig2
+        s_k = np.vdot(a, u).real
+        g_old = self.g[i] if i < M else 0.0
+        g_new = max(target, 0.0)
+        resid = v - g_new / (1.0 + g_new * s_k) * np.vdot(a, v) * u    # C^-1 y after the move
+        if g_new == 0.0:
+            del self.act[i]
+            self.A, self.g = A, g
+        elif i == M:
+            self.act.append(k)
+            self.A, self.g = np.column_stack([A, a]), np.append(g, g_new)
+        else:
+            self.g[i] = g_new
+        self._posterior()
+        av = self._products(np.column_stack([u, resid]))
+        self.S -= (g_new - g_old) / ((1.0 + g_old * s_k) * (1.0 + g_new * s_k)) * (av[0] + av[1])
+        self.S[k] = s_k / (1.0 + g_new * s_k)
+        self.Q2 = av[2] + av[3]
+        self.theta = self.Q2 / self.S
+        self.theta[self.act] = -np.inf
+
+    def gamma(self):
+        gamma = np.zeros(self.starts[-1])
+        gamma[self.act] = self.g
+        return gamma
 
 
 def sbl_gamma(y, dictionaries, sigma_n2, config=None):
@@ -205,37 +279,30 @@ def sbl_gamma(y, dictionaries, sigma_n2, config=None):
     variance, over the atoms of all dictionaries jointly (returned
     concatenated in dictionary order, exactly 0 for every pruned atom).
 
-    Starting from the empty model, each step scores the log-evidence gain
-    of adding, re-estimating or deleting every atom and applies the single
-    best move; it stops when no move gains more than config.tol nats, or
-    after config.max_em steps. The scores come through the dictionaries'
-    factorisation (``_SblFactors``): a step costs O(n*G) for G atoms and n
-    elements, plus t_s x t_s and M x M dense algebra for t_s slots and M
-    active atoms. Returns (gamma, aborted_flag), the flag set on a
-    non-finite step."""
+    Starting from the empty model, each step finds the single add,
+    re-estimate or delete with the largest log-evidence gain and applies
+    it; it stops when no move gains more than config.tol nats. The state
+    (``_SblFactors``) keeps S and Q of every atom across steps and updates
+    them by one rank-one term per move: a step costs one O(n*G) product
+    over the G atoms through the dictionaries' factorisation, plus t_s x M
+    and M x M dense algebra for t_s slots and M active atoms. Returns
+    (gamma, flag); the flag is set on a non-finite step, and when the loop
+    ran all config.max_em steps without the gain test stopping it."""
     if config is None:
         config = SblConfig()
     factors = _SblFactors(y, dictionaries, sigma_n2)
-    active = {}     # atom index -> gamma
-    aborted = False
+    flagged = False
     for _ in range(config.max_em):
-        act = np.fromiter(active, int, len(active))
-        g = np.fromiter(active.values(), float, len(active))
-        s, q2, gain = factors.scores(act, g)
-        k = int(np.argmax(gain))
-        target = (q2[k] - s[k]) / s[k] ** 2
-        if not np.isfinite(gain[k] + target):
-            aborted = True
+        k, gain, target = factors.best_move()
+        if not np.isfinite(gain + target):
+            flagged = True
             break
-        if gain[k] <= config.tol:
+        if gain <= config.tol:
             break
-        if target > 0:
-            active[k] = target
-        else:
-            del active[k]
-    gamma = np.zeros(factors.atoms.shape[1])
-    gamma[list(active)] = list(active.values())
-    return gamma, aborted
+        factors.move(k, target)
+    else:
+        flagged = True
+    return factors.gamma(), flagged
 
 
 def sbl_full_space(batch, dict_rs, dict_ts, k_r, k_t, config=None):

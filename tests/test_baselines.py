@@ -2,6 +2,7 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from starfri import baselines as bl
 from starfri import star_ris_model as sm
@@ -156,6 +157,33 @@ def test_pick_peaks_zero_points_are_no_peaks():
     assert flagged and len(angles) == 2 and 2.0 in angles
 
 
+@st.composite
+def _spectra_with_zero_runs(draw):
+    """A nonnegative spectrum of at least five points, more than the largest
+    count asked for: runs of zeros (pruned atoms) between runs of positive
+    values, plateaus included."""
+    runs = draw(st.lists(st.one_of(
+        st.integers(1, 30).map(lambda n: [0.0] * n),
+        st.lists(st.floats(1e-12, 1e6), min_size=1, max_size=30),
+        st.tuples(st.floats(1e-12, 1e6), st.integers(1, 15)).map(lambda vn: [vn[0]] * vn[1]),
+    ), min_size=1, max_size=12))
+    P = np.concatenate([np.asarray(r, float) for r in runs])
+    return np.concatenate([P, np.zeros(max(5 - P.size, 0))])
+
+
+@settings(max_examples=300, deadline=None)
+@given(_spectra_with_zero_runs(), st.integers(0, 4))
+def test_pick_peaks_properties(P, k_i):
+    grid = -60.0 + 0.1 * np.arange(P.size)
+    angles, flagged = bl._pick_peaks(P, grid, k_i)
+    assert len(angles) == k_i and np.all(np.diff(angles) >= 0)
+    if not flagged:
+        values = P[np.searchsorted(grid, angles)]
+        assert np.all(values > 0)
+        assert np.all(np.abs(np.subtract.outer(angles, angles))[~np.eye(k_i, dtype=bool)]
+                      >= bl.GUARD_DEG)
+
+
 def test_sbl_full_space_two_users():
     # with users on both sides, only the joint dictionary is well-specified
     batch = _batch([20.0], [-35.0])
@@ -233,29 +261,147 @@ def _gains(s, q2, gamma):
     return best - ell(gamma)
 
 
+class _RescoringFactors:
+    """Reference kernel: the fast update's scores of every atom computed anew
+    in each step. One solve of the t_s x t_s covariance against
+    [y, bases] gives basis^H C^-1 [y, bases]; per-dictionary lag sums turn
+    the S quadratic form into one n-vector, and one real (3, 2n) x (2n, G_h)
+    product per dictionary gives S and Q of all its atoms. Active atoms take
+    s and q from the posterior (Sigma, mu) of the active set."""
+
+    def __init__(self, y, dictionaries, sigma_n2):
+        sig2 = max(sigma_n2, 1e-10)
+        n = dictionaries[0].basis.shape[1]
+        self.atoms = np.hstack([d.atoms for d in dictionaries])
+        self.atoms_y = (y.conj() @ self.atoms).conj() / sig2
+        bases = np.hstack([d.basis for d in dictionaries])
+        self.bases_h = bases.conj().T
+        self.rhs = np.column_stack([y, bases])
+        self.noise = sig2 * np.eye(len(y))
+        self.sig2 = sig2
+        self.steers = [np.concatenate([d.steer.real, d.steer.imag]) for d in dictionaries]
+        self.scale2 = np.concatenate([d.scale for d in dictionaries]) ** 2
+        self.n = n
+        self.lag_sums_t = bl._lag_sums(n).T.astype(complex)
+
+    def scores(self, act, g):
+        """(s, |q|^2, gain) of every atom when the atoms act are active with
+        prior variances g and all others are 0."""
+        n = self.n
+        A = self.atoms[:, act]
+        A_h = A.conj().T
+        proj = self.bases_h @ np.linalg.solve(self.noise + (A * g) @ A_h, self.rhs)
+        H = A_h @ A / self.sig2
+        H.flat[::len(act) + 1] += 1.0 / g
+        Sigma = np.linalg.inv(H)
+        mu = Sigma @ self.atoms_y[act]
+        blocks = np.stack([proj[r:r + n, 1 + r:1 + r + n].ravel() for r in range(0, len(proj), n)])
+        c = blocks @ self.lag_sums_t
+        v = proj[:, 0].reshape(c.shape)
+        probes = np.stack([c, v, -1j * v], axis=1)
+        probes = np.concatenate([probes.real, probes.imag], axis=2)
+        per_atom = np.hstack([p @ W for p, W in zip(probes, self.steers)])
+        s = self.scale2 * per_atom[0]
+        q2 = self.scale2 * (per_atom[1] ** 2 + per_atom[2] ** 2)
+        d = Sigma.diagonal().real
+        s[act] = 1.0 / d - 1.0 / g
+        q2[act] = (mu.real ** 2 + mu.imag ** 2) / d ** 2
+        theta = np.maximum(q2 / s, 1.0)
+        gain = theta - 1.0 - np.log(theta)
+        x = g * s[act]
+        gain[act] -= q2[act] * g / (1.0 + x) - np.log1p(x)
+        return s, q2, gain
+
+
+def _rescoring_sbl_gamma(y, dictionaries, sigma_n2, config):
+    """Reference loop: the same moves as sbl_gamma, each chosen from a full
+    rescoring of every atom, O(t_s^2 * G) per step; flagged on a non-finite
+    step or when it runs all config.max_em steps."""
+    factors = _RescoringFactors(y, dictionaries, sigma_n2)
+    active = {}
+    flag = True
+    for _ in range(config.max_em):
+        act = np.fromiter(active, int, len(active))
+        g = np.fromiter(active.values(), float, len(active))
+        s, q2, gain = factors.scores(act, g)
+        k = int(np.argmax(gain))
+        target = (q2[k] - s[k]) / s[k] ** 2
+        if not np.isfinite(gain[k] + target):
+            break
+        if gain[k] <= config.tol:
+            flag = False
+            break
+        if target > 0:
+            active[k] = target
+        else:
+            del active[k]
+    gamma = np.zeros(factors.atoms.shape[1])
+    gamma[list(active)] = list(active.values())
+    return gamma, flag
+
+
+def _held_sbl_gamma(monkeypatch, y, dicts, sigma_n2, config=None):
+    """sbl_gamma's (gamma, flag) and the _SblFactors state it returned from."""
+    held = []
+    init = bl._SblFactors.__init__
+
+    def capture(self, *args):
+        init(self, *args)
+        held.append(self)
+
+    monkeypatch.setattr(bl._SblFactors, "__init__", capture)
+    gamma, flag = bl.sbl_gamma(y, dicts, sigma_n2, config)
+    assert np.array_equal(held[-1].gamma(), gamma)
+    return gamma, flag, held[-1]
+
+
+def _held_s_q2(factors):
+    """The s and |q|^2 the loop holds: S and |Q|^2 for inactive atoms, the
+    posterior's values for active ones."""
+    s, q2 = factors.S.copy(), factors.Q2.copy()
+    s[factors.act] = factors.s_act
+    q2[factors.act] = factors.q2_act
+    return s, q2
+
+
+def _pool_batch(seed, trial, scenario=1, snr_db=None):
+    """Trial `trial` of the grid-baseline benchmark's pool of `seed`:
+    n = 16, t_s = 32, two users per side, 0/15/30 dB in turn."""
+    if snr_db is None:
+        snr_db = (0.0, 15.0, 30.0)[trial % 3]
+    cfg = ExperimentConfig(scenario=scenario, n=16, t_s=32, k_r=2, k_t=2, snr_db=snr_db,
+                           seed=seed)
+    scene, _, _, batch = make_batch(cfg, trial)
+    return scene, batch, (bl.build_dictionary(batch, 'RS'), bl.build_dictionary(batch, 'TS'))
+
+
 @pytest.mark.parametrize("grid", [None, COARSE], ids=["default_grid", "1deg_grid"])
 @pytest.mark.parametrize("snr_db", [0.0, 15.0, 30.0])
 @pytest.mark.parametrize("scenario", [1, 2], ids=["uniform", "nonuniform"])
-def test_sbl_factorised_em_matches_dense_reference(scenario, snr_db, grid):
-    # one step of the fast update: from the same gamma (ten steps in), the
-    # factorised s and |q|^2 of every atom match dense solves to 1e-9, and
-    # so do the move gains taken from them. Against gains from the dense s
-    # and |q|^2 the bound is 1e-6: theta = |q|^2 / s divides by the small s
-    # of atoms next to an active one, whose factorised lag-sum form carries
-    # rounding of order eps * max(s) (up to 7e-8 relative at 30 dB).
+def test_sbl_factorised_em_matches_dense_reference(scenario, snr_db, grid, monkeypatch):
+    # the s and |q|^2 the loop holds after ten steps and at return, which
+    # come from rank-one updates of S and fresh Q, match dense solves to
+    # 1e-9 for every atom. After ten steps, so does the gain of the move it
+    # would take next, against the best gain taken from those s and |q|^2
+    # (at return that gain is below tol, a difference of terms of order
+    # theta = |q|^2 / s, up to 3e4 here). Against gains from the dense s and |q|^2 the bound is 1e-6:
+    # theta = |q|^2 / s divides by the small s of atoms next to an active one
     cfg = ExperimentConfig(scenario=scenario, snr_db=snr_db, seed=0)
     _, _, _, batch = make_batch(cfg, 0)
     dicts = (bl.build_dictionary(batch, 'RS', grid), bl.build_dictionary(batch, 'TS', grid))
-    gamma, aborted = bl.sbl_gamma(batch.y, dicts, batch.sigma_n2, bl.SblConfig(max_em=10))
-    act = np.flatnonzero(gamma)
-    assert not aborted and act.size > 0
-    s, q2, gain = bl._SblFactors(batch.y, dicts, batch.sigma_n2).scores(act, gamma[act])
-    s_ref, q2_ref, gain_ref = _dense_scores(batch.y, np.hstack([d.atoms for d in dicts]),
-                                            batch.sigma_n2, gamma)
-    assert np.abs(s - s_ref).max() <= 1e-9 * s_ref.max()
-    assert np.abs(q2 - q2_ref).max() <= 1e-9 * q2_ref.max()
-    assert np.abs(gain - _gains(s, q2, gamma)).max() <= 1e-9 * gain_ref.max()
-    assert np.abs(gain - gain_ref).max() <= 1e-6 * gain_ref.max()
+    for config, capped in ((bl.SblConfig(max_em=10), True), (bl.SblConfig(), False)):
+        gamma, flag, factors = _held_sbl_gamma(monkeypatch, batch.y, dicts, batch.sigma_n2,
+                                               config)
+        assert flag == capped and np.all(np.isfinite(gamma)) and np.any(gamma)
+        s, q2 = _held_s_q2(factors)
+        s_ref, q2_ref, gain_ref = _dense_scores(batch.y, np.hstack([d.atoms for d in dicts]),
+                                                batch.sigma_n2, gamma)
+        assert np.abs(s - s_ref).max() <= 1e-9 * s_ref.max()
+        assert np.abs(q2 - q2_ref).max() <= 1e-9 * q2_ref.max()
+        gain = _gains(s, q2, gamma)
+        if capped:
+            assert abs(factors.best_move()[1] - gain.max()) <= 1e-9 * gain_ref.max()
+        assert np.abs(gain - gain_ref).max() <= 1e-6 * gain_ref.max()
 
 
 @pytest.mark.parametrize("grid", [None, COARSE], ids=["default_grid", "1deg_grid"])
@@ -273,24 +419,27 @@ def test_sbl_evidence_at_least_dense_em(scenario, snr_db, grid):
             >= _log_evidence(batch.y, atoms, batch.sigma_n2, ref))
 
 
-def test_sbl_active_atoms_near_saturation_stay_finite():
+def test_sbl_active_atoms_near_saturation_stay_finite(monkeypatch):
     # scenario 2 at 30 dB on the default grid drives gamma * S of an active
     # atom to 1 - 1e-6 within three steps, where s = S / (1 - gamma S) is all
-    # rounding: the active atoms' s and |q|^2 must still match leave-one-out
-    # solves there and at the end, and the result must beat the EM's evidence
+    # rounding: the active atoms' s and |q|^2 that the loop holds must still
+    # match leave-one-out solves there and at the end, and the result must
+    # beat the EM's evidence
     cfg = ExperimentConfig(scenario=2, snr_db=30.0, seed=0)
     _, _, _, batch = make_batch(cfg, 0)
     dicts = (bl.build_dictionary(batch, 'RS'), bl.build_dictionary(batch, 'TS'))
     atoms = np.hstack([d.atoms for d in dicts])
-    for config, saturation in ((bl.SblConfig(max_em=3), 1 - 1e-5), (bl.SblConfig(), 1 - 1e-4)):
-        gamma, aborted = bl.sbl_gamma(batch.y, dicts, batch.sigma_n2, config)
-        assert not aborted and np.all(np.isfinite(gamma))
+    for config, saturation, capped in ((bl.SblConfig(max_em=3), 1 - 1e-5, True),
+                                       (bl.SblConfig(), 1 - 1e-4, False)):
+        gamma, flag, factors = _held_sbl_gamma(monkeypatch, batch.y, dicts, batch.sigma_n2,
+                                               config)
+        assert flag == capped and np.all(np.isfinite(gamma))
         act = np.flatnonzero(gamma)
         A, g = atoms[:, act], gamma[act]
         C = batch.sigma_n2 * np.eye(len(batch.y)) + (A * g) @ A.conj().T
         S = np.real(np.einsum('tg,tg->g', A.conj(), np.linalg.solve(C, A)))
         assert np.max(g * S) > saturation
-        s, q2, _ = bl._SblFactors(batch.y, dicts, batch.sigma_n2).scores(act, g)
+        s, q2 = _held_s_q2(factors)
         s_ref, q2_ref, _ = _dense_scores(batch.y, atoms, batch.sigma_n2, gamma)
         assert np.allclose(s[act], s_ref[act], rtol=1e-6, atol=0)
         assert np.allclose(q2[act], q2_ref[act], rtol=1e-6, atol=0)
@@ -301,28 +450,87 @@ def test_sbl_active_atoms_near_saturation_stay_finite():
 
 @pytest.mark.parametrize("trial", range(12))
 def test_sbl_converges_and_prunes_on_the_benchmark_pool(trial, monkeypatch):
-    # the grid-baseline benchmark's pool of seed 0: scenario 1, n = 16,
-    # t_s = 32, two users per side, 0/15/30 dB in turn
-    cfg = ExperimentConfig(scenario=1, n=16, t_s=32, k_r=2, k_t=2,
-                           snr_db=(0.0, 15.0, 30.0)[trial % 3], seed=0)
-    _, _, _, batch = make_batch(cfg, trial)
-    dicts = (bl.build_dictionary(batch, 'RS'), bl.build_dictionary(batch, 'TS'))
-    scores = bl._SblFactors.scores
-    calls = []
+    _, batch, dicts = _pool_batch(0, trial)
+    move = bl._SblFactors.move
+    moves = []
 
-    def counted(self, act, g):
-        calls.append(act)
-        return scores(self, act, g)
+    def counted(self, k, target):
+        moves.append(k)
+        return move(self, k, target)
 
-    monkeypatch.setattr(bl._SblFactors, "scores", counted)
+    monkeypatch.setattr(bl._SblFactors, "move", counted)
     config = bl.SblConfig()
-    gamma, aborted = bl.sbl_gamma(batch.y, dicts, batch.sigma_n2, config)
+    gamma, aborted, factors = _held_sbl_gamma(monkeypatch, batch.y, dicts, batch.sigma_n2,
+                                              config)
     assert not aborted
-    assert len(calls) < config.max_em     # stopped by the gain test, not by the cap
+    assert 0 < len(moves) < config.max_em     # stopped by the gain test, not by the cap
     act = np.flatnonzero(gamma)
     assert act.size <= 64
-    _, _, gain = scores(bl._SblFactors(batch.y, dicts, batch.sigma_n2), act, gamma[act])
-    assert gain.max() <= config.tol
+    assert _gains(*_held_s_q2(factors), gamma).max() <= config.tol
+
+
+@pytest.mark.parametrize("seed", [0, 1])
+def test_sbl_matches_rescoring_reference_on_the_benchmark_pools(seed):
+    # the rank-one update takes the same moves as a full rescoring of every
+    # atom in each step: same support, picked angles and flag on every trial
+    config = bl.SblConfig()
+    for trial in range(12):
+        _, batch, dicts = _pool_batch(seed, trial)
+        gamma, flag = bl.sbl_gamma(batch.y, dicts, batch.sigma_n2, config)
+        ref, ref_flag = _rescoring_sbl_gamma(batch.y, dicts, batch.sigma_n2, config)
+        assert np.array_equal(np.flatnonzero(gamma), np.flatnonzero(ref)), trial
+        assert flag == ref_flag, trial
+        n_r = dicts[0].grid.size
+
+        def picks(g):
+            return [bl._pick_peaks(g[:n_r], dicts[0].grid, 2),
+                    bl._pick_peaks(g[n_r:], dicts[1].grid, 2)]
+
+        for (a, f), (b, h) in zip(picks(gamma), picks(ref)):
+            assert np.array_equal(a, b) and f == h, trial
+
+
+@pytest.mark.parametrize("scenario", [1, 2], ids=["uniform", "nonuniform"])
+def test_sbl_at_40db_matches_references(scenario, monkeypatch):
+    # above the benchmark's SNRs: the held s and |q|^2 still match dense
+    # solves to 1e-9, and the moves match the full rescoring
+    _, batch, dicts = _pool_batch(0, 0, scenario, snr_db=40.0)
+    gamma, flag, factors = _held_sbl_gamma(monkeypatch, batch.y, dicts, batch.sigma_n2)
+    s, q2 = _held_s_q2(factors)
+    s_ref, q2_ref, _ = _dense_scores(batch.y, np.hstack([d.atoms for d in dicts]),
+                                     batch.sigma_n2, gamma)
+    assert np.abs(s - s_ref).max() <= 1e-9 * s_ref.max()
+    assert np.abs(q2 - q2_ref).max() <= 1e-9 * q2_ref.max()
+    ref, ref_flag = _rescoring_sbl_gamma(batch.y, dicts, batch.sigma_n2, bl.SblConfig())
+    assert not flag and not ref_flag
+    assert np.array_equal(np.flatnonzero(gamma), np.flatnonzero(ref))
+
+
+@pytest.mark.parametrize("trial", range(4))
+def test_sbl_noiseless_at_the_noise_floor_recovers_the_scene(trial):
+    # sigma_n2 = 0 runs at the 1e-10 floor, where C's condition number
+    # passes 1e10 and s and |q|^2 lose digits in any float64 algorithm. The
+    # update must stay finite, stop by the gain test and put every picked
+    # angle within 0.15 degrees of its user (a full rescoring of every atom
+    # fails here: NaN gains, flagged calls and angles tens of degrees off)
+    scene, batch, dicts = _pool_batch(0, trial, scenario=2, snr_db=np.inf)
+    assert batch.sigma_n2 == 0.0
+    gamma, flag = bl.sbl_gamma(batch.y, dicts, batch.sigma_n2)
+    assert not flag and np.all(np.isfinite(gamma))
+    a_r, a_t, flagged = bl.sbl_full_space(batch, *dicts, 2, 2)
+    assert not flagged
+    assert np.abs(a_r - np.sort(scene.theta_rs)).max() <= 0.15
+    assert np.abs(a_t - np.sort(scene.theta_ts)).max() <= 0.15
+
+
+def test_sbl_flags_the_step_cap():
+    # seed 5, trial 9 of the scenario-1 pool runs all 200 steps without the
+    # gain test stopping it: the call is flagged, and so is sbl_full_space
+    _, batch, dicts = _pool_batch(5, 9)
+    gamma, flag = bl.sbl_gamma(batch.y, dicts, batch.sigma_n2)
+    assert flag and np.all(np.isfinite(gamma))
+    assert bl.sbl_full_space(batch, *dicts, 2, 2)[2]
+    assert not bl.sbl_gamma(batch.y, dicts, batch.sigma_n2, bl.SblConfig(max_em=400))[1]
 
 
 def test_baselines_deterministic():
