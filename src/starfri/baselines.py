@@ -3,8 +3,11 @@
 All three work on a per-subspace dictionary of effective slot responses: the
 atom for angle theta in the reflection space is the top half of the paired
 operator applied to the steering vector, and the bottom (G-weighted) half for
-the transmission space. They estimate RS and TS angles separately with known
-per-subspace source counts, and are grid-limited by construction.
+the transmission space. They estimate RS and TS angles separately, each side
+with a known order 0 <= k_i <= G, the grid size (else ValueError naming k_i;
+k_i = 0 gives no angle, unflagged), and are grid-limited by construction. A
+side with fewer than k_i usable peaks is padded with distinct grid points and
+flagged.
 
 Every atom factorises as atoms = basis @ steer * scale: a t_s x n slot basis
 (the transposed operator half), the n x G Vandermonde steering matrix and the
@@ -59,53 +62,46 @@ def build_dictionary(batch, subspace, grid=None):
                           scale=scale)
 
 
+def _check_order(k_i, dictionary):
+    """Reject a per-subspace order outside 0 <= k_i <= G, the grid size."""
+    if not 0 <= k_i <= dictionary.grid.size:
+        raise ValueError(f"k_i={k_i} is outside 0..{dictionary.grid.size}, the grid size")
+
+
 def _pick_peaks(P, grid, k_i):
     """k_i highest local maxima of a spectrum, separated by at least
     GUARD_DEG; padded with the best remaining grid points (flagged) when the
-    spectrum has fewer usable peaks. k_i = 0 picks nothing, unflagged."""
-    if k_i == 0:
-        return grid[:0], False
-    if not np.any(P):
-        return np.sort(grid[np.zeros(k_i, int)]), True
-    interior = np.zeros(len(P), bool)
-    interior[1:-1] = (P[1:-1] >= P[:-2]) & (P[1:-1] >= P[2:])
-    interior[0] = P[0] >= P[1]
-    interior[-1] = P[-1] >= P[-2]
-    interior &= P > 0     # a run of zeros (pruned SBL atoms) holds no peak
+    spectrum has fewer usable peaks. A zero-valued point is no peak, so an
+    all-zero spectrum is all padding; k_i = 0 picks nothing, unflagged."""
+    edged = np.concatenate([[-np.inf], P, [-np.inf]])
+    interior = (P >= edged[:-2]) & (P >= edged[2:]) & (P > 0)   # no peak in a run of zeros
     order = np.argsort(-P)
     picked = []
     for i in order:
-        if not interior[i]:
-            continue
-        if all(abs(grid[i] - grid[j]) >= GUARD_DEG for j in picked):
-            picked.append(i)
         if len(picked) == k_i:
             break
+        if interior[i] and all(abs(grid[i] - grid[j]) >= GUARD_DEG for j in picked):
+            picked.append(i)
     flagged = len(picked) < k_i
-    for i in order:
-        if len(picked) == k_i:
-            break
-        if i not in picked:
-            picked.append(i)
+    if flagged:
+        picked += [i for i in order if i not in picked][:k_i - len(picked)]
     return np.sort(grid[picked]), flagged
 
 
 def fft_scan(batch, dictionary, k_i):
     """Beam-scan spectrum P(theta) = |atom^H y|^2; returns its k_i highest
     well-separated peaks."""
-    if k_i < 1:
-        raise ValueError("k_i >= 1")
+    _check_order(k_i, dictionary)
     P = np.abs(batch.y.conj() @ dictionary.atoms) ** 2
     return _pick_peaks(P, dictionary.grid, k_i)
 
 
 def omp(batch, dictionary, k_i):
     """Standard greedy pursuit: pick the atom best correlated with the
-    residual, least-squares refit on the support, repeat k_i times."""
-    A = dictionary.atoms
-    if k_i > A.shape[1]:
-        raise ValueError("k_i exceeds grid size")
-    res = batch.y.copy()
+    residual, least-squares refit on the support, repeat k_i times; flagged
+    when the support's atoms are linearly dependent."""
+    _check_order(k_i, dictionary)
+    A, res = dictionary.atoms, batch.y
     support = []
     flagged = False
     for _ in range(k_i):
@@ -113,9 +109,8 @@ def omp(batch, dictionary, k_i):
         c[support] = -1
         support.append(int(np.argmax(c)))
         As = A[:, support]
-        if np.linalg.matrix_rank(As) < len(support):
-            flagged = True
-        coef = np.linalg.pinv(As) @ batch.y
+        coef, _, rank, _ = np.linalg.lstsq(As, batch.y, rcond=None)
+        flagged |= rank < len(support)
         res = batch.y - As @ coef
     return np.sort(dictionary.grid[support]), flagged
 
@@ -314,6 +309,8 @@ def sbl_full_space(batch, dict_rs, dict_ts, k_r, k_t, config=None):
     peaks per half keeps the per-subspace reporting while the model stays
     well-specified.
     """
+    _check_order(k_r, dict_rs)
+    _check_order(k_t, dict_ts)
     gamma, aborted = sbl_gamma(batch.y, (dict_rs, dict_ts), batch.sigma_n2, config)
     n_r = dict_rs.grid.size
     a_r, f_r = _pick_peaks(gamma[:n_r], dict_rs.grid, k_r)

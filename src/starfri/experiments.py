@@ -121,15 +121,15 @@ def run_method(method, batch, config):
         solve = estimate_angles_uniform if method == "M1" else estimate_angles_nonuniform
         res = solve(batch, PgdConfig(k_r=k_r, k_t=k_t, init="Grid"))
         out = (res.angles, res.iterations)
-    elif method == "SBL":
-        d_r = bl.build_dictionary(batch, 'RS')
-        d_t = bl.build_dictionary(batch, 'TS')
-        a_r, a_t, _ = bl.sbl_full_space(batch, d_r, d_t, k_r, k_t)
-        out = (label_angles(a_r, a_t), 0)
-    elif method in ("FFT", "OMP"):
-        scan = bl.fft_scan if method == "FFT" else bl.omp
-        a_r, a_t = [scan(batch, bl.build_dictionary(batch, sub), k_i)[0] if k_i else []
-                    for sub, k_i in (('RS', k_r), ('TS', k_t))]
+    elif method in ("FFT", "OMP", "SBL"):
+        if method == "SBL":
+            a_r, a_t, _ = bl.sbl_full_space(batch, bl.build_dictionary(batch, 'RS'),
+                                            bl.build_dictionary(batch, 'TS'), k_r, k_t)
+        else:   # one side's atoms are freed before the other's are built: holding both
+                # doubles the heap's peak, which the allocator then refaults on every call
+            scan = bl.fft_scan if method == "FFT" else bl.omp
+            a_r, a_t = (scan(batch, bl.build_dictionary(batch, sub), k_i)[0]
+                        for sub, k_i in (('RS', k_r), ('TS', k_t)))
         out = (label_angles(a_r, a_t), 0)
     else:
         raise ValueError(f"unknown method {method!r}")

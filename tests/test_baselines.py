@@ -114,13 +114,6 @@ def test_omp_matches_brute_force_pair():
     assert np.allclose(np.sort(angles), np.sort(best[1:]))
 
 
-def test_omp_rejects_oversized_support():
-    batch = _batch([20.0], [])
-    d = bl.build_dictionary(batch, 'RS', COARSE)
-    with pytest.raises(ValueError):
-        bl.omp(batch, d, len(COARSE) + 1)
-
-
 def test_sbl_zero_measurement_shrinks_to_zero():
     batch = _batch([20.0], [])
     d = bl.build_dictionary(batch, 'RS', COARSE)
@@ -159,29 +152,65 @@ def test_pick_peaks_zero_points_are_no_peaks():
 
 @st.composite
 def _spectra_with_zero_runs(draw):
-    """A nonnegative spectrum of at least five points, more than the largest
-    count asked for: runs of zeros (pruned atoms) between runs of positive
-    values, plateaus included."""
-    runs = draw(st.lists(st.one_of(
+    """A nonnegative spectrum: runs of zeros (pruned atoms) between runs of
+    positive values, plateaus included, or a short one of 1-4 points."""
+    runs = st.lists(st.one_of(
         st.integers(1, 30).map(lambda n: [0.0] * n),
         st.lists(st.floats(1e-12, 1e6), min_size=1, max_size=30),
         st.tuples(st.floats(1e-12, 1e6), st.integers(1, 15)).map(lambda vn: [vn[0]] * vn[1]),
-    ), min_size=1, max_size=12))
-    P = np.concatenate([np.asarray(r, float) for r in runs])
-    return np.concatenate([P, np.zeros(max(5 - P.size, 0))])
+    ), min_size=1, max_size=12).map(lambda rs: sum(rs, []))
+    short = st.lists(st.one_of(st.just(0.0), st.floats(1e-12, 1e6)), min_size=1, max_size=4)
+    return np.asarray(draw(st.one_of(short, runs)), float)
 
 
 @settings(max_examples=300, deadline=None)
-@given(_spectra_with_zero_runs(), st.integers(0, 4))
-def test_pick_peaks_properties(P, k_i):
+@given(st.data())
+def test_pick_peaks_properties(data):
+    # any order up to the grid size: k_i sorted, distinct angles, padding only when flagged
+    P = data.draw(_spectra_with_zero_runs())
+    k_i = data.draw(st.integers(0, min(P.size, 4)))
     grid = -60.0 + 0.1 * np.arange(P.size)
     angles, flagged = bl._pick_peaks(P, grid, k_i)
-    assert len(angles) == k_i and np.all(np.diff(angles) >= 0)
+    assert len(angles) == k_i and np.all(np.diff(angles) > 0)
     if not flagged:
         values = P[np.searchsorted(grid, angles)]
         assert np.all(values > 0)
         assert np.all(np.abs(np.subtract.outer(angles, angles))[~np.eye(k_i, dtype=bool)]
                       >= bl.GUARD_DEG)
+
+
+# each estimator as (angle arrays..., flag) for one order k on COARSE dictionaries
+ORDERED = {
+    "FFT": lambda batch, d_r, d_t, k: bl.fft_scan(batch, d_r, k),
+    "OMP": lambda batch, d_r, d_t, k: bl.omp(batch, d_r, k),
+    "SBL-RS": lambda batch, d_r, d_t, k: bl.sbl_full_space(batch, d_r, d_t, k, 0),
+    "SBL-TS": lambda batch, d_r, d_t, k: bl.sbl_full_space(batch, d_r, d_t, 0, k),
+}
+
+
+@pytest.mark.parametrize("estimator", sorted(ORDERED))
+def test_order_contract(estimator):
+    # 0 <= k_i <= G: k_i = 0 gives no angle, unflagged; outside, ValueError naming k_i
+    batch = _batch([20.0], [-35.0])
+    d_r = bl.build_dictionary(batch, 'RS', COARSE)
+    d_t = bl.build_dictionary(batch, 'TS', COARSE)
+    call = ORDERED[estimator]
+    *angles, flagged = call(batch, d_r, d_t, 0)
+    assert all(a.size == 0 for a in angles) and not flagged
+    for k in (-1, COARSE.size + 1):
+        with pytest.raises(ValueError, match="k_i"):
+            call(batch, d_r, d_t, k)
+
+
+def test_omp_flags_a_rank_deficient_support():
+    # one slot: any two atoms are dependent, so the second pick must flag
+    batch = _batch([20.0], [])
+    grid = COARSE[:6]
+    d = bl.GridDictionary(grid=grid, atoms=np.exp(1j * np.deg2rad(grid))[None, :])
+    one_slot = _with_y(batch, np.array([1.0 + 0.5j]))
+    assert not bl.omp(one_slot, d, 1)[1]
+    angles, flagged = bl.omp(one_slot, d, 2)
+    assert flagged and len(angles) == 2 and np.all(np.diff(angles) > 0)
 
 
 def test_sbl_full_space_two_users():

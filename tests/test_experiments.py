@@ -77,10 +77,12 @@ def test_run_trial_deterministic_and_method_selection():
     assert r1["FFT"]["angles"] == r2["FFT"]["angles"]
 
 
-def test_sbl_with_an_empty_subspace_reports_only_the_other():
+@pytest.mark.parametrize("method", ["FFT", "OMP", "SBL"])
+def test_sbl_with_an_empty_subspace_reports_only_the_other(method):
+    # k_t = 0 runs through the baselines themselves: no angle on that side
     cfg = ExperimentConfig(scenario=1, k_r=2, k_t=0, snr_db=15.0, seed=0)
     _, _, _, batch = make_batch(cfg, 0)
-    angles, _, _ = run_method("SBL", batch, cfg)
+    angles, _, _ = run_method(method, batch, cfg)
     assert [lab for _, lab in angles] == ['RS', 'RS']
 
 
