@@ -27,6 +27,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import structured_linalg as sl
 from .star_ris_model import FINE_STEP, grid_steering, steering_matrix
 
 GUARD_DEG = 1.0   # least separation of two picked spectrum peaks, degrees
@@ -56,7 +57,7 @@ def build_dictionary(batch, subspace, grid=None):
         steer = steering_matrix(grid, n)
     basis = (psi[:n] if subspace == 'RS' else psi[n:]).T
     # squared column norms |basis v|^2 = Re(v^H c), c the lag sums of basis^H basis
-    norms2 = (steer.conj().T @ (_lag_sums(n) @ (basis.conj().T @ basis).ravel())).real
+    norms2 = (steer.conj().T @ (sl._lag_sums(n) @ (basis.conj().T @ basis).ravel())).real
     scale = 1.0 / np.maximum(np.sqrt(np.maximum(norms2, 0.0)), 1e-15)
     return GridDictionary(grid=grid, atoms=basis @ (steer * scale), basis=basis, steer=steer,
                           scale=scale)
@@ -121,15 +122,6 @@ class SblConfig:
     prune_tol: float = 1e-6  # kept for callers that count an atom as active when its gamma
                              # exceeds prune_tol * max(gamma); pruned atoms are exactly 0
     tol: float = 1e-3        # stop when no single-atom move gains more log-evidence, nats
-
-
-def _lag_sums(n):
-    """(n, n*n) matrix taking a flattened n x n Hermitian M to the weighted
-    lag sums c with v^H M v = Re(v^H c) for every Vandermonde column v of
-    unit-modulus nodes: c_0 = trace(M), c_l = 2 * sum_k M[k, k-l] for l >= 1."""
-    k = np.arange(n)
-    lag = np.subtract.outer(k, k).ravel()
-    return (lag == k[:, None]) * np.where(k == 0, 1.0, 2.0)[:, None]
 
 
 class _SblFactors:

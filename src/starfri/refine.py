@@ -4,15 +4,19 @@ Both algorithms run their iterative denoiser inside the same pieces:
 
 * a matched-atom greedy initializer on a coarse angle grid (with a few
   cyclic re-selection sweeps, which fixes the occasional greedy mistake),
+  scoring each residual r as |r^H A| against the atom block A, no copy,
 * root selection by fitted gain energy when the annihilating filter has more
   roots than sources,
 * a maximum-likelihood polish: variable-projection least squares over the
   angles (gains eliminated in closed form) interleaved with per-angle global
   rescans on a fine grid, so the final estimate sits in the ML basin instead
-  of wherever the algebraic extraction left it,
+  of wherever the algebraic extraction left it; the rescan scores its
+  candidates through their factors (the n-dimensional steering grid and the
+  operator half), never as t_s x G blocks,
 * the projected-gradient loop (``pgd``) on the latent beta = [x_R; x_T]: one
-  config (``PgdConfig``), one step rule and one gradient step, with the
-  solver's projection of its Hankel lifting passed in,
+  config (``PgdConfig``), one step rule and one affine data step
+  b -> A b + c, with A and c built once per solve and the solver's
+  projection of its Hankel lifting passed in,
 * a residual-gated multistart (``multistart``) that reruns the whole solve,
   starting over with each other initialization, while the polished fit sits
   above the noise floor; and the RS/TS-labelled result every solver returns.
@@ -26,6 +30,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 from scipy.optimize import least_squares
 
+from . import structured_linalg as sl
 from .star_ris_model import FINE_STEP, grid_steering, steering_derivative, steering_matrix
 
 INIT_STEP, INIT_CYCLES = 0.5, 3   # grid_init: grid step (degrees), re-selection sweeps
@@ -87,7 +92,7 @@ def grid_init(psi, y, k_r, k_t):
         return y - A @ coef, coef
 
     def score(side, residual):
-        return np.abs(atoms[side].conj().T @ residual) / norms[side]
+        return np.abs(residual.conj() @ atoms[side]) / norms[side]
 
     res = y.copy()
     for _ in range(k_r + k_t):
@@ -201,13 +206,21 @@ def coordinate_rescan(y, psi, th_r, th_t):
     With Q an orthonormal basis of the other atoms, the score of candidate c
     is |y^H c - (Q^H y)^H Q^H c|^2 / (||c||^2 - ||Q^H c||^2): the projected
     candidates are never formed, only their K-1 coordinates Q^H c.
+
+    The candidates of a side are c = half^T v over the fine grid's steering
+    columns v, and every term is scored through that factorisation, so no
+    t_s x G candidate block is built: y^H c = (half y^*) v, Q^H c =
+    (Q^H half^T) v, and ||c||^2 = Re(v^H l) with l the lag sums of
+    half^* half^T (``structured_linalg._lag_sums``).
     """
     n = psi.shape[0] // 2
     grid, sv = grid_steering(n, FINE_STEP)
+    lags = sl._lag_sums(n)
     sides = []
     for half in (psi[:n], psi[n:]):
-        cand = half.T @ sv
-        sides.append((cand, y.conj() @ cand, (np.abs(cand) ** 2).sum(axis=0)))
+        # Re(v^H l) = Re(l^H v): no conjugate copy of the steering block
+        cand_sq = ((lags @ (half.conj() @ half.T).ravel()).conj() @ sv).real
+        sides.append((half.T, (half @ y.conj()) @ sv, cand_sq))
     th = list(th_r) + list(th_t)
     k_r = len(th_r)
     K = len(th)
@@ -218,8 +231,8 @@ def coordinate_rescan(y, psi, th_r, th_t):
             other_t = [th[j] for j in range(K) if j != k and j >= k_r]
             A_o = _atoms(psi, other_r, other_t)
             Q, _ = np.linalg.qr(A_o)
-            cand, y_cand, cand_sq = sides[0] if k < k_r else sides[1]
-            QC = Q.conj().T @ cand
+            basis, y_cand, cand_sq = sides[0] if k < k_r else sides[1]
+            QC = (Q.conj().T @ basis) @ sv
             num = y_cand - (Q.conj().T @ y).conj() @ QC
             score = np.abs(num) ** 2 / np.maximum(cand_sq - (np.abs(QC) ** 2).sum(axis=0), 1e-12)
             i = int(np.argmax(score))
@@ -255,19 +268,23 @@ def pgd(batch, config, psi, b0, project):
 
     Each iteration: b <- project(b + 2 mu psi^* (y - psi^T b)), with mu from
     ``pgd_step`` and project the solver's rank-K truncation of its lifting.
-    Stops once the update norm is at most config.eps. Returns
+    The gradient step is affine in b, so it runs as one 2n x 2n matvec,
+    A b + c with A = I - 2 mu psi^* psi^T and c = 2 mu psi^* y built once per
+    solve. Stops once the update norm is at most config.eps. Returns
     (b, iterations, update norms, converged).
     """
     mu = pgd_step(psi)
-    y = batch.y
-    b = b0.copy()
     psi_c = psi.conj()
+    A = np.eye(psi.shape[0]) - 2 * mu * (psi_c @ psi.T)
+    c = 2 * mu * (psi_c @ batch.y)
+    b = b0.copy()
     history = []
     converged = False
     it = 0
     for it in range(1, config.i_max + 1):
-        db = project(b + 2 * mu * (psi_c @ (y - psi.T @ b)))
-        step = np.linalg.norm(db - b)
+        db = project(A @ b + c)
+        d = db - b
+        step = np.sqrt(np.vdot(d, d).real)
         history.append(step)
         b = db
         if step <= config.eps:

@@ -23,6 +23,12 @@ horizontal pair one gather from [v_r, v_t] (``_paired_index``), and each half
 of the paired average one product with a cached read-only complex averaging
 matrix (``_avg_t``). The tests hold each of them bit for bit to a
 window-view lift and a per-half average.
+
+Grid scans of a slot basis B (t_s x n) over unit-modulus steering columns v
+take their squared norms ||B v||^2 = Re(v^H c) from one n-vector c, the
+weighted lag sums of B^H B (``_lag_sums``), so no t_s x G block of B v is
+needed for them: the grid baselines' dictionary scale and the polish's
+rescan both use it.
 """
 
 import functools
@@ -174,6 +180,15 @@ def rank_truncate(m, k):
         raise ValueError("k out of range")
     u, s, vh = np.linalg.svd(m, full_matrices=False)
     return (u[:, :k] * s[:k]) @ vh[:k]
+
+
+def _lag_sums(n):
+    """(n, n*n) matrix taking a flattened n x n Hermitian M to the weighted
+    lag sums c with v^H M v = Re(v^H c) for every Vandermonde column v of
+    unit-modulus nodes: c_0 = trace(M), c_l = 2 * sum_k M[k, k-l] for l >= 1."""
+    k = np.arange(n)
+    lag = np.subtract.outer(k, k).ravel()
+    return (lag == k[:, None]) * np.where(k == 0, 1.0, 2.0)[:, None]
 
 
 def smallest_right_singular_vector(m):

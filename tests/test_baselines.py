@@ -6,6 +6,7 @@ from hypothesis import given, settings, strategies as st
 
 from starfri import baselines as bl
 from starfri import star_ris_model as sm
+from starfri import structured_linalg as sl
 from starfri.experiments import ExperimentConfig, make_batch
 
 
@@ -311,7 +312,7 @@ class _RescoringFactors:
         self.steers = [np.concatenate([d.steer.real, d.steer.imag]) for d in dictionaries]
         self.scale2 = np.concatenate([d.scale for d in dictionaries]) ** 2
         self.n = n
-        self.lag_sums_t = bl._lag_sums(n).T.astype(complex)
+        self.lag_sums_t = sl._lag_sums(n).T.astype(complex)
 
     def scores(self, act, g):
         """(s, |q|^2, gain) of every atom when the atoms act are active with

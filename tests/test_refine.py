@@ -3,11 +3,12 @@
 import numpy as np
 import pytest
 
+from starfri import fri_nonuniform, fri_uniform
 from starfri import star_ris_model as sm
 from starfri.experiments import ExperimentConfig, make_batch
 from starfri.fri_uniform import uniform_assumption_operator
-from starfri.refine import (_atoms, coordinate_rescan, grid_init, polish_angles,
-                            select_roots_by_energy, varpro_refine)
+from starfri.refine import (PgdConfig, _atoms, coordinate_rescan, grid_init, pgd, pgd_step,
+                            polish_angles, select_roots_by_energy, varpro_refine)
 from starfri.star_ris_model import grid_steering
 
 
@@ -73,26 +74,48 @@ def _reference_coordinate_rescan(y, psi, th_r, th_t, grid_step=0.1, lo=-60.0, hi
     return np.array(th[:k_r]), np.array(th[k_r:])
 
 
-@pytest.mark.parametrize("scenario", [1, 2])
-def test_coordinate_rescan_matches_projected_reference(scenario):
-    # identical outputs on seeded batches, from starts near the truth, one
-    # angle in a wrong basin, and with one subspace left empty
+@pytest.mark.parametrize("scenario,n", [(1, 16), (2, 16), (1, 10), (2, 10), (1, 20), (2, 20)],
+                         ids=["1", "2", "1-n10", "2-n10", "1-n20", "2-n20"])
+def test_coordinate_rescan_matches_projected_reference(scenario, n):
+    # identical outputs on seeded batches at the criterion-6 apertures and
+    # n = 16, from starts near the truth, one angle in a wrong basin, with one
+    # subspace left empty, and with a single angle (K = 1: Q has no columns)
     rng = np.random.default_rng(scenario)
     moved = 0
     for snr in (0.0, 15.0, 30.0):
-        cfg = ExperimentConfig(scenario=scenario, snr_db=snr, seed=4)
+        cfg = ExperimentConfig(scenario=scenario, snr_db=snr, seed=4, n=n)
         for trial in range(4):
             scene, _, _, batch = make_batch(cfg, trial)
             for psi in (batch.operator_paired, uniform_assumption_operator(batch)):
                 th_r = np.sort(scene.theta_rs) + rng.normal(0.0, 0.3, 2)
                 th_t = np.sort(scene.theta_ts) + rng.normal(0.0, 0.3, 2)
                 th_r[trial % 2] += 25.0 * rng.choice([-1, 1])
-                for args in ((th_r, th_t), (th_r[:1], th_t[:0]), (th_r[:0], th_t)):
+                for args in ((th_r, th_t), (th_r[:0], th_t),
+                             (th_r[:1], th_t[:0]), (th_r[:0], th_t[1:])):
                     got = coordinate_rescan(batch.y, psi, *args)
                     want = _reference_coordinate_rescan(batch.y, psi, *args)
                     assert all(np.array_equal(g, w) for g, w in zip(got, want))
                     moved += not np.array_equal(got[0], args[0])
     assert moved > 0
+
+
+@pytest.mark.parametrize("solver", [fri_uniform, fri_nonuniform], ids=["M1", "M2"])
+def test_pgd_data_step_is_the_gradient_step(solver):
+    # with the identity as projection, one iteration is the bare gradient
+    # step b + 2 mu psi^* (y - psi^T b) under the solver's lifting operator
+    rng = np.random.default_rng(11)
+    _, _, _, batch = make_batch(ExperimentConfig(scenario=2, snr_db=15.0, seed=11), 5)
+    cfg = PgdConfig(i_max=1)
+    psi, _ = solver.lifting(batch, cfg)
+    b0 = rng.standard_normal(psi.shape[0]) + 1j * rng.standard_normal(psi.shape[0])
+    start = b0.copy()
+    b, it, history, converged = pgd(batch, cfg, psi, b0, lambda v: v)
+    want = b0 + 2 * pgd_step(psi) * (psi.conj() @ (batch.y - psi.T @ b0))
+    assert it == 1 and not converged and len(history) == 1
+    assert np.array_equal(b0, start)
+    assert np.linalg.norm(b - want) <= 1e-12 * np.linalg.norm(want)
+    step = np.linalg.norm(b - b0)
+    assert abs(history[0] - step) <= 1e-12 * step
 
 
 def test_grid_steering_cached_and_read_only():
