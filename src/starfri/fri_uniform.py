@@ -5,7 +5,8 @@ x_R + g(t) x_T, so the data see beta = [x_R; x_T] through the
 uniform-assumption operator Psi_u, whose bottom half is g(t) times its top
 half. Both halves are K-term exponential sums over one shared set of roots:
 the solver alternates a gradient step on the data fit with a rank-K
-truncation of the vertical pair [H(x_R); H(x_T)], then reads all K angles off
+truncation of the vertical pair [H(x_R); H(x_T)] (the same truncation kernel
+as Algorithm 2, on the other lifting), then reads all K angles off
 one annihilating filter of the denoised pair and labels each root RS or TS by
 which half carries its gain.
 """
@@ -57,24 +58,20 @@ def pgd_denoise(batch, config):
     truncation of the vertical pair [H(x_R); H(x_T)] - one root set for both
     halves - and anti-diagonal averaging of each half.
 
-    The pair is never formed; the projection runs in n x n form on the 2 x n
-    matrix V = [x_R; x_T]. The pair's Gram matrix is a fixed gather-and-sum
-    over D = V^H V, its top-K eigenvectors U_K give P = U_K U_K^H, and
-    truncating and averaging the pair is the one right-multiply V @ M(P)
-    (see ``structured_linalg._stacked_maps``).
+    The pair, 2(n-alpha) x (alpha+1), is one gather from beta through the
+    cached flat index ``structured_linalg._stacked_index``; it is truncated
+    by the kernel M2 also uses (``structured_linalg.rank_truncate``), and both
+    halves average back in one product with the cached matrix
+    ``structured_linalg._avg_t``.
     """
     psi, alpha = lifting(batch, config)
     n = psi.shape[0] // 2
-    gather, T = sl._stacked_maps(n, alpha)
+    idx = sl._stacked_index(n, alpha)
+    Wt = sl._avg_t(n - alpha, alpha + 1)
 
     def project(db):
-        V = db.reshape(2, n)
-        D = V.conj().T @ V
-        _, U = np.linalg.eigh(D.ravel()[gather].sum(axis=0).reshape(alpha + 1, alpha + 1))
-        Uk = U[:, -config.k:]
-        # T is real: multiply the (re, im) pairs of vec(P) as a real (., 2) matrix
-        P = (Uk @ Uk.conj().T).reshape(-1).view(float).reshape(-1, 2)
-        return (V @ (T @ P).view(complex).reshape(n, n)).reshape(-1)
+        H = sl.rank_truncate(db[idx].reshape(-1, alpha + 1), config.k)
+        return (H.reshape(2, -1) @ Wt).reshape(-1)
 
     return pgd(batch, config, psi, initial_iterate(batch, config, psi), project)
 

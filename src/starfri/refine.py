@@ -31,7 +31,7 @@ import numpy as np
 from scipy.optimize import least_squares
 
 from . import structured_linalg as sl
-from .star_ris_model import FINE_STEP, grid_steering, steering_derivative, steering_matrix
+from .star_ris_model import FINE_STEP, grid_steering, steering_matrix
 
 INIT_STEP, INIT_CYCLES = 0.5, 3   # grid_init: grid step (degrees), re-selection sweeps
 RESCAN_CYCLES = 2                 # coordinate_rescan: sweeps over the fine grid
@@ -149,7 +149,8 @@ def _atoms_and_derivs(psi, th, k_r):
     moves by up to 2e-4 degrees with that rounding."""
     n = psi.shape[0] // 2
     S = steering_matrix(th, n)
-    dS = steering_derivative(th, n) * (np.pi / 180.0)
+    # steering_derivative's product, taken on this S so the exponentials run once
+    dS = (-1j * np.pi * np.arange(n)[:, None] * np.cos(np.radians(th))) * S * (np.pi / 180.0)
     halves = [psi[:n].T if j < k_r else psi[n:].T for j in range(len(th))]
     A = np.column_stack([half @ S[:, j] for j, half in enumerate(halves)])
     dA = np.column_stack([half @ dS[:, j] for j, half in enumerate(halves)])

@@ -2,27 +2,25 @@
 
 Small dense kernels shared by both recovery algorithms. Everything here is a
 pure function on numpy arrays; matrices never exceed a few hundred rows so we
-just call LAPACK through numpy and do not bother with anything iterative.
+just call LAPACK, through numpy or scipy, and do not bother with anything
+iterative.
 
 Both PGD solvers also take from here the rules that differ between their
 liftings only by a number: the rank-feasibility check (a function of the
 lift's column count) and the root -> angle map. Their step, 1 / (2 lambda_max)
 of the data operator, does not depend on the lifting (``refine.pgd_step``).
 
-The stacked lift of the rows of an m x n matrix V (for Algorithm 1, m = 2 and
-V = [x_R; x_T], the vertical pair [H(x_R); H(x_T)]) also has an n x n form that
-never builds the m(n-alpha) x (alpha+1) stack: its Gram matrix is a fixed
-gather-and-sum over D = V^H V, and lifting, right-multiplying by any
-(alpha+1) x (alpha+1) matrix P and averaging back to rows is V @ M(P), with
-M(P) linear in P (see ``_stacked_maps``).
-
-Algorithm 2 lifts, truncates and averages back in every PGD iteration, so its
-kernels carry no set-up beyond their arithmetic: a Hankel lift is one gather
-v[..., idx] through a cached read-only index array (``_hankel_index``), the
-horizontal pair one gather from [v_r, v_t] (``_paired_index``), and each half
-of the paired average one product with a cached read-only complex averaging
-matrix (``_avg_t``). The tests hold each of them bit for bit to a
-window-view lift and a per-half average.
+Both PGD solvers lift, truncate and average back in every iteration, and
+both truncate through one kernel, ``rank_truncate``: the top-K eigenvectors
+of the lift's smaller Gram matrix, from one LAPACK Hermitian eigensolver call
+(``heevd``, or ``syevd`` for real input). The other kernels carry no set-up
+beyond their arithmetic: a Hankel lift is one gather v[..., idx] through a
+cached read-only index array (``_hankel_index``), Algorithm 1's vertical pair
+[H(x_R); H(x_T)] one gather from beta (``_stacked_index``), Algorithm 2's
+horizontal pair [H(x_R), H(x_T)] one gather from [v_r, v_t]
+(``_paired_index``), and an average one product with a cached read-only
+complex averaging matrix (``_avg_t``). The tests hold each of them bit for bit
+to a window-view lift and a per-half average.
 
 Grid scans of a slot basis B (t_s x n) over unit-modulus steering columns v
 take their squared norms ||B v||^2 = Re(v^H c) from one n-vector c, the
@@ -32,8 +30,10 @@ rescan both use it.
 """
 
 import functools
+import math
 
 import numpy as np
+from scipy.linalg import get_lapack_funcs
 
 
 def check_feasible(k, alpha, n, cols):
@@ -58,6 +58,15 @@ def _paired_index(n, alpha):
     pair = np.hstack([idx, idx + n])
     pair.flags.writeable = False
     return pair
+
+
+@functools.lru_cache(maxsize=None)
+def _stacked_index(n, alpha):
+    """Read-only flat index into beta = [v_1; v_2] (length 2n) whose gather,
+    reshaped to (-1, alpha+1), is the vertical pair [H(v_1); H(v_2)]."""
+    idx = (_hankel_index(n, alpha) + n * np.arange(2)[:, None, None]).ravel()
+    idx.flags.writeable = False
+    return idx
 
 
 def _check_alpha(n, alpha):
@@ -114,32 +123,6 @@ def _avg(rows, cols):
     return W
 
 
-@functools.lru_cache(maxsize=None)
-def _stacked_maps(n, alpha):
-    """Fixed (gather, T) of the n x n form of the stacked lift of order alpha.
-
-    For an m x n matrix V with D = V^H V, the Gram matrix of
-    stacked_hankel_lift(V, alpha) is
-        D.ravel()[gather].sum(axis=0).reshape(alpha + 1, alpha + 1),
-    since G[l, m] = sum_{i < n-alpha} D[i+l, i+m]. For any (alpha+1)-square P,
-    inverse_hankel(lift @ P) per row equals V @ (T @ P.ravel()).reshape(n, n):
-    M[j, k] = sum_i P[j-i, k-i] / c_k, with c_k the anti-diagonal count. T is
-    real and n^2 x (alpha+1)^2. Both arrays are read-only.
-    """
-    rows, cols = n - alpha, alpha + 1
-    i = np.arange(rows)[:, None, None]
-    l = np.arange(cols)[None, :, None]
-    m = np.arange(cols)[None, None, :]
-    gather = ((i + l) * n + (i + m)).reshape(rows, cols * cols)
-    counts = np.bincount((np.arange(rows)[:, None] + np.arange(cols)).ravel(), minlength=n)
-    diag = np.broadcast_to(i + m, (rows, cols, cols)).reshape(rows, cols * cols)
-    T = np.zeros((n * n, cols * cols))
-    T[gather, np.arange(cols * cols)] = 1.0 / counts[diag]
-    gather.flags.writeable = False
-    T.flags.writeable = False
-    return gather, T
-
-
 def inverse_hankel(m):
     """Anti-diagonal averaging: entry k of the output is the mean of m[i, j]
     over i + j = k. Exact inverse of hankel_lift on Hankel inputs."""
@@ -175,20 +158,45 @@ def inverse_paired_hankel(m):
 
 
 def rank_truncate(m, k):
-    """Best rank-k Frobenius approximation (keep the k largest singular values)."""
-    if not (1 <= k <= min(m.shape)):
+    """Best rank-k Frobenius approximation (keep the k largest singular values).
+
+    Projects onto the top-k eigenvectors of the smaller Gram matrix: U_k
+    (U_k^H m) with U_k from m m^H when m is wide, (m V_k) V_k^H with V_k from
+    m^H m when it is tall. One LAPACK call (``heevd``, ``syevd`` for real
+    input) finds them. A non-finite entry, a Gram matrix that overflows or a
+    failed solve raises LinAlgError.
+    """
+    m = np.asarray(m)
+    rows, cols = m.shape
+    if not (1 <= k <= min(rows, cols)):
         raise ValueError("k out of range")
-    u, s, vh = np.linalg.svd(m, full_matrices=False)
-    return (u[:, :k] * s[:k]) @ vh[:k]
+    wide = rows <= cols
+    mh = m.conj().T
+    gram = m @ mh if wide else mh @ m
+    name = "heevd" if np.iscomplexobj(gram) else "syevd"
+    eigh, = get_lapack_funcs((name,), (gram,))
+    w, vecs, info = eigh(gram, lower=1)
+    # LAPACK returns info = 0 for some non-finite inputs (a NaN in a 2 x 2
+    # Gram, for one); such an input, or a Gram that overflowed, leaves the
+    # largest eigenvalue NaN or inf
+    if info != 0 or not math.isfinite(w[-1]):
+        raise np.linalg.LinAlgError(
+            f"{eigh.typecode}{name} failed: info={info}, largest eigenvalue {w[-1]}")
+    top = vecs[:, -k:]
+    return top @ (top.conj().T @ m) if wide else (m @ top) @ top.conj().T
 
 
+@functools.lru_cache(maxsize=None)
 def _lag_sums(n):
-    """(n, n*n) matrix taking a flattened n x n Hermitian M to the weighted
-    lag sums c with v^H M v = Re(v^H c) for every Vandermonde column v of
-    unit-modulus nodes: c_0 = trace(M), c_l = 2 * sum_k M[k, k-l] for l >= 1."""
+    """Read-only (n, n*n) matrix taking a flattened n x n Hermitian M to the
+    weighted lag sums c with v^H M v = Re(v^H c) for every Vandermonde column
+    v of unit-modulus nodes: c_0 = trace(M), c_l = 2 * sum_k M[k, k-l] for
+    l >= 1."""
     k = np.arange(n)
     lag = np.subtract.outer(k, k).ravel()
-    return (lag == k[:, None]) * np.where(k == 0, 1.0, 2.0)[:, None]
+    lags = (lag == k[:, None]) * np.where(k == 0, 1.0, 2.0)[:, None]
+    lags.flags.writeable = False
+    return lags
 
 
 def smallest_right_singular_vector(m):

@@ -12,7 +12,9 @@ import inspect
 from dataclasses import fields
 from pathlib import Path
 
-from starfri import baselines, bounds, experiments, fri_uniform, refine, star_ris_model
+from starfri import (baselines, bounds, experiments, fri_nonuniform, fri_uniform, refine,
+                     star_ris_model)
+from starfri import structured_linalg as sl
 
 
 def _tracing():
@@ -54,3 +56,31 @@ def test_fields_the_tracer_reads_exist():
     assert isinstance(baselines.SblConfig().prune_tol, float)
     assert [f.name for f in fields(bounds.ZzbInputs)] == ["scene", "profile", "channel", "sigma_n2"]
     assert "success_threshold_deg" in {f.name for f in fields(experiments.ExperimentConfig)}
+
+
+def test_pgd_solvers_call_the_traced_kernels_per_iteration(monkeypatch):
+    # the benchmark's span test needs rank_truncate on every M1 and M2
+    # iteration and M2's paired lift and average through the module: an
+    # inlined kernel fails here before it fails the benchmark
+    names = ("rank_truncate", "paired_hankel_lift", "inverse_paired_hankel")
+    calls = {}
+
+    def counting(name, fn):
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+        return wrapper
+
+    for name in names:
+        monkeypatch.setattr(sl, name, counting(name, getattr(sl, name)))
+    _, _, _, batch = experiments.make_batch(experiments.ExperimentConfig(snr_db=15.0), 0)
+    cfg = refine.PgdConfig(i_max=3)
+    counts = {}
+    for label, denoise in (("M1", fri_uniform.pgd_denoise),
+                           ("M2", fri_nonuniform.pgd_denoise_paired)):
+        calls.update(dict.fromkeys(names, 0))
+        assert denoise(batch, cfg)[1] == 3
+        counts[label] = dict(calls)
+    assert counts["M1"] == {"rank_truncate": 3, "paired_hankel_lift": 0,
+                            "inverse_paired_hankel": 0}
+    assert counts["M2"] == dict.fromkeys(names, 3)

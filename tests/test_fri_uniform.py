@@ -77,7 +77,7 @@ def test_zero_measurement_zero_fixed_point():
 
 def _reference_pgd_denoise(batch, config):
     # the explicit loop: gradient step on beta, build the vertical pair
-    # [H(x_R); H(x_T)], truncate it by SVD, average each half back
+    # [H(x_R); H(x_T)], truncate it by numpy's SVD, average each half back
     psi, alpha = lifting(batch, config)
     n = psi.shape[0] // 2
     mu = pgd_step(psi)
@@ -87,7 +87,9 @@ def _reference_pgd_denoise(batch, config):
     it = 0
     for it in range(1, config.i_max + 1):
         db = b + 2 * mu * (psi.conj() @ (batch.y - psi.T @ b))
-        Hk = sl.rank_truncate(sl.stacked_hankel_lift(db.reshape(2, n), alpha), config.k)
+        u, sv, vh = np.linalg.svd(sl.stacked_hankel_lift(db.reshape(2, n), alpha),
+                                  full_matrices=False)
+        Hk = (u[:, :config.k] * sv[:config.k]) @ vh[:config.k]
         db = np.concatenate([sl.inverse_hankel(half)
                              for half in Hk.reshape(2, n - alpha, alpha + 1)])
         step = np.linalg.norm(db - b)

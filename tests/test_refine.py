@@ -7,9 +7,9 @@ from starfri import fri_nonuniform, fri_uniform
 from starfri import star_ris_model as sm
 from starfri.experiments import ExperimentConfig, make_batch
 from starfri.fri_uniform import uniform_assumption_operator
-from starfri.refine import (PgdConfig, _atoms, coordinate_rescan, grid_init, pgd, pgd_step,
-                            polish_angles, select_roots_by_energy, varpro_refine)
-from starfri.star_ris_model import grid_steering
+from starfri.refine import (PgdConfig, _atoms, _atoms_and_derivs, coordinate_rescan, grid_init,
+                            pgd, pgd_step, polish_angles, select_roots_by_energy, varpro_refine)
+from starfri.star_ris_model import grid_steering, steering_derivative, steering_matrix
 
 
 def _batch(theta_rs, theta_ts, snr_db=np.inf, seed=0, scenario=sm.NONUNIFORM):
@@ -35,6 +35,22 @@ def test_varpro_refines_to_truth():
                                np.array([-20.0, 8.5]), np.array([33.5]))
     assert np.max(np.abs(th_r - [-20.5, 8.25])) <= 1e-6
     assert np.max(np.abs(th_t - [33.75])) <= 1e-6
+
+
+@pytest.mark.parametrize("k_r", [0, 1, 2, 3])
+def test_atoms_and_derivs_match_steering_matrix_and_derivative(k_r):
+    # A and dA from one steering matrix equal, bit for bit, the columns built
+    # from steering_matrix and steering_derivative each, per side
+    _, batch = _batch([-20.5, 8.25], [33.75], snr_db=15.0, seed=3)
+    psi = batch.operator_paired
+    n = psi.shape[0] // 2
+    th = np.array([-59.9, -20.5, 8.25, 33.75, 0.0])[:k_r + 2]
+    S = steering_matrix(th, n)
+    dS = steering_derivative(th, n) * (np.pi / 180.0)
+    halves = [psi[:n].T if j < k_r else psi[n:].T for j in range(len(th))]
+    A, dA = _atoms_and_derivs(psi, th, k_r)
+    assert np.array_equal(A, np.column_stack([h @ S[:, j] for j, h in enumerate(halves)]))
+    assert np.array_equal(dA, np.column_stack([h @ dS[:, j] for j, h in enumerate(halves)]))
 
 
 def test_coordinate_rescan_escapes_wrong_basin():

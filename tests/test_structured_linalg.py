@@ -92,16 +92,21 @@ def test_inverse_paired_hankel_matches_per_half_reference(seed, n_alpha):
 def test_lift_indices_and_average_are_cached_and_read_only():
     idx = sl._hankel_index(16, 5)
     pair = sl._paired_index(16, 5)
+    stack = sl._stacked_index(16, 8)
     Wt = sl._avg_t(11, 6)
+    lags = sl._lag_sums(16)
     assert sl._hankel_index(16, 5) is idx and sl._paired_index(16, 5) is pair
-    assert sl._avg_t(11, 6) is Wt
+    assert sl._stacked_index(16, 8) is stack
+    assert sl._avg_t(11, 6) is Wt and sl._lag_sums(16) is lags
     assert np.array_equal(idx, np.arange(11)[:, None] + np.arange(6))
     assert np.array_equal(pair, np.hstack([idx, idx + 16]))
+    assert stack.shape == (2 * 8 * 9,)
     assert Wt.shape == (66, 16) and Wt.dtype == complex
-    for a in (idx, pair, Wt):
+    assert lags.shape == (16, 256)
+    for a in (idx, pair, stack, Wt, lags):
         assert not a.flags.writeable
         with pytest.raises(ValueError):
-            a[0, 0] = 1
+            a.reshape(-1)[0] = 1
 
 
 def test_lifts_reject_alpha_out_of_range():
@@ -245,40 +250,16 @@ def test_inverse_hankel_batched_round_trip_and_blocks():
         assert np.allclose(out[t], sl.inverse_hankel(m[4 * t:4 * (t + 1)]))
 
 
-@settings(max_examples=100, deadline=None)
-@given(st.integers(0, 2 ** 31 - 1), st.integers(3, 20), st.integers(1, 10), st.integers(1, 6))
-def test_stacked_gram_gather_matches_lift(seed, n, a, t_s):
-    # the n x n form: G gathered from D = V^H V is the Gram matrix of the stack
-    alpha = min(a, n - 1)
-    rng = np.random.default_rng(seed)
-    V = _rand_cvec(rng, t_s * n).reshape(t_s, n)
-    H = sl.stacked_hankel_lift(V, alpha)
-    gather, _ = sl._stacked_maps(n, alpha)
-    D = V.conj().T @ V
-    G = D.ravel()[gather].sum(axis=0).reshape(alpha + 1, alpha + 1)
-    assert np.allclose(G, H.conj().T @ H, rtol=1e-12, atol=1e-12 * np.abs(G).max())
-
-
-@settings(max_examples=100, deadline=None)
-@given(st.integers(0, 2 ** 31 - 1), st.integers(3, 20), st.integers(1, 10), st.integers(1, 6))
-def test_stacked_average_map_matches_lift(seed, n, a, t_s):
-    # lift every slot, right-multiply by P, average back == V @ M(P), M = T vec(P)
-    alpha = min(a, n - 1)
-    rng = np.random.default_rng(seed)
-    V = _rand_cvec(rng, t_s * n).reshape(t_s, n)
-    P = _rand_cvec(rng, (alpha + 1) ** 2).reshape(alpha + 1, alpha + 1)
-    _, T = sl._stacked_maps(n, alpha)
-    want = sl.inverse_hankel(sl.hankel_lift(V, alpha) @ P)
-    got = V @ (T @ P.ravel()).reshape(n, n)
-    assert np.allclose(got, want, rtol=1e-12, atol=1e-12 * np.abs(want).max())
-
-
-def test_stacked_maps_are_cached_and_read_only():
-    gather, T = sl._stacked_maps(16, 8)
-    assert sl._stacked_maps(16, 8)[1] is T
-    assert T.shape == (256, 81) and gather.shape == (8, 81)
-    with pytest.raises(ValueError):
-        T[0, 0] = 1.0
+@settings(max_examples=200, deadline=None)
+@given(st.integers(0, 2 ** 31 - 1), _n_alpha)
+def test_stacked_index_gathers_the_vertical_pair(seed, n_alpha):
+    # M1's one-step gather from beta is the stacked lift of its two halves
+    n, alpha = n_alpha
+    db = _rand_cvec(np.random.default_rng(seed), 2 * n)
+    idx = sl._stacked_index(n, alpha)
+    assert idx.shape == (2 * (n - alpha) * (alpha + 1),)
+    assert np.array_equal(db[idx].reshape(-1, alpha + 1),
+                          sl.stacked_hankel_lift(db.reshape(2, n), alpha))
 
 
 def test_inverse_paired():
@@ -307,6 +288,70 @@ def test_rank_truncate_fixed_point_and_diag():
     assert np.allclose(sl.rank_truncate(np.diag([1.0, 0.5]), 1), np.diag([1.0, 0.0]))
     with pytest.raises(ValueError):
         sl.rank_truncate(np.eye(3), 4)
+
+
+def _svd_truncate(m, k):
+    u, s, vh = np.linalg.svd(m, full_matrices=False)
+    return (u[:, :k] * s[:k]) @ vh[:k]
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(0, 2 ** 31 - 1), st.integers(1, 12), st.integers(1, 12), st.booleans(),
+       st.integers(1, 12))
+def test_rank_truncate_matches_svd_reference(seed, rows, cols, is_complex, k):
+    # wide, tall and square, real and complex; singular values built with a
+    # gap sigma_k >= 2 sigma_{k+1}, so the rank-k truncation is well defined
+    r = min(rows, cols)
+    k = min(k, r)
+    rng = np.random.default_rng(seed)
+
+    def orthonormal(size):
+        a = rng.standard_normal((size, r))
+        if is_complex:
+            a = a + 1j * rng.standard_normal((size, r))
+        return np.linalg.qr(a)[0]
+
+    u, v = orthonormal(rows), orthonormal(cols)
+    sv = np.sort(rng.uniform(0.1, 1.0, r))[::-1]
+    if k < r:
+        sv[k:] *= 0.5 * sv[k - 1] / sv[k]
+    m = (u * sv) @ v.conj().T
+    got = sl.rank_truncate(m, k)
+    assert got.dtype == m.dtype
+    want = _svd_truncate(m, k)
+    assert np.linalg.norm(got - want) <= 1e-10 * np.linalg.norm(want)
+
+
+def test_rank_truncate_rejects_non_finite():
+    # every shape up to 12 x 12, wide and tall, real and complex: one NaN or
+    # inf entry, or one large enough to overflow the Gram matrix, raises
+    # (LAPACK alone returns info = 0 for some of them, 2 x 2 Grams among them)
+    rng = np.random.default_rng(15)
+    for rows in range(1, 13):
+        for cols in range(1, 13):
+            for bad in (np.nan, np.inf, -np.inf, 1e200):
+                m = _rand_cvec(rng, rows * cols).reshape(rows, cols)
+                m[rng.integers(rows), rng.integers(cols)] = bad
+                for a in (m, m.real):
+                    with np.errstate(all="ignore"), pytest.raises(np.linalg.LinAlgError):
+                        sl.rank_truncate(a, 1)
+
+
+def test_rank_truncate_calls_the_lapack_eigensolver_for_its_dtype(monkeypatch):
+    # complex input runs zheevd, real input dsyevd (there is no dheevd)
+    called = []
+    lookup = sl.get_lapack_funcs
+
+    def spy(names, arrays):
+        funcs = lookup(names, arrays)
+        called.extend(f.typecode + name for f, name in zip(funcs, names))
+        return funcs
+
+    monkeypatch.setattr(sl, "get_lapack_funcs", spy)
+    rng = np.random.default_rng(16)
+    sl.rank_truncate(_rand_cvec(rng, 20).reshape(4, 5), 2)
+    sl.rank_truncate(rng.standard_normal((5, 4)), 2)
+    assert called == ["zheevd", "dsyevd"]
 
 
 def test_rank_truncate_eckart_young_sampled():
