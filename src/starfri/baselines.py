@@ -9,15 +9,19 @@ k_i = 0 gives no angle, unflagged), and are grid-limited by construction. A
 side with fewer than k_i usable peaks is padded with distinct grid points and
 flagged.
 
-Every atom factorises as atoms = basis @ steer * scale: a t_s x n slot basis
-(the transposed operator half), the n x G Vandermonde steering matrix and the
-per-column normalisation, whose column norms come from the n x n Gram matrix
-of the basis rather than from the t_s x G atoms. SBL maximises the evidence
-by Tipping & Faul's fast update, which adds, re-estimates or deletes one atom
+A dictionary is its factors: the atom of grid point g is
+basis @ steer[:, g] * scale[g], with a t_s x n slot basis (the transposed
+operator half), the n x G Vandermonde steering matrix and the per-column
+normalisation, whose column norms come from the n x n Gram matrix of the
+basis. No t_s x G atom block is built. ``GridDictionary.correlation`` gives
+r^H a of every atom as one O(n*G) product, which FFT scans for y and OMP for
+its residual, and ``GridDictionary.columns`` builds the few atoms a method
+takes: OMP's support and SBL's active set. SBL maximises the evidence by
+Tipping & Faul's fast update, which adds, re-estimates or deletes one atom
 per step. It keeps S = a^H C^-1 a and Q = a^H C^-1 y of every atom across
 steps, and each move changes them by one rank-one term, taken for all G atoms
-through this factorisation: a step costs one O(n*G) product plus t_s x M and
-M x M dense algebra for M active atoms. The default grid and steering are the
+through the factors: a step costs one O(n*G) product plus t_s x M and M x M
+dense algebra for M active atoms. The default grid and steering are the
 model's cached fine grid of the search range (``star_ris_model.grid_steering``).
 """
 
@@ -31,17 +35,26 @@ from . import structured_linalg as sl
 from .star_ris_model import FINE_STEP, grid_steering, steering_matrix
 
 GUARD_DEG = 1.0   # least separation of two picked spectrum peaks, degrees
+SBL_NOISE_FLOOR = 1e-8   # SBL's least noise variance, relative to the data's power |y|^2 / t_s
 
 
 @dataclass
 class GridDictionary:
-    grid: np.ndarray      # angles, degrees, strictly increasing
-    atoms: np.ndarray     # (t_s, len(grid)), unit-norm columns
-    # factors of atoms = basis @ steer * scale, filled by build_dictionary; SBL
-    # updates all G atoms per step from them in O(n*G) (see _SblFactors)
-    basis: np.ndarray = None   # (t_s, n) slot basis
-    steer: np.ndarray = None   # (n, len(grid)) Vandermonde steering matrix
-    scale: np.ndarray = None   # (len(grid),) inverse column norms
+    """The unit-norm atoms basis @ steer[:, g] * scale[g] of a grid, held
+    as these factors only."""
+    grid: np.ndarray    # (G,) angles, degrees, strictly increasing
+    basis: np.ndarray   # (t_s, n) slot basis
+    steer: np.ndarray   # (n, G) Vandermonde steering matrix
+    scale: np.ndarray   # (G,) inverse column norms of basis @ steer
+
+    def correlation(self, r):
+        """r^H a for every atom a, by one O(n*G) product."""
+        return ((r.conj() @ self.basis) @ self.steer) * self.scale
+
+    def columns(self, cols):
+        """The atoms at grid indices cols: (t_s, len(cols)) for a list of
+        indices, (t_s,) for one."""
+        return self.basis @ (self.steer[:, cols] * self.scale[cols])
 
 
 def build_dictionary(batch, subspace, grid=None):
@@ -59,8 +72,7 @@ def build_dictionary(batch, subspace, grid=None):
     # squared column norms |basis v|^2 = Re(v^H c), c the lag sums of basis^H basis
     norms2 = (steer.conj().T @ (sl._lag_sums(n) @ (basis.conj().T @ basis).ravel())).real
     scale = 1.0 / np.maximum(np.sqrt(np.maximum(norms2, 0.0)), 1e-15)
-    return GridDictionary(grid=grid, atoms=basis @ (steer * scale), basis=basis, steer=steer,
-                          scale=scale)
+    return GridDictionary(grid=grid, basis=basis, steer=steer, scale=scale)
 
 
 def _check_order(k_i, dictionary):
@@ -93,7 +105,7 @@ def fft_scan(batch, dictionary, k_i):
     """Beam-scan spectrum P(theta) = |atom^H y|^2; returns its k_i highest
     well-separated peaks."""
     _check_order(k_i, dictionary)
-    P = np.abs(batch.y.conj() @ dictionary.atoms) ** 2
+    P = np.abs(dictionary.correlation(batch.y)) ** 2
     return _pick_peaks(P, dictionary.grid, k_i)
 
 
@@ -102,14 +114,14 @@ def omp(batch, dictionary, k_i):
     residual, least-squares refit on the support, repeat k_i times; flagged
     when the support's atoms are linearly dependent."""
     _check_order(k_i, dictionary)
-    A, res = dictionary.atoms, batch.y
+    res = batch.y
     support = []
     flagged = False
     for _ in range(k_i):
-        c = np.abs(res.conj() @ A)
+        c = np.abs(dictionary.correlation(res))
         c[support] = -1
         support.append(int(np.argmax(c)))
-        As = A[:, support]
+        As = dictionary.columns(support)
         coef, _, rank, _ = np.linalg.lstsq(As, batch.y, rcond=None)
         flagged |= rank < len(support)
         res = batch.y - As @ coef
@@ -147,7 +159,9 @@ class _SblFactors:
     active set: s = 1/Sigma_mm - 1/gamma_m and q = mu_m / Sigma_mm."""
 
     def __init__(self, y, dictionaries, sigma_n2):
-        sig2 = max(sigma_n2, 1e-10)
+        # a noiseless batch runs at the floor; y = 0 with no noise has nothing
+        # to fit at any scale
+        sig2 = max(sigma_n2, SBL_NOISE_FLOOR * np.vdot(y, y).real / len(y)) or 1.0
         self.y, self.sig2 = y, sig2
         self.dictionaries = dictionaries
         self.starts = list(itertools.accumulate((d.grid.size for d in dictionaries), initial=0))
@@ -168,7 +182,7 @@ class _SblFactors:
 
     def _atom(self, k):
         h = bisect.bisect_right(self.starts, k) - 1
-        return self.dictionaries[h].atoms[:, k - self.starts[h]]
+        return self.dictionaries[h].columns(k - self.starts[h])
 
     def _products(self, V):
         """Rows Re(a^H v_0), Im(a^H v_0), Re(a^H v_1), ... over all atoms,
@@ -263,8 +277,9 @@ class _SblFactors:
 def sbl_gamma(y, dictionaries, sigma_n2, config=None):
     """Evidence maximization by Tipping & Faul's fast marginal-likelihood
     update (AISTATS 2003): per-atom prior variances gamma under known noise
-    variance, over the atoms of all dictionaries jointly (returned
-    concatenated in dictionary order, exactly 0 for every pruned atom).
+    variance, floored at SBL_NOISE_FLOOR * |y|^2 / t_s, over the atoms of
+    all dictionaries jointly (returned concatenated in dictionary order,
+    exactly 0 for every pruned atom).
 
     Starting from the empty model, each step finds the single add,
     re-estimate or delete with the largest log-evidence gain and applies

@@ -122,14 +122,12 @@ def run_method(method, batch, config):
         res = solve(batch, PgdConfig(k_r=k_r, k_t=k_t, init="Grid"))
         out = (res.angles, res.iterations)
     elif method in ("FFT", "OMP", "SBL"):
+        d_r, d_t = bl.build_dictionary(batch, 'RS'), bl.build_dictionary(batch, 'TS')
         if method == "SBL":
-            a_r, a_t, _ = bl.sbl_full_space(batch, bl.build_dictionary(batch, 'RS'),
-                                            bl.build_dictionary(batch, 'TS'), k_r, k_t)
-        else:   # one side's atoms are freed before the other's are built: holding both
-                # doubles the heap's peak, which the allocator then refaults on every call
+            a_r, a_t, _ = bl.sbl_full_space(batch, d_r, d_t, k_r, k_t)
+        else:
             scan = bl.fft_scan if method == "FFT" else bl.omp
-            a_r, a_t = (scan(batch, bl.build_dictionary(batch, sub), k_i)[0]
-                        for sub, k_i in (('RS', k_r), ('TS', k_t)))
+            a_r, a_t = scan(batch, d_r, k_r)[0], scan(batch, d_t, k_t)[0]
         out = (label_angles(a_r, a_t), 0)
     else:
         raise ValueError(f"unknown method {method!r}")

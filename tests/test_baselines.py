@@ -1,5 +1,8 @@
 """Tests for the grid-based comparison estimators."""
 
+import tracemalloc
+from dataclasses import fields
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -7,7 +10,7 @@ from hypothesis import given, settings, strategies as st
 from starfri import baselines as bl
 from starfri import star_ris_model as sm
 from starfri import structured_linalg as sl
-from starfri.experiments import ExperimentConfig, make_batch
+from starfri.experiments import ExperimentConfig, make_batch, match_and_score, run_method
 
 
 def _batch(theta_rs, theta_ts, snr_db=30.0, seed=3, gains=None):
@@ -30,14 +33,46 @@ def _with_y(batch, y):
 COARSE = np.arange(-60.0, 60.0 + 1e-9, 1.0)
 
 
-def test_dictionary_atoms_unit_norm():
+def _dense_atoms(*dictionaries):
+    """The t_s x G atom block of the dictionaries side by side, built here
+    from the factors as an oracle independent of the library's accessors."""
+    return np.hstack([d.basis @ (d.steer * d.scale) for d in dictionaries])
+
+
+def test_dictionary_is_its_factors():
+    # four factor fields and no atom block; the correlation and column
+    # accessors match the dense block built here, whose atoms are unit-norm
+    assert [f.name for f in fields(bl.GridDictionary)] == ["grid", "basis", "steer", "scale"]
     batch = _batch([20.0], [-35.0])
+    rng = np.random.default_rng(0)
+    r = rng.standard_normal(32) + 1j * rng.standard_normal(32)
     for sub in ('RS', 'TS'):
         d = bl.build_dictionary(batch, sub)
-        assert np.allclose(np.linalg.norm(d.atoms, axis=0), 1.0)
+        A = _dense_atoms(d)
+        assert np.allclose(np.linalg.norm(A, axis=0), 1.0)
         assert np.all(np.diff(d.grid) > 0)
+        want = r.conj() @ A
+        assert np.linalg.norm(d.correlation(r) - want) <= 1e-12 * np.linalg.norm(want)
+        for cols in ([0, 7, 600, d.grid.size - 1], [d.grid.size - 1, 3], 600):
+            want = A[:, cols]
+            assert d.columns(cols).shape == want.shape
+            assert np.linalg.norm(d.columns(cols) - want) <= 1e-12 * np.linalg.norm(want)
     with pytest.raises(ValueError):
         bl.build_dictionary(batch, 'RS', grid=np.array([]))
+
+
+def test_build_dictionary_allocates_less_than_one_atom_block():
+    # with the fine grid's steering and the lag sums cached, building the
+    # default dictionary must not allocate a t_s x G complex block
+    batch = _batch([20.0], [-35.0])
+    block = batch.y.size * bl.build_dictionary(batch, 'RS').grid.size * 16
+    tracemalloc.start()
+    try:
+        bl.build_dictionary(batch, 'RS')
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < block
 
 
 def test_default_dictionary_matches_explicit_fine_grid():
@@ -46,7 +81,7 @@ def test_default_dictionary_matches_explicit_fine_grid():
     for sub in ('RS', 'TS'):
         got = bl.build_dictionary(batch, sub)
         want = bl.build_dictionary(batch, sub, np.arange(-60.0, 60.0 + 1e-9, 0.1))
-        for name in ("grid", "atoms", "steer", "scale"):
+        for name in ("grid", "basis", "steer", "scale"):
             assert np.array_equal(getattr(got, name), getattr(want, name))
 
 
@@ -54,7 +89,7 @@ def test_rs_and_ts_atoms_differ():
     batch = _batch([20.0], [-35.0])
     d_r = bl.build_dictionary(batch, 'RS', COARSE)
     d_t = bl.build_dictionary(batch, 'TS', COARSE)
-    assert not np.allclose(d_r.atoms, d_t.atoms)
+    assert not np.allclose(_dense_atoms(d_r), _dense_atoms(d_t))
 
 
 def test_fft_scan_single_source():
@@ -83,7 +118,7 @@ def test_fft_scan_two_sources():
 def test_omp_single_atom():
     batch = _batch([20.0], [])
     d = bl.build_dictionary(batch, 'RS', COARSE)
-    y = d.atoms[:, 80].copy()          # the 20-degree atom
+    y = _dense_atoms(d)[:, 80]          # the 20-degree atom
     angles, flagged = bl.omp(_with_y(batch, y), d, 1)
     assert not flagged and angles[0] == 20.0
 
@@ -91,8 +126,8 @@ def test_omp_single_atom():
 def test_omp_orthogonal_atoms_exact_support():
     batch = _batch([20.0], [])
     d5 = bl.build_dictionary(batch, 'RS', np.arange(-60.0, 60.0 + 1e-9, 5.0))
-    Q, _ = np.linalg.qr(d5.atoms[:, :24])
-    dq = bl.GridDictionary(grid=d5.grid[:24], atoms=Q)
+    Q, _ = np.linalg.qr(_dense_atoms(d5)[:, :24])
+    dq = bl.GridDictionary(grid=d5.grid[:24], basis=Q, steer=np.eye(24), scale=np.ones(24))
     y = Q[:, 3] + 0.5 * Q[:, 17]
     angles, _ = bl.omp(_with_y(batch, y), dq, 2)
     assert np.allclose(np.sort(angles), np.sort([dq.grid[3], dq.grid[17]]))
@@ -102,12 +137,13 @@ def test_omp_matches_brute_force_pair():
     batch = _batch([20.0], [])
     grid = np.arange(-60.0, 60.0 + 1e-9, 5.0)
     d = bl.build_dictionary(batch, 'RS', grid)
-    y = d.atoms[:, 6] + 0.7 * d.atoms[:, 19]
+    atoms = _dense_atoms(d)
+    y = atoms[:, 6] + 0.7 * atoms[:, 19]
     angles, _ = bl.omp(_with_y(batch, y), d, 2)
     best = None
     for a in range(len(grid)):
         for c in range(a + 1, len(grid)):
-            A = d.atoms[:, [a, c]]
+            A = atoms[:, [a, c]]
             coef, *_ = np.linalg.lstsq(A, y, rcond=None)
             r = np.linalg.norm(y - A @ coef)
             if best is None or r < best[0]:
@@ -118,8 +154,9 @@ def test_omp_matches_brute_force_pair():
 def test_sbl_zero_measurement_shrinks_to_zero():
     batch = _batch([20.0], [])
     d = bl.build_dictionary(batch, 'RS', COARSE)
-    gamma, aborted = bl.sbl_gamma(np.zeros(32, complex), (d,), 1e-3)
-    assert not aborted and np.all(gamma <= bl.SblConfig().prune_tol)
+    for sigma_n2 in (1e-3, 0.0):    # no noise either: the floor, relative to y, is 0
+        gamma, aborted = bl.sbl_gamma(np.zeros(32, complex), (d,), sigma_n2)
+        assert not aborted and np.all(gamma <= bl.SblConfig().prune_tol)
 
 
 def test_sbl_single_source_peak_at_truth():
@@ -207,7 +244,8 @@ def test_omp_flags_a_rank_deficient_support():
     # one slot: any two atoms are dependent, so the second pick must flag
     batch = _batch([20.0], [])
     grid = COARSE[:6]
-    d = bl.GridDictionary(grid=grid, atoms=np.exp(1j * np.deg2rad(grid))[None, :])
+    d = bl.GridDictionary(grid=grid, basis=np.exp(1j * np.deg2rad(grid))[None, :],
+                          steer=np.eye(grid.size), scale=np.ones(grid.size))
     one_slot = _with_y(batch, np.array([1.0 + 0.5j]))
     assert not bl.omp(one_slot, d, 1)[1]
     angles, flagged = bl.omp(one_slot, d, 2)
@@ -302,7 +340,7 @@ class _RescoringFactors:
     def __init__(self, y, dictionaries, sigma_n2):
         sig2 = max(sigma_n2, 1e-10)
         n = dictionaries[0].basis.shape[1]
-        self.atoms = np.hstack([d.atoms for d in dictionaries])
+        self.atoms = _dense_atoms(*dictionaries)
         self.atoms_y = (y.conj() @ self.atoms).conj() / sig2
         bases = np.hstack([d.basis for d in dictionaries])
         self.bases_h = bases.conj().T
@@ -424,7 +462,7 @@ def test_sbl_factorised_em_matches_dense_reference(scenario, snr_db, grid, monke
                                                config)
         assert flag == capped and np.all(np.isfinite(gamma)) and np.any(gamma)
         s, q2 = _held_s_q2(factors)
-        s_ref, q2_ref, gain_ref = _dense_scores(batch.y, np.hstack([d.atoms for d in dicts]),
+        s_ref, q2_ref, gain_ref = _dense_scores(batch.y, _dense_atoms(*dicts),
                                                 batch.sigma_n2, gamma)
         assert np.abs(s - s_ref).max() <= 1e-9 * s_ref.max()
         assert np.abs(q2 - q2_ref).max() <= 1e-9 * q2_ref.max()
@@ -441,7 +479,7 @@ def test_sbl_evidence_at_least_dense_em(scenario, snr_db, grid):
     cfg = ExperimentConfig(scenario=scenario, snr_db=snr_db, seed=0)
     _, _, _, batch = make_batch(cfg, 0)
     dicts = (bl.build_dictionary(batch, 'RS', grid), bl.build_dictionary(batch, 'TS', grid))
-    atoms = np.hstack([d.atoms for d in dicts])
+    atoms = _dense_atoms(*dicts)
     gamma, aborted = bl.sbl_gamma(batch.y, dicts, batch.sigma_n2)
     ref, ref_aborted = _dense_sbl_gamma(batch.y, atoms, batch.sigma_n2, EM_CONFIG)
     assert not aborted and not ref_aborted
@@ -458,7 +496,7 @@ def test_sbl_active_atoms_near_saturation_stay_finite(monkeypatch):
     cfg = ExperimentConfig(scenario=2, snr_db=30.0, seed=0)
     _, _, _, batch = make_batch(cfg, 0)
     dicts = (bl.build_dictionary(batch, 'RS'), bl.build_dictionary(batch, 'TS'))
-    atoms = np.hstack([d.atoms for d in dicts])
+    atoms = _dense_atoms(*dicts)
     for config, saturation, capped in ((bl.SblConfig(max_em=3), 1 - 1e-5, True),
                                        (bl.SblConfig(), 1 - 1e-4, False)):
         gamma, flag, factors = _held_sbl_gamma(monkeypatch, batch.y, dicts, batch.sigma_n2,
@@ -527,7 +565,7 @@ def test_sbl_at_40db_matches_references(scenario, monkeypatch):
     _, batch, dicts = _pool_batch(0, 0, scenario, snr_db=40.0)
     gamma, flag, factors = _held_sbl_gamma(monkeypatch, batch.y, dicts, batch.sigma_n2)
     s, q2 = _held_s_q2(factors)
-    s_ref, q2_ref, _ = _dense_scores(batch.y, np.hstack([d.atoms for d in dicts]),
+    s_ref, q2_ref, _ = _dense_scores(batch.y, _dense_atoms(*dicts),
                                      batch.sigma_n2, gamma)
     assert np.abs(s - s_ref).max() <= 1e-9 * s_ref.max()
     assert np.abs(q2 - q2_ref).max() <= 1e-9 * q2_ref.max()
@@ -538,11 +576,12 @@ def test_sbl_at_40db_matches_references(scenario, monkeypatch):
 
 @pytest.mark.parametrize("trial", range(4))
 def test_sbl_noiseless_at_the_noise_floor_recovers_the_scene(trial):
-    # sigma_n2 = 0 runs at the 1e-10 floor, where C's condition number
-    # passes 1e10 and s and |q|^2 lose digits in any float64 algorithm. The
-    # update must stay finite, stop by the gain test and put every picked
-    # angle within 0.15 degrees of its user (a full rescoring of every atom
-    # fails here: NaN gains, flagged calls and angles tens of degrees off)
+    # sigma_n2 = 0 runs at the floor SBL_NOISE_FLOOR * |y|^2 / t_s, where C
+    # is ill-conditioned and s and |q|^2 lose digits in any float64
+    # algorithm. The update must stay finite, stop by the gain test and put
+    # every picked angle within 0.15 degrees of its user (a full rescoring of
+    # every atom fails here: NaN gains, flagged calls and angles tens of
+    # degrees off)
     scene, batch, dicts = _pool_batch(0, trial, scenario=2, snr_db=np.inf)
     assert batch.sigma_n2 == 0.0
     gamma, flag = bl.sbl_gamma(batch.y, dicts, batch.sigma_n2)
@@ -551,6 +590,20 @@ def test_sbl_noiseless_at_the_noise_floor_recovers_the_scene(trial):
     assert not flagged
     assert np.abs(a_r - np.sort(scene.theta_rs)).max() <= 0.15
     assert np.abs(a_t - np.sort(scene.theta_ts)).max() <= 0.15
+
+
+@pytest.mark.parametrize("scenario", [1, 2], ids=["uniform", "nonuniform"])
+def test_sbl_noiseless_trials_all_succeed(scenario):
+    # make_batch seed 0 with no noise, trials 0-11: every SBL call through
+    # run_method must pass match_and_score's 5-degree threshold. Under an
+    # absolute 1e-10 floor on the noise variance, trials 3 and 8 of scenario 1
+    # ended 45 and 13 degrees off, and trial 8 of scenario 2 8.7 degrees off
+    cfg = ExperimentConfig(scenario=scenario, n=16, t_s=32, k_r=2, k_t=2, snr_db=np.inf,
+                           seed=0)
+    for trial in range(12):
+        scene, _, _, batch = make_batch(cfg, trial)
+        angles, _, _ = run_method("SBL", batch, cfg)
+        assert match_and_score(angles, scene, cfg.success_threshold_deg)[1], trial
 
 
 def test_sbl_flags_the_step_cap():
