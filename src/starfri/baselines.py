@@ -9,19 +9,16 @@ k_i = 0 gives no angle, unflagged), and are grid-limited by construction. A
 side with fewer than k_i usable peaks is padded with distinct grid points and
 flagged.
 
-A dictionary is its factors: the atom of grid point g is
-basis @ steer[:, g] * scale[g], with a t_s x n slot basis (the transposed
-operator half), the n x G Vandermonde steering matrix and the per-column
-normalisation, whose column norms come from the n x n Gram matrix of the
-basis. No t_s x G atom block is built. ``GridDictionary.correlation`` gives
-r^H a of every atom as one O(n*G) product, which FFT scans for y and OMP for
-its residual, and ``GridDictionary.columns`` builds the few atoms a method
-takes: OMP's support and SBL's active set. SBL maximises the evidence by
-Tipping & Faul's fast update, which adds, re-estimates or deletes one atom
-per step. It keeps S = a^H C^-1 a and Q = a^H C^-1 y of every atom across
-steps, and each move changes them by one rank-one term, taken for all G atoms
-through the factors: a step costs one O(n*G) product plus t_s x M and M x M
-dense algebra for M active atoms. The default grid and steering are the
+A side's atoms are the factor-form ``structured_linalg.GridDictionary`` that
+every grid scan of the package shares, with the transposed operator half as
+its basis. FFT scans its ``correlation`` for y and OMP for its residual, and
+``columns`` builds the few atoms a method takes: OMP's support and SBL's
+active set. SBL maximises the evidence by Tipping & Faul's fast update,
+which adds, re-estimates or deletes one atom per step. It keeps
+S = a^H C^-1 a and Q = a^H C^-1 y of every atom across steps, and each move
+changes them by one rank-one term, taken for all G atoms through the
+factors: a step costs one O(n*G) product plus t_s x M and M x M dense
+algebra for M active atoms. The default grid and steering are the
 model's cached fine grid of the search range (``star_ris_model.grid_steering``).
 """
 
@@ -31,30 +28,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import structured_linalg as sl
+from .structured_linalg import GridDictionary
 from .star_ris_model import FINE_STEP, grid_steering, steering_matrix
 
 GUARD_DEG = 1.0   # least separation of two picked spectrum peaks, degrees
 SBL_NOISE_FLOOR = 1e-8   # SBL's least noise variance, relative to the data's power |y|^2 / t_s
-
-
-@dataclass
-class GridDictionary:
-    """The unit-norm atoms basis @ steer[:, g] * scale[g] of a grid, held
-    as these factors only."""
-    grid: np.ndarray    # (G,) angles, degrees, strictly increasing
-    basis: np.ndarray   # (t_s, n) slot basis
-    steer: np.ndarray   # (n, G) Vandermonde steering matrix
-    scale: np.ndarray   # (G,) inverse column norms of basis @ steer
-
-    def correlation(self, r):
-        """r^H a for every atom a, by one O(n*G) product."""
-        return ((r.conj() @ self.basis) @ self.steer) * self.scale
-
-    def columns(self, cols):
-        """The atoms at grid indices cols: (t_s, len(cols)) for a list of
-        indices, (t_s,) for one."""
-        return self.basis @ (self.steer[:, cols] * self.scale[cols])
 
 
 def build_dictionary(batch, subspace, grid=None):
@@ -68,11 +46,7 @@ def build_dictionary(batch, subspace, grid=None):
         if grid.size == 0:
             raise ValueError("empty grid")
         steer = steering_matrix(grid, n)
-    basis = (psi[:n] if subspace == 'RS' else psi[n:]).T
-    # squared column norms |basis v|^2 = Re(v^H c), c the lag sums of basis^H basis
-    norms2 = (steer.conj().T @ (sl._lag_sums(n) @ (basis.conj().T @ basis).ravel())).real
-    scale = 1.0 / np.maximum(np.sqrt(np.maximum(norms2, 0.0)), 1e-15)
-    return GridDictionary(grid=grid, basis=basis, steer=steer, scale=scale)
+    return GridDictionary.of((psi[:n] if subspace == 'RS' else psi[n:]).T, grid, steer)
 
 
 def _check_order(k_i, dictionary):

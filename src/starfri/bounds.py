@@ -86,7 +86,7 @@ def valley_weight(u):
 
 
 def zzb_subspace(inputs, subspace):
-    """Per-subspace MSE lower bound in radians^2."""
+    """Per-subspace MSE lower bound in radians^2; 0 on noiseless inputs."""
     scene = inputs.scene
     k_i = scene.k_r if subspace == 'RS' else scene.k_t
     if k_i == 0:
@@ -95,6 +95,8 @@ def zzb_subspace(inputs, subspace):
     t_s = inputs.profile.t_s
     n = inputs.profile.n
     eta = inputs.eta
+    if eta == np.inf:   # the sigma_n^2 -> 0 limit: p_l = 0, and the CRB term is O(sigma_n^2)
+        return 0.0
     F, singular = fisher_information(inputs, subspace)
     apb = 2.0 * p_l(k, t_s, n, eta) * k_i * ZETA ** 2 / ((k_i + 1) ** 2 * (k_i + 2))
     u = u_tilde(k, t_s, n, eta)

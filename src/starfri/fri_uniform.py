@@ -130,7 +130,5 @@ def _estimate_uniform_once(batch, config):
     angles = sl.roots_to_angles(roots)
     is_ts = label_subspaces(b, batch.g, roots, config.k_t)
     th_r, th_t = polish_angles(batch.y, psi, np.sort(angles[~is_ts]), np.sort(angles[is_ts]))
-    return RecoveryResult(
-        angles=label_angles(th_r, th_t), iterations=it, residual_history=history,
-        converged=converged, mismatched=(batch.scenario != UNIFORM),
-    )
+    return RecoveryResult(angles=label_angles(th_r, th_t), iterations=it,
+                          residual_history=history, converged=converged)

@@ -4,15 +4,13 @@ Both algorithms run their iterative denoiser inside the same pieces:
 
 * a matched-atom greedy initializer on a coarse angle grid (with a few
   cyclic re-selection sweeps, which fixes the occasional greedy mistake),
-  scoring each residual r as |r^H A| against the atom block A, no copy,
+  scoring each residual r as |r^H a| against the unit-norm atoms a,
 * root selection by fitted gain energy when the annihilating filter has more
   roots than sources,
 * a maximum-likelihood polish: variable-projection least squares over the
   angles (gains eliminated in closed form) interleaved with per-angle global
   rescans on a fine grid, so the final estimate sits in the ML basin instead
-  of wherever the algebraic extraction left it; the rescan scores its
-  candidates through their factors (the n-dimensional steering grid and the
-  operator half), never as t_s x G blocks,
+  of wherever the algebraic extraction left it,
 * the projected-gradient loop (``pgd``) on the latent beta = [x_R; x_T]: one
   config (``PgdConfig``), one step rule and one affine data step
   b -> A b + c, with A and c built once per solve and the solver's
@@ -21,8 +19,9 @@ Both algorithms run their iterative denoiser inside the same pieces:
   starting over with each other initialization, while the polished fit sits
   above the noise floor; and the RS/TS-labelled result every solver returns.
 
-Both grids, the initializer's at INIT_STEP and the rescan's at FINE_STEP, are
-the model's cached ``grid_steering`` over its search range.
+Both grid scans, the initializer's at INIT_STEP and the rescan's at FINE_STEP,
+hold each side's atoms as a ``structured_linalg.GridDictionary`` over the
+model's cached ``grid_steering``, so neither builds a t_s x G atom block.
 """
 
 from dataclasses import dataclass, replace
@@ -57,7 +56,6 @@ class RecoveryResult:
     iterations: int
     residual_history: list     # per-iteration update norms ||b_new - b_old||
     converged: bool
-    mismatched: bool = False   # solver model does not match the batch scenario
 
     def by_subspace(self):
         rs = np.sort([a for a, lab in self.angles if lab == 'RS'])
@@ -73,26 +71,26 @@ def label_angles(th_r, th_t):
 def grid_init(psi, y, k_r, k_t):
     """Greedy matched-atom initialization of (x_R, x_T) on a coarse grid.
 
-    Atoms are the operator responses psi_half^T a(theta). After the greedy
-    pass, each selected atom is cyclically dropped, the rest re-fit, and its
-    subspace rescanned; this repairs greedy support errors at moderate SNR.
-    Returns the two initial latent vectors and the selected angles.
+    Atoms are the unit-norm operator responses psi_half^T a(theta), one
+    ``GridDictionary`` per side, scored and fitted through its factors. After
+    the greedy pass, each selected atom is cyclically dropped, the rest re-fit,
+    and its subspace rescanned; this repairs greedy support errors at moderate
+    SNR. Returns the two initial latent vectors and the selected angles.
     """
     n = psi.shape[0] // 2
     grid, sv = grid_steering(n, INIT_STEP)
-    atoms = (psi[:n].T @ sv, psi[n:].T @ sv)     # per side: RS, then TS
-    norms = [np.maximum(np.linalg.norm(a, axis=0), 1e-12) for a in atoms]
+    dicts = [sl.GridDictionary.of(half.T, grid, sv) for half in (psi[:n], psi[n:])]
     sel = []                                     # (side, grid index) per atom
 
     def fit(support):
         """Residual and gains of the least-squares fit of y on the atoms support."""
-        A = (np.column_stack([atoms[s][:, i] for s, i in support]) if support
+        A = (np.column_stack([dicts[s].columns(i) for s, i in support]) if support
              else np.zeros((len(y), 0), complex))
         coef, *_ = np.linalg.lstsq(A, y, rcond=None)
         return y - A @ coef, coef
 
     def score(side, residual):
-        return np.abs(residual.conj() @ atoms[side]) / norms[side]
+        return np.abs(dicts[side].correlation(residual))
 
     res = y.copy()
     for _ in range(k_r + k_t):
@@ -113,7 +111,7 @@ def grid_init(psi, y, k_r, k_t):
     x = np.zeros((2, n), complex)
     th = ([], [])
     for (side, i), c in zip(sel, fit(sel)[1]):
-        x[side] += c * sv[:, i]
+        x[side] += c * dicts[side].scale[i] * sv[:, i]
         th[side].append(grid[i])
     return x[0], x[1], np.sort(th[0]), np.sort(th[1])
 
@@ -204,24 +202,17 @@ def coordinate_rescan(y, psi, th_r, th_t):
     orthogonalized matched-filter score is maximized over a fine grid; the
     angle jumps to the global 1-D optimum if it differs.
 
-    With Q an orthonormal basis of the other atoms, the score of candidate c
-    is |y^H c - (Q^H y)^H Q^H c|^2 / (||c||^2 - ||Q^H c||^2): the projected
-    candidates are never formed, only their K-1 coordinates Q^H c.
-
-    The candidates of a side are c = half^T v over the fine grid's steering
-    columns v, and every term is scored through that factorisation, so no
-    t_s x G candidate block is built: y^H c = (half y^*) v, Q^H c =
-    (Q^H half^T) v, and ||c||^2 = Re(v^H l) with l the lag sums of
-    half^* half^T (``structured_linalg._lag_sums``).
+    The candidates of a side are the unit-norm atoms a of its FINE_STEP
+    ``GridDictionary``, built once per call. With Q an orthonormal basis of
+    the other atoms, the score of a is |y^H a - (Q^H y)^H Q^H a|^2 /
+    (1 - ||Q^H a||^2), and y^H a and Q^H a are the dictionary's correlations
+    of y and of Q's columns: the projected candidates are never formed, and
+    no t_s x G candidate block is built.
     """
     n = psi.shape[0] // 2
     grid, sv = grid_steering(n, FINE_STEP)
-    lags = sl._lag_sums(n)
-    sides = []
-    for half in (psi[:n], psi[n:]):
-        # Re(v^H l) = Re(l^H v): no conjugate copy of the steering block
-        cand_sq = ((lags @ (half.conj() @ half.T).ravel()).conj() @ sv).real
-        sides.append((half.T, (half @ y.conj()) @ sv, cand_sq))
+    dicts = [sl.GridDictionary.of(half.T, grid, sv) for half in (psi[:n], psi[n:])]
+    corr_y = [d.correlation(y) for d in dicts]
     th = list(th_r) + list(th_t)
     k_r = len(th_r)
     K = len(th)
@@ -230,12 +221,11 @@ def coordinate_rescan(y, psi, th_r, th_t):
         for k in range(K):
             other_r = [th[j] for j in range(K) if j != k and j < k_r]
             other_t = [th[j] for j in range(K) if j != k and j >= k_r]
-            A_o = _atoms(psi, other_r, other_t)
-            Q, _ = np.linalg.qr(A_o)
-            basis, y_cand, cand_sq = sides[0] if k < k_r else sides[1]
-            QC = (Q.conj().T @ basis) @ sv
-            num = y_cand - (Q.conj().T @ y).conj() @ QC
-            score = np.abs(num) ** 2 / np.maximum(cand_sq - (np.abs(QC) ** 2).sum(axis=0), 1e-12)
+            Q, _ = np.linalg.qr(_atoms(psi, other_r, other_t))
+            side = int(k >= k_r)
+            QA = dicts[side].correlation(Q)
+            num = corr_y[side] - (Q.conj().T @ y).conj() @ QA
+            score = np.abs(num) ** 2 / np.maximum(1.0 - (np.abs(QA) ** 2).sum(axis=0), 1e-12)
             i = int(np.argmax(score))
             if abs(grid[i] - th[k]) > FINE_STEP / 2:
                 th[k] = grid[i]

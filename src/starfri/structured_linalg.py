@@ -22,15 +22,16 @@ horizontal pair [H(x_R), H(x_T)] one gather from [v_r, v_t]
 complex averaging matrix (``_avg_t``). The tests hold each of them bit for bit
 to a window-view lift and a per-half average.
 
-Grid scans of a slot basis B (t_s x n) over unit-modulus steering columns v
-take their squared norms ||B v||^2 = Re(v^H c) from one n-vector c, the
-weighted lag sums of B^H B (``_lag_sums``), so no t_s x G block of B v is
-needed for them: the grid baselines' dictionary scale and the polish's
-rescan both use it.
+Every grid scan (the grid start, the polish's rescan and the grid baselines)
+holds the atoms B v of a slot basis B (t_s x n) over unit-modulus steering
+columns v as one ``GridDictionary`` of factors: its norms ||B v||^2 =
+Re(c^H v) come from the lag sums c of B^H B (``_lag_sums``), and its
+correlations r^H B v from one O(n*G) product, so no t_s x G block is built.
 """
 
 import functools
 import math
+from dataclasses import dataclass
 
 import numpy as np
 from scipy.linalg import get_lapack_funcs
@@ -197,6 +198,35 @@ def _lag_sums(n):
     lags = (lag == k[:, None]) * np.where(k == 0, 1.0, 2.0)[:, None]
     lags.flags.writeable = False
     return lags
+
+
+@dataclass
+class GridDictionary:
+    """The unit-norm atoms basis @ steer[:, g] * scale[g] of a grid, held
+    as these factors only."""
+    grid: np.ndarray    # (G,) angles, degrees, strictly increasing
+    basis: np.ndarray   # (t_s, n) slot basis
+    steer: np.ndarray   # (n, G) Vandermonde steering matrix
+    scale: np.ndarray   # (G,) inverse column norms of basis @ steer
+
+    @classmethod
+    def of(cls, basis, grid, steer):
+        """The dictionary of basis over the steering columns of grid. Each
+        squared column norm |basis v|^2 = Re(c^H v) comes from c, the lag sums
+        of basis^H basis; a zero column gets a finite scale from the floor."""
+        c = _lag_sums(steer.shape[0]) @ (basis.conj().T @ basis).ravel()
+        norms2 = (c.conj() @ steer).real
+        return cls(grid, basis, steer, 1.0 / np.maximum(np.sqrt(np.maximum(norms2, 0.0)), 1e-15))
+
+    def correlation(self, r):
+        """r^H a for every atom a, by one O(n*G) product; for a t_s x m
+        matrix r, the m x G block of its columns' correlations."""
+        return ((r.conj().T @ self.basis) @ self.steer) * self.scale
+
+    def columns(self, cols):
+        """The atoms at grid indices cols: (t_s, len(cols)) for a list of
+        indices, (t_s,) for one."""
+        return self.basis @ (self.steer[:, cols] * self.scale[cols])
 
 
 def smallest_right_singular_vector(m):

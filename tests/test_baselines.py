@@ -11,6 +11,8 @@ from starfri import baselines as bl
 from starfri import star_ris_model as sm
 from starfri import structured_linalg as sl
 from starfri.experiments import ExperimentConfig, make_batch, match_and_score, run_method
+from starfri.refine import INIT_STEP
+from starfri.star_ris_model import grid_steering
 
 
 def _batch(theta_rs, theta_ts, snr_db=30.0, seed=3, gains=None):
@@ -41,22 +43,30 @@ def _dense_atoms(*dictionaries):
 
 def test_dictionary_is_its_factors():
     # four factor fields and no atom block; the correlation and column
-    # accessors match the dense block built here, whose atoms are unit-norm
+    # accessors match the dense block built here, whose atoms are unit-norm,
+    # on the baselines' fine grid and on the grid start's INIT_STEP grid
     assert [f.name for f in fields(bl.GridDictionary)] == ["grid", "basis", "steer", "scale"]
+    assert bl.GridDictionary is sl.GridDictionary
     batch = _batch([20.0], [-35.0])
+    psi = batch.operator_paired
     rng = np.random.default_rng(0)
     r = rng.standard_normal(32) + 1j * rng.standard_normal(32)
-    for sub in ('RS', 'TS'):
-        d = bl.build_dictionary(batch, sub)
-        A = _dense_atoms(d)
-        assert np.allclose(np.linalg.norm(A, axis=0), 1.0)
-        assert np.all(np.diff(d.grid) > 0)
-        want = r.conj() @ A
-        assert np.linalg.norm(d.correlation(r) - want) <= 1e-12 * np.linalg.norm(want)
-        for cols in ([0, 7, 600, d.grid.size - 1], [d.grid.size - 1, 3], 600):
-            want = A[:, cols]
-            assert d.columns(cols).shape == want.shape
-            assert np.linalg.norm(d.columns(cols) - want) <= 1e-12 * np.linalg.norm(want)
+    R = rng.standard_normal((32, 3)) + 1j * rng.standard_normal((32, 3))
+    for sub, half in (('RS', psi[:16]), ('TS', psi[16:])):
+        for d in (bl.build_dictionary(batch, sub),
+                  sl.GridDictionary.of(half.T, *grid_steering(16, INIT_STEP))):
+            G = d.grid.size
+            A = _dense_atoms(d)
+            assert np.allclose(np.linalg.norm(A, axis=0), 1.0)
+            assert np.all(np.diff(d.grid) > 0)
+            for v in (r, R):
+                want = v.conj().T @ A
+                assert d.correlation(v).shape == want.shape
+                assert np.linalg.norm(d.correlation(v) - want) <= 1e-12 * np.linalg.norm(want)
+            for cols in ([0, 7, G // 2, G - 1], [G - 1, 3], G // 2):
+                want = A[:, cols]
+                assert d.columns(cols).shape == want.shape
+                assert np.linalg.norm(d.columns(cols) - want) <= 1e-12 * np.linalg.norm(want)
     with pytest.raises(ValueError):
         bl.build_dictionary(batch, 'RS', grid=np.array([]))
 

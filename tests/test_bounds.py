@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from starfri import star_ris_model as sm
+from starfri.experiments import ExperimentConfig, make_batch
 from starfri.bounds import (ZETA, ZzbInputs, fisher_information, p_l, u_tilde, valley_weight,
                             zzb_full, zzb_subspace)
 from starfri.star_ris_model import steering_derivative
@@ -143,6 +144,19 @@ def test_zzb_full_aggregation():
     # weight collapse with an empty transmission side
     inp1 = _random_inputs(7, k_r=2, k_t=0)
     assert np.isclose(zzb_full(inp1), zzb_subspace(inp1, 'RS'))
+
+
+@pytest.mark.parametrize("scenario", [1, 2])
+def test_zzb_noiseless_batch_is_the_zero_limit(scenario):
+    # make_batch at snr_db=inf gives sigma_n2 = 0; the bound there is its
+    # sigma^2 -> 0 limit, 0, which it approaches in proportion to sigma^2
+    cfg = ExperimentConfig(scenario=scenario, snr_db=np.inf, seed=0)
+    for trial in range(3):
+        scene, prof, ch, batch = make_batch(cfg, trial)
+        assert batch.sigma_n2 == 0.0
+        assert zzb_full(ZzbInputs(scene, prof, ch, batch.sigma_n2)) == 0.0
+        per_s2 = [zzb_full(ZzbInputs(scene, prof, ch, s2)) / s2 for s2 in (1e-8, 1e-10)]
+        assert np.isclose(per_s2[0], per_s2[1], rtol=1e-6)
 
 
 def test_zzb_crb_ratio_tends_to_one():

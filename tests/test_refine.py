@@ -1,5 +1,7 @@
 """Tests for the grid initializer, root selection and ML polish."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -7,7 +9,7 @@ from starfri import fri_nonuniform, fri_uniform
 from starfri import star_ris_model as sm
 from starfri.experiments import ExperimentConfig, make_batch
 from starfri.fri_uniform import uniform_assumption_operator
-from starfri.refine import (PgdConfig, _atoms, _atoms_and_derivs, coordinate_rescan, grid_init,
+from starfri.refine import (INIT_STEP, PgdConfig, _atoms, _atoms_and_derivs, coordinate_rescan, grid_init,
                             pgd, pgd_step, polish_angles, select_roots_by_energy, varpro_refine)
 from starfri.star_ris_model import grid_steering, steering_derivative, steering_matrix
 
@@ -27,6 +29,82 @@ def test_grid_init_lands_near_truth():
     assert np.max(np.abs(th_r - np.array([-12.0, 39.0]))) <= 0.5
     assert np.max(np.abs(th_t - np.array([-47.0, 16.0]))) <= 0.5
     assert x_r.shape == (16,) and x_t.shape == (16,)
+
+
+def _reference_grid_init(psi, y, k_r, k_t, grid_step=0.5, lo=-60.0, hi=60.0, cycles=3):
+    # the initializer on both sides' explicit t_s x G atom blocks, scored as
+    # |r^H A| over A's column norms and fitted on A's columns
+    n = psi.shape[0] // 2
+    grid = np.arange(lo, hi + 1e-9, grid_step)
+    sv = np.exp(-1j * np.pi * np.outer(np.arange(n), np.sin(np.radians(grid))))
+    atoms = (psi[:n].T @ sv, psi[n:].T @ sv)
+    norms = [np.linalg.norm(a, axis=0) for a in atoms]
+    sel = []
+
+    def fit(support):
+        A = np.zeros((len(y), 0), complex)
+        if support:
+            A = np.column_stack([atoms[s][:, i] for s, i in support])
+        coef, *_ = np.linalg.lstsq(A, y, rcond=None)
+        return y - A @ coef, coef
+
+    def score(side, residual):
+        return np.abs(residual.conj() @ atoms[side]) / norms[side]
+
+    res = y.copy()
+    for _ in range(k_r + k_t):
+        c = [score(s, res) if sum(t == s for t, _ in sel) < k else np.full(len(grid), -1.0)
+             for s, k in enumerate((k_r, k_t))]
+        side = 0 if c[0].max() >= c[1].max() else 1
+        sel.append((side, int(np.argmax(c[side]))))
+        res, _ = fit(sel)
+    for _ in range(cycles):
+        changed = False
+        for j, (side, i) in enumerate(sel):
+            best = int(np.argmax(score(side, fit(sel[:j] + sel[j + 1:])[0])))
+            if best != i:
+                sel[j] = (side, best)
+                changed = True
+        if not changed:
+            break
+    x = np.zeros((2, n), complex)
+    th = ([], [])
+    for (side, i), c in zip(sel, fit(sel)[1]):
+        x[side] += c * sv[:, i]
+        th[side].append(grid[i])
+    return x[0], x[1], np.sort(th[0]), np.sort(th[1])
+
+
+@pytest.mark.parametrize("scenario", [1, 2])
+def test_grid_init_matches_explicit_block_reference(scenario):
+    # the same selected angles as the explicit-block initializer, and the same
+    # latent vectors to rounding, over SNRs and per-side orders
+    for snr in (0.0, 15.0, 30.0, np.inf):
+        cfg = ExperimentConfig(scenario=scenario, snr_db=snr, seed=5)
+        for trial in range(3):
+            _, _, _, batch = make_batch(cfg, trial)
+            for k_r, k_t in ((2, 2), (1, 0), (0, 2), (3, 1)):
+                got = grid_init(batch.operator_paired, batch.y, k_r, k_t)
+                want = _reference_grid_init(batch.operator_paired, batch.y, k_r, k_t)
+                assert np.array_equal(got[2], want[2]) and np.array_equal(got[3], want[3])
+                for g, w in zip(got[:2], want[:2]):
+                    assert np.linalg.norm(g - w) <= 1e-9 * np.linalg.norm(w)
+
+
+def test_grid_init_allocates_less_than_one_atom_block():
+    # with the coarse grid's steering and the lag sums cached, the initializer
+    # must not allocate a t_s x G complex atom block
+    _, _, _, batch = make_batch(ExperimentConfig(scenario=2, snr_db=15.0, seed=0), 0)
+    psi = batch.operator_paired
+    block = batch.y.size * grid_steering(psi.shape[0] // 2, INIT_STEP)[0].size * 16
+    grid_init(psi, batch.y, 2, 2)
+    tracemalloc.start()
+    try:
+        grid_init(psi, batch.y, 2, 2)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < block
 
 
 def test_varpro_refines_to_truth():
