@@ -18,8 +18,9 @@ which adds, re-estimates or deletes one atom per step. It keeps
 S = a^H C^-1 a and Q = a^H C^-1 y of every atom across steps, and each move
 changes them by one rank-one term, taken for all G atoms through the
 factors: a step costs one O(n*G) product plus t_s x M and M x M dense
-algebra for M active atoms. The default grid and steering are the
-model's cached fine grid of the search range (``star_ris_model.grid_steering``).
+algebra for M active atoms. ``build_dictionary``'s grid and steering are the
+model's cached fine grid of the search range (``star_ris_model.grid_steering``),
+and SBL reads that grid's real steering stack from the same cache.
 """
 
 import bisect
@@ -29,24 +30,28 @@ from dataclasses import dataclass
 import numpy as np
 
 from .structured_linalg import GridDictionary
-from .star_ris_model import FINE_STEP, grid_steering, steering_matrix
+from .star_ris_model import FINE_STEP, grid_steering, stacked_grid_steering
 
 GUARD_DEG = 1.0   # least separation of two picked spectrum peaks, degrees
 SBL_NOISE_FLOOR = 1e-8   # SBL's least noise variance, relative to the data's power |y|^2 / t_s
 
 
-def build_dictionary(batch, subspace, grid=None):
-    """The subspace's dictionary over grid (degrees), by default the cached fine grid."""
+def build_dictionary(batch, subspace):
+    """The subspace's dictionary over the model's cached fine grid."""
     psi = batch.operator_paired
     n = psi.shape[0] // 2
-    if grid is None:
-        grid, steer = grid_steering(n, FINE_STEP)
-    else:
-        grid = np.asarray(grid, float)
-        if grid.size == 0:
-            raise ValueError("empty grid")
-        steer = steering_matrix(grid, n)
-    return GridDictionary.of((psi[:n] if subspace == 'RS' else psi[n:]).T, grid, steer)
+    return GridDictionary.of((psi[:n] if subspace == 'RS' else psi[n:]).T,
+                             *grid_steering(n, FINE_STEP))
+
+
+def _stacked_steering(steer):
+    """[Re; Im] of a dictionary's n x G steering matrix: the cached stack
+    for the model's fine grid, which ``build_dictionary`` uses, and a fresh
+    one for any other."""
+    n = steer.shape[0]
+    if steer is grid_steering(n, FINE_STEP)[1]:
+        return stacked_grid_steering(n, FINE_STEP)
+    return np.concatenate([steer.real, steer.imag])
 
 
 def _check_order(k_i, dictionary):
@@ -139,12 +144,11 @@ class _SblFactors:
         self.y, self.sig2 = y, sig2
         self.dictionaries = dictionaries
         self.starts = list(itertools.accumulate((d.grid.size for d in dictionaries), initial=0))
-        # rows [basis_h^H; -i basis_h^H] per dictionary and W_h = [Re steer_h; Im steer_h]
-        # * scale_h: the real view of [b; -i b] times W_h gives Re and Im of a^H v
+        # rows [basis_h^H; -i basis_h^H] per dictionary and W_h = [Re steer_h; Im steer_h]:
+        # the real view of [b; -i b] times W_h, times scale_h, gives Re and Im of a^H v
         self.probes = np.vstack([np.vstack([B, -1j * B])
                                  for B in (d.basis.conj().T for d in dictionaries)])
-        self.steers = [np.concatenate([d.steer.real, d.steer.imag]) * d.scale
-                       for d in dictionaries]
+        self.steers = [_stacked_steering(d.steer) for d in dictionaries]
         self.S = np.full(self.starts[-1], 1.0 / sig2)  # unit-norm atoms, empty model
         av = self._products(y[:, None] / sig2)
         self.Q2 = av[0] + av[1]
@@ -162,7 +166,8 @@ class _SblFactors:
         """Rows Re(a^H v_0), Im(a^H v_0), Re(a^H v_1), ... over all atoms,
         squared, for the columns v of V."""
         X = (self.probes @ V).reshape(len(self.steers), -1, V.shape[1])
-        av = np.hstack([x.view(float).T @ W for x, W in zip(X, self.steers)])
+        av = np.hstack([(x.view(float).T @ W) * d.scale
+                        for x, W, d in zip(X, self.steers, self.dictionaries)])
         av *= av
         return av
 

@@ -41,8 +41,13 @@ def fisher_information(inputs, subspace):
     """F_i = (2 / (T_s sigma_n^2)) Re(Psi_i^H Psi_i) with Psi_i stacking, per
     slot, the sensing row applied to the gain-weighted steering derivatives.
 
-    Returns (F, singular_flag). Angles enter in radians.
+    Returns (F, singular_flag). Angles enter in radians. A noise variance
+    that is not positive, the noiseless sigma_n^2 = 0 among them, has no
+    finite F and raises ValueError.
     """
+    if not inputs.sigma_n2 > 0:
+        raise ValueError(f"sigma_n2={inputs.sigma_n2}: the Fisher information needs a "
+                         "positive noise variance")
     scene = inputs.scene
     if subspace == 'RS':
         thetas = scene.theta_rs

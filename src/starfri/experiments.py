@@ -28,7 +28,7 @@ from . import baselines as bl
 from . import fri_nonuniform, fri_uniform
 from .fri_nonuniform import estimate_angles_nonuniform, pgd_denoise_paired, subspace_af_coeffs
 from .fri_uniform import af_spectrum, estimate_angles_uniform, extract_af, pgd_denoise
-from .refine import PgdConfig, label_angles
+from .refine import PgdConfig, check_slots, label_angles
 from .star_ris_model import (FINE_STEP, NONUNIFORM, UNIFORM, UserScene, check_snr_db,
                              draw_channel, draw_scene, generate_profile, grid_steering,
                              synthesize_measurements)
@@ -136,20 +136,18 @@ def run_method(method, batch, config):
 
 def check_config(config):
     """Reject a configuration no method can solve, naming the field, before
-    any trial runs: an unknown method or scenario among them."""
+    any trial runs: an unknown method or scenario among them. The orders
+    and the slot count go through the solvers' own rules (``PgdConfig``,
+    ``refine.check_slots``)."""
     for method in config.methods:
         if method not in METHODS:
             raise ValueError(f"unknown method {method!r}; choose from {', '.join(METHODS)}")
     if config.scenario not in (1, 2):
         raise ValueError(f"scenario={config.scenario!r} is neither 1 nor 2")
-    for name, least in (("trials", 1), ("n", 2), ("k_r", 0), ("k_t", 0)):
+    for name, least in (("trials", 1), ("n", 2)):
         if getattr(config, name) < least:
             raise ValueError(f"{name}={getattr(config, name)} is below its least value {least}")
-    k = config.k_r + config.k_t
-    if k == 0:
-        raise ValueError("k_r + k_t = 0: no source to estimate")
-    if config.t_s < k:
-        raise ValueError(f"t_s={config.t_s} slots cannot resolve K_R+K_T={k} sources")
+    check_slots(config.t_s, PgdConfig(k_r=config.k_r, k_t=config.k_t).k)
     for snr in np.atleast_1d(config.snr_db):
         check_snr_db(float(snr))
 

@@ -10,13 +10,15 @@ then done per subspace, which makes the RS/TS labels inherent.
 import numpy as np
 
 from . import structured_linalg as sl
-from .refine import (RecoveryResult, check_nonzero, grid_init, label_angles, multistart, pgd,
-                     pgd_step, polish_angles, select_roots_by_energy)
+from .refine import (RecoveryResult, check_nonzero, check_slots, grid_init, label_angles,
+                     multistart, pgd, pgd_step, polish_angles, select_roots_by_energy)
 
 
 def lifting(batch, config):
     """(Psi, alpha): the exact paired operator and the fixed lifting order
-    n // 3. Rejects an order K the paired lift cannot hold."""
+    n // 3. Rejects fewer slots than sources, and an order K the paired lift
+    cannot hold."""
+    check_slots(len(batch.y), config.k)
     psi = batch.operator_paired
     n = psi.shape[0] // 2
     alpha = n // 3
@@ -30,10 +32,8 @@ def initial_iterate(batch, config, psi):
         return np.zeros(psi.shape[0], complex)
     if config.init == "Backprojection":
         return 2 * pgd_step(psi) * (psi.conj() @ batch.y)
-    if config.init == "Grid":
-        x_r, x_t, _, _ = grid_init(psi, batch.y, config.k_r, config.k_t)
-        return np.concatenate([x_r, x_t])
-    raise ValueError(f"unknown init {config.init!r}")
+    x_r, x_t, _, _ = grid_init(psi, batch.y, config.k_r, config.k_t)
+    return np.concatenate([x_r, x_t])
 
 
 def pgd_denoise_paired(batch, config):

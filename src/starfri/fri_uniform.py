@@ -14,8 +14,8 @@ which half carries its gain.
 import numpy as np
 
 from . import structured_linalg as sl
-from .refine import (RecoveryResult, check_nonzero, grid_init, label_angles, multistart, pgd,
-                     pgd_step, polish_angles, select_roots_by_energy)
+from .refine import (RecoveryResult, check_nonzero, check_slots, grid_init, label_angles,
+                     multistart, pgd, pgd_step, polish_angles, select_roots_by_energy)
 from .star_ris_model import UNIFORM, steering_matrix
 
 
@@ -30,7 +30,9 @@ def uniform_assumption_operator(batch):
 
 def lifting(batch, config):
     """(Psi_u, alpha): the uniform-assumption operator and the fixed lifting
-    order n // 2. Rejects an order K the lift of one half cannot hold."""
+    order n // 2. Rejects fewer slots than sources, and an order K the lift
+    of one half cannot hold."""
+    check_slots(len(batch.y), config.k)
     psi = uniform_assumption_operator(batch)
     n = psi.shape[0] // 2
     alpha = n // 2
@@ -45,10 +47,8 @@ def initial_iterate(batch, config, psi):
         return np.zeros(psi.shape[0], complex)
     if config.init == "Backprojection":
         return 2 * pgd_step(psi) * (psi.conj() @ batch.y)
-    if config.init == "Grid":
-        x_r, x_t, _, _ = grid_init(batch.operator_paired, batch.y, config.k_r, config.k_t)
-        return np.concatenate([x_r, x_t])
-    raise ValueError(f"unknown init {config.init!r}")
+    x_r, x_t, _, _ = grid_init(batch.operator_paired, batch.y, config.k_r, config.k_t)
+    return np.concatenate([x_r, x_t])
 
 
 def pgd_denoise(batch, config):

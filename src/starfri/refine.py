@@ -34,16 +34,28 @@ from .star_ris_model import FINE_STEP, grid_steering, steering_matrix
 
 INIT_STEP, INIT_CYCLES = 0.5, 3   # grid_init: grid step (degrees), re-selection sweeps
 RESCAN_CYCLES = 2                 # coordinate_rescan: sweeps over the fine grid
+INITS = ("Zero", "Backprojection", "Grid")
 
 
-@dataclass
+@dataclass(frozen=True)
 class PgdConfig:
-    """Settings of one solve, shared by both algorithms."""
+    """Settings of one solve, shared by both algorithms. A setting no solve
+    can run raises ValueError naming its field; frozen, so every config a
+    solver sees passed these checks."""
     k_r: int = 2               # reflection-side sources
     k_t: int = 2               # transmission-side sources
     i_max: int = 200
     eps: float = 1e-7
-    init: str = "Backprojection"   # Zero | Backprojection | Grid
+    init: str = "Backprojection"   # one of INITS
+
+    def __post_init__(self):
+        for name, least in (("k_r", 0), ("k_t", 0), ("i_max", 1), ("eps", 0)):
+            if not getattr(self, name) >= least:
+                raise ValueError(f"{name}={getattr(self, name)} is below its least value {least}")
+        if self.k == 0:
+            raise ValueError("k_r + k_t = 0: no source to estimate")
+        if self.init not in INITS:
+            raise ValueError(f"init={self.init!r} is none of {', '.join(INITS)}")
 
     @property
     def k(self):
@@ -247,8 +259,10 @@ def polish_angles(y, psi, th_r, th_t):
 
 def pgd_step(psi):
     """The PGD step 1 / (2 lambda_max) for the 2n x t_s operator psi, with
-    lambda_max = sigma_max(psi)^2, whatever the lifting and its order."""
-    lam = np.linalg.svd(psi, compute_uv=False)[0] ** 2
+    lambda_max = sigma_max(psi)^2, the largest eigenvalue (``sl.eigh``) of its
+    smaller Gram matrix, whatever the lifting and its order."""
+    psi_h = psi.conj().T
+    lam = sl.eigh(psi @ psi_h if psi.shape[0] <= psi.shape[1] else psi_h @ psi)[0][-1]
     if lam == 0:
         raise ValueError("zero operator")
     return 0.5 / lam
@@ -291,14 +305,16 @@ def _fit_residual(y, psi, th_r, th_t):
     return np.linalg.norm(y - A @ s)
 
 
-def _retry_inits(first_init):
-    return [i for i in ("Zero", "Backprojection", "Grid") if i != first_init]
-
-
 def check_nonzero(y):
     """Reject all-zero measurements: they carry no source to estimate."""
     if not np.any(y):
         raise ValueError("all-zero measurements y: no source to estimate")
+
+
+def check_slots(t_s, k):
+    """Reject fewer slots t_s than sources k: the data cannot resolve them."""
+    if t_s < k:
+        raise ValueError(f"t_s={t_s} slots cannot resolve K_R+K_T={k} sources")
 
 
 def _residual_gate(batch):
@@ -319,7 +335,7 @@ def multistart(batch, psi, config, solve_once):
     res = solve_once(config)
     gate = _residual_gate(batch)
     best = (_fit_residual(batch.y, psi, *res.by_subspace()), res)
-    for init in _retry_inits(config.init):
+    for init in (i for i in INITS if i != config.init):
         if best[0] <= gate:
             break
         alt = solve_once(replace(config, init=init))

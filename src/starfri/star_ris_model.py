@@ -122,6 +122,16 @@ def grid_steering(n, step):
     return grid, sv
 
 
+@functools.lru_cache(maxsize=None)
+def stacked_grid_steering(n, step):
+    """The 2n x G real stack [Re; Im] of grid_steering(n, step)'s steering
+    matrix, cached and read-only."""
+    sv = grid_steering(n, step)[1]
+    stack = np.concatenate([sv.real, sv.imag])
+    stack.flags.writeable = False
+    return stack
+
+
 def generate_profile(scenario, n, t_s, rng, randomize_sign=True):
     """Draw a control sequence for the requested energy-splitting scenario.
 

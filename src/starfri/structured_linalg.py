@@ -1,26 +1,25 @@
 """Hankel liftings, anti-diagonal averaging, rank truncation and rooting.
 
 Small dense kernels shared by both recovery algorithms. Everything here is a
-pure function on numpy arrays; matrices never exceed a few hundred rows so we
-just call LAPACK, through numpy or scipy, and do not bother with anything
-iterative.
+pure function on numpy arrays; matrices never exceed a few hundred rows, so
+every decomposition is one direct LAPACK call and nothing is iterative.
 
 Both PGD solvers also take from here the rules that differ between their
 liftings only by a number: the rank-feasibility check (a function of the
 lift's column count) and the root -> angle map. Their step, 1 / (2 lambda_max)
 of the data operator, does not depend on the lifting (``refine.pgd_step``).
 
-Both PGD solvers lift, truncate and average back in every iteration, and
-both truncate through one kernel, ``rank_truncate``: the top-K eigenvectors
-of the lift's smaller Gram matrix, from one LAPACK Hermitian eigensolver call
-(``heevd``, or ``syevd`` for real input). The other kernels carry no set-up
-beyond their arithmetic: a Hankel lift is one gather v[..., idx] through a
-cached read-only index array (``_hankel_index``), Algorithm 1's vertical pair
-[H(x_R); H(x_T)] one gather from beta (``_stacked_index``), Algorithm 2's
-horizontal pair [H(x_R), H(x_T)] one gather from [v_r, v_t]
-(``_paired_index``), and an average one product with a cached read-only
-complex averaging matrix (``_avg_t``). The tests hold each of them bit for bit
-to a window-view lift and a per-half average.
+Every spectral step of the gridless path is one LAPACK Hermitian eigensolve
+of a small Gram matrix, ``eigh``: the rank-K truncation both PGD solvers run
+in every iteration (``rank_truncate``), the annihilating filter
+(``smallest_right_singular_vector``) and PGD's step (``refine.pgd_step``).
+The other kernels carry no set-up beyond their arithmetic: a Hankel lift is
+one gather v[..., idx] through a cached read-only index array
+(``_hankel_index``), Algorithm 1's vertical pair [H(x_R); H(x_T)] one gather
+from beta (``_stacked_index``), Algorithm 2's horizontal pair [H(x_R), H(x_T)]
+one gather from [v_r, v_t] (``_paired_index``), and an average one product
+with a cached read-only complex averaging matrix (``_avg_t``). The tests hold
+each of them bit for bit to a window-view lift and a per-half average.
 
 Every grid scan (the grid start, the polish's rescan and the grid baselines)
 holds the atoms B v of a slot basis B (t_s x n) over unit-modulus steering
@@ -158,14 +157,29 @@ def inverse_paired_hankel(m):
     return m[:, :half].reshape(-1) @ Wt, m[:, half:].reshape(-1) @ Wt
 
 
+def eigh(gram):
+    """Ascending eigenvalues and unit eigenvectors (columns) of a Hermitian
+    matrix from one LAPACK call, ``heevd`` (``syevd`` for real input). A
+    failed solve or a non-finite input raises LinAlgError."""
+    name = "heevd" if np.iscomplexobj(gram) else "syevd"
+    solve, = get_lapack_funcs((name,), (gram,))
+    w, vecs, info = solve(gram, lower=1)
+    # LAPACK returns info = 0 for some non-finite inputs (a NaN in a 2 x 2
+    # Gram, for one); such an input, or a Gram that overflowed, leaves the
+    # largest eigenvalue NaN or inf
+    if info != 0 or not math.isfinite(w[-1]):
+        raise np.linalg.LinAlgError(
+            f"{solve.typecode}{name} failed: info={info}, largest eigenvalue {w[-1]}")
+    return w, vecs
+
+
 def rank_truncate(m, k):
     """Best rank-k Frobenius approximation (keep the k largest singular values).
 
-    Projects onto the top-k eigenvectors of the smaller Gram matrix: U_k
-    (U_k^H m) with U_k from m m^H when m is wide, (m V_k) V_k^H with V_k from
-    m^H m when it is tall. One LAPACK call (``heevd``, ``syevd`` for real
-    input) finds them. A non-finite entry, a Gram matrix that overflows or a
-    failed solve raises LinAlgError.
+    Projects onto the top-k eigenvectors (``eigh``) of the smaller Gram
+    matrix: U_k (U_k^H m) with U_k from m m^H when m is wide, (m V_k) V_k^H
+    with V_k from m^H m when it is tall. A non-finite entry, a Gram matrix
+    that overflows or a failed solve raises LinAlgError.
     """
     m = np.asarray(m)
     rows, cols = m.shape
@@ -173,17 +187,7 @@ def rank_truncate(m, k):
         raise ValueError("k out of range")
     wide = rows <= cols
     mh = m.conj().T
-    gram = m @ mh if wide else mh @ m
-    name = "heevd" if np.iscomplexobj(gram) else "syevd"
-    eigh, = get_lapack_funcs((name,), (gram,))
-    w, vecs, info = eigh(gram, lower=1)
-    # LAPACK returns info = 0 for some non-finite inputs (a NaN in a 2 x 2
-    # Gram, for one); such an input, or a Gram that overflowed, leaves the
-    # largest eigenvalue NaN or inf
-    if info != 0 or not math.isfinite(w[-1]):
-        raise np.linalg.LinAlgError(
-            f"{eigh.typecode}{name} failed: info={info}, largest eigenvalue {w[-1]}")
-    top = vecs[:, -k:]
+    top = eigh(m @ mh if wide else mh @ m)[1][:, -k:]
     return top @ (top.conj().T @ m) if wide else (m @ top) @ top.conj().T
 
 
@@ -230,7 +234,8 @@ class GridDictionary:
 
 
 def smallest_right_singular_vector(m):
-    """Unit right singular vector of the smallest singular value.
+    """Unit right singular vector of the smallest singular value, as the
+    eigenvector (``eigh``) of the smallest eigenvalue of m^H m.
 
     Phase-normalized so the first entry with magnitude above 1e-12 is real
     positive.
@@ -238,11 +243,7 @@ def smallest_right_singular_vector(m):
     m = np.asarray(m)
     if m.shape[1] < 2:
         raise ValueError("need at least 2 columns")
-    if m.shape[0] >= m.shape[1]:
-        _, _, vh = np.linalg.svd(m, full_matrices=False)
-    else:
-        _, _, vh = np.linalg.svd(m)
-    v = vh[-1].conj()
+    v = eigh(m.conj().T @ m)[1][:, 0]
     nz = np.flatnonzero(np.abs(v) > 1e-12)
     if nz.size:
         v = v * (np.abs(v[nz[0]]) / v[nz[0]])

@@ -35,6 +35,17 @@ def _with_y(batch, y):
 COARSE = np.arange(-60.0, 60.0 + 1e-9, 1.0)
 
 
+def _dictionary(batch, subspace, grid=None):
+    """``build_dictionary``'s dictionary of the side, or, given a grid
+    (degrees), the side's dictionary over that grid."""
+    if grid is None:
+        return bl.build_dictionary(batch, subspace)
+    psi = batch.operator_paired
+    n = psi.shape[0] // 2
+    return sl.GridDictionary.of((psi[:n] if subspace == 'RS' else psi[n:]).T, grid,
+                                sm.steering_matrix(grid, n))
+
+
 def _dense_atoms(*dictionaries):
     """The t_s x G atom block of the dictionaries side by side, built here
     from the factors as an oracle independent of the library's accessors."""
@@ -67,8 +78,6 @@ def test_dictionary_is_its_factors():
                 want = A[:, cols]
                 assert d.columns(cols).shape == want.shape
                 assert np.linalg.norm(d.columns(cols) - want) <= 1e-12 * np.linalg.norm(want)
-    with pytest.raises(ValueError):
-        bl.build_dictionary(batch, 'RS', grid=np.array([]))
 
 
 def test_build_dictionary_allocates_less_than_one_atom_block():
@@ -85,20 +94,45 @@ def test_build_dictionary_allocates_less_than_one_atom_block():
     assert peak < block
 
 
+def test_sbl_allocates_less_than_one_real_steering_block():
+    # warm, SBL reads the fine grid's [Re; Im] steering stack from the
+    # model's cache and scales after the product: no call holds a (2n, G)
+    # real block of its own
+    _, batch, dicts = _pool_batch(0, 1)
+    block = 2 * 16 * dicts[0].grid.size * 8
+    bl.sbl_gamma(batch.y, dicts, batch.sigma_n2)
+    tracemalloc.start()
+    try:
+        bl.sbl_gamma(batch.y, dicts, batch.sigma_n2)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < block
+
+
+def test_stacked_steering_is_cached_for_the_fine_grid_only():
+    grid, sv = grid_steering(16, sm.FINE_STEP)
+    stack = bl._stacked_steering(sv)
+    assert stack is sm.stacked_grid_steering(16, sm.FINE_STEP) and not stack.flags.writeable
+    assert np.array_equal(stack, np.concatenate([sv.real, sv.imag]))
+    fresh = bl._stacked_steering(sv.copy())
+    assert fresh is not stack and np.array_equal(fresh, stack)
+
+
 def test_default_dictionary_matches_explicit_fine_grid():
     # the cached default equals a dictionary built on the fine grid spelled out
     batch = _batch([20.0], [-35.0])
     for sub in ('RS', 'TS'):
         got = bl.build_dictionary(batch, sub)
-        want = bl.build_dictionary(batch, sub, np.arange(-60.0, 60.0 + 1e-9, 0.1))
+        want = _dictionary(batch, sub, np.arange(-60.0, 60.0 + 1e-9, 0.1))
         for name in ("grid", "basis", "steer", "scale"):
             assert np.array_equal(getattr(got, name), getattr(want, name))
 
 
 def test_rs_and_ts_atoms_differ():
     batch = _batch([20.0], [-35.0])
-    d_r = bl.build_dictionary(batch, 'RS', COARSE)
-    d_t = bl.build_dictionary(batch, 'TS', COARSE)
+    d_r = _dictionary(batch, 'RS', COARSE)
+    d_t = _dictionary(batch, 'TS', COARSE)
     assert not np.allclose(_dense_atoms(d_r), _dense_atoms(d_t))
 
 
@@ -112,7 +146,7 @@ def test_fft_scan_single_source():
 
 def test_fft_scan_zero_measurement_flagged():
     batch = _batch([20.0], [])
-    d = bl.build_dictionary(batch, 'RS', COARSE)
+    d = _dictionary(batch, 'RS', COARSE)
     angles, flagged = bl.fft_scan(_with_y(batch, np.zeros(32, complex)), d, 2)
     assert flagged and len(angles) == 2
 
@@ -127,7 +161,7 @@ def test_fft_scan_two_sources():
 
 def test_omp_single_atom():
     batch = _batch([20.0], [])
-    d = bl.build_dictionary(batch, 'RS', COARSE)
+    d = _dictionary(batch, 'RS', COARSE)
     y = _dense_atoms(d)[:, 80]          # the 20-degree atom
     angles, flagged = bl.omp(_with_y(batch, y), d, 1)
     assert not flagged and angles[0] == 20.0
@@ -135,7 +169,7 @@ def test_omp_single_atom():
 
 def test_omp_orthogonal_atoms_exact_support():
     batch = _batch([20.0], [])
-    d5 = bl.build_dictionary(batch, 'RS', np.arange(-60.0, 60.0 + 1e-9, 5.0))
+    d5 = _dictionary(batch, 'RS', np.arange(-60.0, 60.0 + 1e-9, 5.0))
     Q, _ = np.linalg.qr(_dense_atoms(d5)[:, :24])
     dq = bl.GridDictionary(grid=d5.grid[:24], basis=Q, steer=np.eye(24), scale=np.ones(24))
     y = Q[:, 3] + 0.5 * Q[:, 17]
@@ -146,7 +180,7 @@ def test_omp_orthogonal_atoms_exact_support():
 def test_omp_matches_brute_force_pair():
     batch = _batch([20.0], [])
     grid = np.arange(-60.0, 60.0 + 1e-9, 5.0)
-    d = bl.build_dictionary(batch, 'RS', grid)
+    d = _dictionary(batch, 'RS', grid)
     atoms = _dense_atoms(d)
     y = atoms[:, 6] + 0.7 * atoms[:, 19]
     angles, _ = bl.omp(_with_y(batch, y), d, 2)
@@ -163,7 +197,7 @@ def test_omp_matches_brute_force_pair():
 
 def test_sbl_zero_measurement_shrinks_to_zero():
     batch = _batch([20.0], [])
-    d = bl.build_dictionary(batch, 'RS', COARSE)
+    d = _dictionary(batch, 'RS', COARSE)
     for sigma_n2 in (1e-3, 0.0):    # no noise either: the floor, relative to y, is 0
         gamma, aborted = bl.sbl_gamma(np.zeros(32, complex), (d,), sigma_n2)
         assert not aborted and np.all(gamma <= bl.SblConfig().prune_tol)
@@ -173,8 +207,8 @@ def test_sbl_single_source_peak_at_truth():
     # single user total at 30 dB: the evidence maximization must concentrate
     # on the true on-grid atom, and the empty TS side reports no angle
     batch = _batch([20.0], [])
-    d_r = bl.build_dictionary(batch, 'RS', COARSE)
-    d_t = bl.build_dictionary(batch, 'TS', COARSE)
+    d_r = _dictionary(batch, 'RS', COARSE)
+    d_t = _dictionary(batch, 'TS', COARSE)
     gamma, aborted = bl.sbl_gamma(batch.y, (d_r, d_t), batch.sigma_n2)
     assert not aborted
     assert np.argmax(gamma) == np.flatnonzero(COARSE == 20.0)[0]
@@ -240,8 +274,8 @@ ORDERED = {
 def test_order_contract(estimator):
     # 0 <= k_i <= G: k_i = 0 gives no angle, unflagged; outside, ValueError naming k_i
     batch = _batch([20.0], [-35.0])
-    d_r = bl.build_dictionary(batch, 'RS', COARSE)
-    d_t = bl.build_dictionary(batch, 'TS', COARSE)
+    d_r = _dictionary(batch, 'RS', COARSE)
+    d_t = _dictionary(batch, 'TS', COARSE)
     call = ORDERED[estimator]
     *angles, flagged = call(batch, d_r, d_t, 0)
     assert all(a.size == 0 for a in angles) and not flagged
@@ -265,8 +299,8 @@ def test_omp_flags_a_rank_deficient_support():
 def test_sbl_full_space_two_users():
     # with users on both sides, only the joint dictionary is well-specified
     batch = _batch([20.0], [-35.0])
-    d_r = bl.build_dictionary(batch, 'RS', COARSE)
-    d_t = bl.build_dictionary(batch, 'TS', COARSE)
+    d_r = _dictionary(batch, 'RS', COARSE)
+    d_t = _dictionary(batch, 'TS', COARSE)
     a_r, a_t, flagged = bl.sbl_full_space(batch, d_r, d_t, 1, 1)
     assert a_r[0] == 20.0 and a_t[0] == -35.0
 
@@ -466,7 +500,7 @@ def test_sbl_factorised_em_matches_dense_reference(scenario, snr_db, grid, monke
     # theta = |q|^2 / s divides by the small s of atoms next to an active one
     cfg = ExperimentConfig(scenario=scenario, snr_db=snr_db, seed=0)
     _, _, _, batch = make_batch(cfg, 0)
-    dicts = (bl.build_dictionary(batch, 'RS', grid), bl.build_dictionary(batch, 'TS', grid))
+    dicts = (_dictionary(batch, 'RS', grid), _dictionary(batch, 'TS', grid))
     for config, capped in ((bl.SblConfig(max_em=10), True), (bl.SblConfig(), False)):
         gamma, flag, factors = _held_sbl_gamma(monkeypatch, batch.y, dicts, batch.sigma_n2,
                                                config)
@@ -488,7 +522,7 @@ def test_sbl_factorised_em_matches_dense_reference(scenario, snr_db, grid, monke
 def test_sbl_evidence_at_least_dense_em(scenario, snr_db, grid):
     cfg = ExperimentConfig(scenario=scenario, snr_db=snr_db, seed=0)
     _, _, _, batch = make_batch(cfg, 0)
-    dicts = (bl.build_dictionary(batch, 'RS', grid), bl.build_dictionary(batch, 'TS', grid))
+    dicts = (_dictionary(batch, 'RS', grid), _dictionary(batch, 'TS', grid))
     atoms = _dense_atoms(*dicts)
     gamma, aborted = bl.sbl_gamma(batch.y, dicts, batch.sigma_n2)
     ref, ref_aborted = _dense_sbl_gamma(batch.y, atoms, batch.sigma_n2, EM_CONFIG)

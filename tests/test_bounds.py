@@ -159,6 +159,16 @@ def test_zzb_noiseless_batch_is_the_zero_limit(scenario):
         assert np.isclose(per_s2[0], per_s2[1], rtol=1e-6)
 
 
+@pytest.mark.parametrize("subspace", ['RS', 'TS'])
+def test_fisher_information_rejects_a_noiseless_batch(subspace):
+    # sigma_n2 = 0 has no finite information: a ValueError naming sigma_n2,
+    # not a bare ZeroDivisionError
+    scene, prof, ch, batch = make_batch(ExperimentConfig(snr_db=np.inf, seed=0), 0)
+    assert batch.sigma_n2 == 0.0
+    with pytest.raises(ValueError, match="sigma_n2=0"):
+        fisher_information(ZzbInputs(scene, prof, ch, batch.sigma_n2), subspace)
+
+
 def test_zzb_crb_ratio_tends_to_one():
     ratios = []
     for snr in (20.0, 40.0, 60.0):

@@ -263,6 +263,15 @@ def test_run_trial_records_value_error_as_failed_trial():
     assert len(out["FFT"]["angles"]) == 4
 
 
+def test_run_trial_records_fewer_slots_than_sources_as_failed():
+    # both solvers reject t_s = 3 < K = 4 themselves, so a trial that reaches
+    # them without check_config is a failed trial with no angles
+    out = run_trial(ExperimentConfig(t_s=3, snr_db=15.0, seed=0, methods=("M1", "M2")), 0)
+    for res in out.values():
+        assert res["angles"] == [] and res["errors"] is None
+        assert not res["success"] and res["iterations"] == 0
+
+
 ALL_METHODS = ("M1", "M2", "FFT", "OMP", "SBL")
 
 

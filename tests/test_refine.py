@@ -1,6 +1,7 @@
 """Tests for the grid initializer, root selection and ML polish."""
 
 import tracemalloc
+from dataclasses import FrozenInstanceError, replace
 
 import numpy as np
 import pytest
@@ -9,8 +10,9 @@ from starfri import fri_nonuniform, fri_uniform
 from starfri import star_ris_model as sm
 from starfri.experiments import ExperimentConfig, make_batch
 from starfri.fri_uniform import uniform_assumption_operator
-from starfri.refine import (INIT_STEP, PgdConfig, _atoms, _atoms_and_derivs, coordinate_rescan, grid_init,
-                            pgd, pgd_step, polish_angles, select_roots_by_energy, varpro_refine)
+from starfri.refine import (INIT_STEP, PgdConfig, _atoms, _atoms_and_derivs, check_slots,
+                            coordinate_rescan, grid_init, pgd, pgd_step, polish_angles,
+                            select_roots_by_energy, varpro_refine)
 from starfri.star_ris_model import grid_steering, steering_derivative, steering_matrix
 
 
@@ -210,6 +212,39 @@ def test_pgd_data_step_is_the_gradient_step(solver):
     assert np.linalg.norm(b - want) <= 1e-12 * np.linalg.norm(want)
     step = np.linalg.norm(b - b0)
     assert abs(history[0] - step) <= 1e-12 * step
+
+
+@pytest.mark.parametrize("fields, message", [
+    ({"k_r": -1, "k_t": 3}, "k_r=-1"),
+    ({"k_r": 3, "k_t": -1}, "k_t=-1"),
+    ({"k_r": 0, "k_t": 0}, r"k_r \+ k_t = 0"),
+    ({"i_max": 0}, "i_max=0"),
+    ({"eps": -1e-7}, "eps=-1e-07"),
+    ({"eps": np.nan}, "eps=nan"),
+    ({"init": "Bogus"}, "init='Bogus'"),
+], ids=["negative-k_r", "negative-k_t", "no-source", "no-iteration", "negative-eps", "nan-eps",
+        "unknown-init"])
+def test_pgd_config_rejects_a_setting_no_solve_can_run(fields, message):
+    with pytest.raises(ValueError, match=message):
+        PgdConfig(**fields)
+    # replace() checks again, and a built config cannot be changed after its checks
+    with pytest.raises(ValueError, match=message):
+        replace(PgdConfig(), **fields)
+    with pytest.raises(FrozenInstanceError):
+        PgdConfig().k_r = -1
+
+
+@pytest.mark.parametrize("solve", [fri_uniform.estimate_angles_uniform,
+                                   fri_nonuniform.estimate_angles_nonuniform,
+                                   fri_uniform.pgd_denoise, fri_nonuniform.pgd_denoise_paired])
+def test_solvers_reject_fewer_slots_than_sources(solve):
+    # t_s = 3 slots, K = 4 sources: both solvers and both denoisers refuse,
+    # naming t_s and K
+    _, _, _, batch = make_batch(ExperimentConfig(t_s=3, snr_db=15.0, seed=0), 0)
+    assert len(batch.y) == 3
+    with pytest.raises(ValueError, match=r"t_s=3.*K_R\+K_T=4"):
+        solve(batch, PgdConfig(init="Grid"))
+    check_slots(4, 4)   # as many slots as sources is enough
 
 
 def test_grid_steering_cached_and_read_only():

@@ -8,7 +8,7 @@ from numpy.lib.stride_tricks import sliding_window_view
 from starfri import structured_linalg as sl
 from starfri.experiments import ExperimentConfig, make_batch
 from starfri.fri_nonuniform import initial_iterate, lifting, pgd_denoise_paired
-from starfri.refine import PgdConfig, pgd
+from starfri.refine import PgdConfig, pgd, pgd_step
 
 
 def _rand_cvec(rng, n):
@@ -352,6 +352,30 @@ def test_rank_truncate_calls_the_lapack_eigensolver_for_its_dtype(monkeypatch):
     sl.rank_truncate(_rand_cvec(rng, 20).reshape(4, 5), 2)
     sl.rank_truncate(rng.standard_normal((5, 4)), 2)
     assert called == ["zheevd", "dsyevd"]
+
+
+def test_filter_and_step_call_the_same_eigensolver(monkeypatch):
+    # the annihilating filter and PGD's step run the truncation's LAPACK
+    # routine, and share its failure contract: a NaN entry raises LinAlgError
+    called = []
+    lookup = sl.get_lapack_funcs
+
+    def spy(names, arrays):
+        funcs = lookup(names, arrays)
+        called.extend(f.typecode + name for f, name in zip(funcs, names))
+        return funcs
+
+    monkeypatch.setattr(sl, "get_lapack_funcs", spy)
+    rng = np.random.default_rng(17)
+    m = _rand_cvec(rng, 12).reshape(4, 3)
+    sl.smallest_right_singular_vector(m)
+    sl.smallest_right_singular_vector(m.real)
+    pgd_step(m)
+    assert called == ["zheevd", "dsyevd", "zheevd"]
+    m[1, 2] = np.nan
+    for step in (sl.smallest_right_singular_vector, pgd_step):
+        with np.errstate(all="ignore"), pytest.raises(np.linalg.LinAlgError):
+            step(m)
 
 
 def test_rank_truncate_eckart_young_sampled():
