@@ -259,10 +259,13 @@ def polish_angles(y, psi, th_r, th_t):
 
 def pgd_step(psi):
     """The PGD step 1 / (2 lambda_max) for the 2n x t_s operator psi, with
-    lambda_max = sigma_max(psi)^2, the largest eigenvalue (``sl.eigh``) of its
-    smaller Gram matrix, whatever the lifting and its order."""
-    psi_h = psi.conj().T
-    lam = sl.eigh(psi @ psi_h if psi.shape[0] <= psi.shape[1] else psi_h @ psi)[0][-1]
+    lambda_max = sigma_max(psi)^2, whatever the lifting and its order.
+
+    numpy's SVD, not ``sl.eigh``: the 2n x 2n Gram matrix is large enough
+    for scipy's LAPACK to start its own BLAS thread pool, which then competes
+    with numpy's for the cores and doubled the time of a solve with
+    unpinned BLAS threads."""
+    lam = np.linalg.svd(psi, compute_uv=False)[0] ** 2
     if lam == 0:
         raise ValueError("zero operator")
     return 0.5 / lam

@@ -9,10 +9,11 @@ liftings only by a number: the rank-feasibility check (a function of the
 lift's column count) and the root -> angle map. Their step, 1 / (2 lambda_max)
 of the data operator, does not depend on the lifting (``refine.pgd_step``).
 
-Every spectral step of the gridless path is one LAPACK Hermitian eigensolve
-of a small Gram matrix, ``eigh``: the rank-K truncation both PGD solvers run
-in every iteration (``rank_truncate``), the annihilating filter
-(``smallest_right_singular_vector``) and PGD's step (``refine.pgd_step``).
+Both spectral steps on a lift are one LAPACK Hermitian eigensolve of its
+small Gram matrix, ``eigh``: the rank-K truncation both PGD solvers run in
+every iteration (``rank_truncate``) and the annihilating filter
+(``smallest_right_singular_vector``). PGD's step (``refine.pgd_step``)
+stays on numpy's SVD of the 2n-row operator (see there).
 The other kernels carry no set-up beyond their arithmetic: a Hankel lift is
 one gather v[..., idx] through a cached read-only index array
 (``_hankel_index``), Algorithm 1's vertical pair [H(x_R); H(x_T)] one gather

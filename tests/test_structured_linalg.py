@@ -354,9 +354,10 @@ def test_rank_truncate_calls_the_lapack_eigensolver_for_its_dtype(monkeypatch):
     assert called == ["zheevd", "dsyevd"]
 
 
-def test_filter_and_step_call_the_same_eigensolver(monkeypatch):
-    # the annihilating filter and PGD's step run the truncation's LAPACK
-    # routine, and share its failure contract: a NaN entry raises LinAlgError
+def test_filter_calls_the_truncations_eigensolver_and_the_step_does_not(monkeypatch):
+    # the annihilating filter runs the truncation's LAPACK routine; PGD's
+    # step stays off scipy's LAPACK, whose BLAS thread pool a 2n x 2n Gram
+    # would start. Both raise LinAlgError on a NaN entry
     called = []
     lookup = sl.get_lapack_funcs
 
@@ -371,7 +372,7 @@ def test_filter_and_step_call_the_same_eigensolver(monkeypatch):
     sl.smallest_right_singular_vector(m)
     sl.smallest_right_singular_vector(m.real)
     pgd_step(m)
-    assert called == ["zheevd", "dsyevd", "zheevd"]
+    assert called == ["zheevd", "dsyevd"]
     m[1, 2] = np.nan
     for step in (sl.smallest_right_singular_vector, pgd_step):
         with np.errstate(all="ignore"), pytest.raises(np.linalg.LinAlgError):
