@@ -136,14 +136,18 @@ def run_method(method, batch, config):
 
 def check_config(config):
     """Reject a configuration no method can solve, naming the field, before
-    any trial runs: an unknown method or scenario among them. The orders
-    and the slot count go through the solvers' own rules (``PgdConfig``,
-    ``refine.check_slots``)."""
+    any trial runs: an unknown method or scenario among them, and a seed
+    that is not a non-negative integer (every trial's RNG stream would
+    refuse it). The orders and the slot count go through the solvers' own
+    rules (``PgdConfig``, ``refine.check_slots``)."""
     for method in config.methods:
         if method not in METHODS:
             raise ValueError(f"unknown method {method!r}; choose from {', '.join(METHODS)}")
     if config.scenario not in (1, 2):
         raise ValueError(f"scenario={config.scenario!r} is neither 1 nor 2")
+    seed = config.seed
+    if isinstance(seed, bool) or not isinstance(seed, (int, np.integer)) or seed < 0:
+        raise ValueError(f"seed={seed!r} is not a non-negative integer")
     for name, least in (("trials", 1), ("n", 2)):
         if getattr(config, name) < least:
             raise ValueError(f"{name}={getattr(config, name)} is below its least value {least}")
@@ -350,6 +354,9 @@ def main(argv=None):
         for key, val in values.items():
             if key not in known:
                 raise SystemExit(f"{args.config}: unknown config key {key!r}")
+            if key == "experiment" and val != args.experiment:
+                raise SystemExit(f"{args.config}: experiment={val!r} differs from the "
+                                 f"subcommand {args.experiment!r}")
             setattr(cfg, key, val)
     overrides = {"scenario": args.scenario, "n": args.n, "t_s": args.ts,
                  "k_r": args.kr, "k_t": args.kt, "trials": args.trials,

@@ -61,8 +61,7 @@ def estimate_angles_nonuniform(batch, config):
     active. All-zero measurements are rejected.
     """
     check_nonzero(batch.y)
-    return multistart(batch, batch.operator_paired, config,
-                      lambda cfg: _estimate_nonuniform_once(batch, cfg))
+    return multistart(batch, config, lambda cfg: _estimate_nonuniform_once(batch, cfg))
 
 
 def _estimate_nonuniform_once(batch, config):
@@ -74,9 +73,9 @@ def _estimate_nonuniform_once(batch, config):
                             (config.k_r, config.k_t)):
         roots = select_roots_by_energy(sl.polynomial_roots(c), k_i, half[:, None])
         per_sub.append(np.sort(sl.roots_to_angles(roots)))
-    th_r, th_t = polish_angles(batch.y, psi, *per_sub)
+    th_r, th_t, residual = polish_angles(batch.y, psi, *per_sub)
     return RecoveryResult(angles=label_angles(th_r, th_t), iterations=it,
-                          residual_history=history, converged=converged)
+                          residual_history=history, converged=converged, residual=residual)
 
 
 def subspace_af_coeffs(denoised, alpha):

@@ -117,8 +117,7 @@ def estimate_angles_uniform(batch, config):
     check_nonzero(batch.y)
     if batch.scenario != UNIFORM:
         return _estimate_uniform_once(batch, config)
-    return multistart(batch, uniform_assumption_operator(batch), config,
-                      lambda cfg: _estimate_uniform_once(batch, cfg))
+    return multistart(batch, config, lambda cfg: _estimate_uniform_once(batch, cfg))
 
 
 def _estimate_uniform_once(batch, config):
@@ -129,6 +128,7 @@ def _estimate_uniform_once(batch, config):
     roots = select_roots_by_energy(sl.polynomial_roots(c), config.k, b.reshape(2, -1).T)
     angles = sl.roots_to_angles(roots)
     is_ts = label_subspaces(b, batch.g, roots, config.k_t)
-    th_r, th_t = polish_angles(batch.y, psi, np.sort(angles[~is_ts]), np.sort(angles[is_ts]))
+    th_r, th_t, residual = polish_angles(batch.y, psi, np.sort(angles[~is_ts]),
+                                         np.sort(angles[is_ts]))
     return RecoveryResult(angles=label_angles(th_r, th_t), iterations=it,
-                          residual_history=history, converged=converged)
+                          residual_history=history, converged=converged, residual=residual)

@@ -10,14 +10,18 @@ Both algorithms run their iterative denoiser inside the same pieces:
 * a maximum-likelihood polish: variable-projection least squares over the
   angles (gains eliminated in closed form) interleaved with per-angle global
   rescans on a fine grid, so the final estimate sits in the ML basin instead
-  of wherever the algebraic extraction left it,
+  of wherever the algebraic extraction left it; varpro and the rescan build
+  their operator responses with one helper, ``_atoms``, from the model's
+  ``steering_matrix`` and ``steering_derivative``, and the polish returns the
+  projected residual at varpro's end point with its angles,
 * the projected-gradient loop (``pgd``) on the latent beta = [x_R; x_T]: one
   config (``PgdConfig``), one step rule and one affine data step
   b -> A b + c, with A and c built once per solve and the solver's
   projection of its Hankel lifting passed in,
 * a residual-gated multistart (``multistart``) that reruns the whole solve,
-  starting over with each other initialization, while the polished fit sits
-  above the noise floor; and the RS/TS-labelled result every solver returns.
+  starting over with each other initialization, while the residual its
+  polish recorded sits above the noise floor; and the RS/TS-labelled result
+  every solver returns.
 
 Both grid scans, the initializer's at INIT_STEP and the rescan's at FINE_STEP,
 hold each side's atoms as a ``structured_linalg.GridDictionary`` over the
@@ -30,7 +34,7 @@ import numpy as np
 from scipy.optimize import least_squares
 
 from . import structured_linalg as sl
-from .star_ris_model import FINE_STEP, grid_steering, steering_matrix
+from .star_ris_model import FINE_STEP, grid_steering, steering_derivative, steering_matrix
 
 INIT_STEP, INIT_CYCLES = 0.5, 3   # grid_init: grid step (degrees), re-selection sweeps
 RESCAN_CYCLES = 2                 # coordinate_rescan: sweeps over the fine grid
@@ -64,10 +68,13 @@ class PgdConfig:
 
 @dataclass
 class RecoveryResult:
+    """One solve's RS/TS-labelled angles, its PGD report, and the data
+    residual its polish reached, which ``multistart`` gates on."""
     angles: list               # [(theta_deg, 'RS'|'TS'), ...]
     iterations: int
     residual_history: list     # per-iteration update norms ||b_new - b_old||
     converged: bool
+    residual: float            # ||y - A s_hat|| at the angles, from the polish's last varpro pass
 
     def by_subspace(self):
         rs = np.sort([a for a, lab in self.angles if lab == 'RS'])
@@ -146,25 +153,11 @@ def select_roots_by_energy(roots, k, sig_cols):
     return roots[np.argsort(-energy)[:k]]
 
 
-def _atoms(psi, th_r, th_t):
-    """t_s x K operator responses of the RS angles then the TS angles."""
+def _atoms(psi, S, k_r):
+    """t_s x K operator responses of the steering block S: its first k_r
+    columns through the RS half of psi, the rest through the TS half."""
     n = psi.shape[0] // 2
-    return np.hstack([psi[:n].T @ steering_matrix(th_r, n), psi[n:].T @ steering_matrix(th_t, n)])
-
-
-def _atoms_and_derivs(psi, th, k_r):
-    """_atoms of th[:k_r] (RS) and th[k_r:] (TS), and their derivatives in
-    degrees. Built one column at a time: a single matrix product rounds
-    differently, and between two near-coincident angles varpro's end point
-    moves by up to 2e-4 degrees with that rounding."""
-    n = psi.shape[0] // 2
-    S = steering_matrix(th, n)
-    # steering_derivative's product, taken on this S so the exponentials run once
-    dS = (-1j * np.pi * np.arange(n)[:, None] * np.cos(np.radians(th))) * S * (np.pi / 180.0)
-    halves = [psi[:n].T if j < k_r else psi[n:].T for j in range(len(th))]
-    A = np.column_stack([half @ S[:, j] for j, half in enumerate(halves)])
-    dA = np.column_stack([half @ dS[:, j] for j, half in enumerate(halves)])
-    return A, dA
+    return np.hstack([psi[:n].T @ S[:, :k_r], psi[n:].T @ S[:, k_r:]])
 
 
 def varpro_refine(y, psi, th_r, th_t):
@@ -174,9 +167,16 @@ def varpro_refine(y, psi, th_r, th_t):
     y - A(theta) s_hat(theta); plain variable projection, converging to the
     ML stationary point of the basin it starts in. The Jacobian uses the
     Kaufman form -P_perp dA s_hat, which leaves the gradient of the projected
-    functional exact because the dropped term lies in range(A).
+    functional exact because the dropped term lies in range(A). A and dA are
+    ``_atoms`` of ``steering_matrix`` and of ``steering_derivative`` (per
+    degree).
+
+    Returns (th_r, th_t, residual), the residual ||y - A s_hat|| at the end
+    point: the norm of the solver's own residual vector there, so the fit is
+    not solved again.
     """
     k_r = len(th_r)
+    n = psi.shape[0] // 2
     th0 = np.concatenate([th_r, th_t]).astype(float)
     last_th, last = None, None
 
@@ -186,7 +186,8 @@ def varpro_refine(y, psi, th_r, th_t):
         nonlocal last_th, last
         if last_th is not None and np.array_equal(th, last_th):
             return last
-        A, dA = _atoms_and_derivs(psi, th, k_r)
+        A = _atoms(psi, steering_matrix(th, n), k_r)
+        dA = _atoms(psi, steering_derivative(th, n) * (np.pi / 180.0), k_r)
         s, *_ = np.linalg.lstsq(A, y, rcond=None)
         last_th, last = th.copy(), (A, dA, s, y - A @ s)
         return last
@@ -204,7 +205,7 @@ def varpro_refine(y, psi, th_r, th_t):
 
     sol = least_squares(resid, th0, jac=jac, method='lm',
                         xtol=1e-12, ftol=1e-12, gtol=1e-12, max_nfev=400)
-    return sol.x[:k_r], sol.x[k_r:]
+    return sol.x[:k_r], sol.x[k_r:], float(np.linalg.norm(sol.fun))
 
 
 def coordinate_rescan(y, psi, th_r, th_t):
@@ -231,9 +232,8 @@ def coordinate_rescan(y, psi, th_r, th_t):
     for _ in range(RESCAN_CYCLES):
         changed = False
         for k in range(K):
-            other_r = [th[j] for j in range(K) if j != k and j < k_r]
-            other_t = [th[j] for j in range(K) if j != k and j >= k_r]
-            Q, _ = np.linalg.qr(_atoms(psi, other_r, other_t))
+            others = steering_matrix([th[j] for j in range(K) if j != k], n)
+            Q, _ = np.linalg.qr(_atoms(psi, others, k_r - (k < k_r)))
             side = int(k >= k_r)
             QA = dicts[side].correlation(Q)
             num = corr_y[side] - (Q.conj().T @ y).conj() @ QA
@@ -249,11 +249,12 @@ def coordinate_rescan(y, psi, th_r, th_t):
 
 def polish_angles(y, psi, th_r, th_t):
     """Full polish: local ML, global per-angle rescan, and a second local ML
-    pass only when the rescan actually moved an angle."""
-    th_r, th_t = varpro_refine(y, psi, th_r, th_t)
+    pass only when the rescan actually moved an angle. Returns (th_r, th_t,
+    residual), with the residual of the last varpro pass."""
+    th_r, th_t, residual = varpro_refine(y, psi, th_r, th_t)
     new_r, new_t = coordinate_rescan(y, psi, th_r, th_t)
     if np.array_equal(new_r, th_r) and np.array_equal(new_t, th_t):
-        return th_r, th_t
+        return th_r, th_t, residual
     return varpro_refine(y, psi, new_r, new_t)
 
 
@@ -301,13 +302,6 @@ def pgd(batch, config, psi, b0, project):
     return b, it, history, converged
 
 
-def _fit_residual(y, psi, th_r, th_t):
-    """Norm of the data residual with gains projected out at the given angles."""
-    A = _atoms(psi, th_r, th_t)
-    s, *_ = np.linalg.lstsq(A, y, rcond=None)
-    return np.linalg.norm(y - A @ s)
-
-
 def check_nonzero(y):
     """Reject all-zero measurements: they carry no source to estimate."""
     if not np.any(y):
@@ -327,22 +321,20 @@ def _residual_gate(batch):
     return max(2.0 * np.sqrt(batch.sigma_n2 * len(batch.y)), 1e-8 * np.linalg.norm(batch.y))
 
 
-def multistart(batch, psi, config, solve_once):
+def multistart(batch, config, solve_once):
     """Residual-gated multistart around one solver.
 
     solve_once(config) runs one whole solve from config.init and returns a
-    RecoveryResult. While the best fit to y under the paired operator psi
-    sits above the noise-floor gate, the solve is rerun with each remaining
-    initialization and the lowest residual wins.
+    RecoveryResult, whose residual is its polish's fit to y. While the best
+    residual sits above the noise-floor gate, the solve is rerun with each
+    remaining initialization and the lowest residual wins.
     """
-    res = solve_once(config)
+    best = solve_once(config)
     gate = _residual_gate(batch)
-    best = (_fit_residual(batch.y, psi, *res.by_subspace()), res)
     for init in (i for i in INITS if i != config.init):
-        if best[0] <= gate:
+        if best.residual <= gate:
             break
         alt = solve_once(replace(config, init=init))
-        r = _fit_residual(batch.y, psi, *alt.by_subspace())
-        if r < best[0]:
-            best = (r, alt)
-    return best[1]
+        if alt.residual < best.residual:
+            best = alt
+    return best

@@ -331,14 +331,45 @@ def test_non_finite_snr_rejected_before_any_trial(runner, snr_db):
     ({"k_r": 0, "k_t": 0}, "no source to estimate"),
     ({"methods": ("FFT", "FTT")}, "unknown method 'FTT'"),
     ({"scenario": 3}, "scenario=3"),
+    ({"seed": -1}, "seed=-1"),
+    ({"seed": 1.5}, "seed=1.5"),
 ], ids=["no-trials", "n0", "n1", "negative-k_r", "negative-k_t", "no-users", "unknown-method",
-        "scenario3"])
+        "scenario3", "negative-seed", "fractional-seed"])
 @pytest.mark.parametrize("runner", [run_sweep, run_convergence, run_spectrum])
 def test_degenerate_config_rejected_before_any_trial(monkeypatch, runner, overrides, message):
     monkeypatch.setattr(experiments, "make_batch", _no_trial)
     monkeypatch.setattr(experiments, "synthesize_measurements", _no_trial)
     with pytest.raises(ValueError, match=message):
         runner(replace(ExperimentConfig(trials=1, methods=("FFT",)), **overrides))
+
+
+def test_cli_rejects_a_seed_no_rng_stream_takes_before_writing(tmp_path):
+    # a negative seed made every trial a failed one; a fractional one, given
+    # through a config file, raised TypeError in the middle of the sweep
+    out = tmp_path / "o.csv"
+    with pytest.raises(ValueError, match="seed=-1"):
+        main(["sweep", "--seed", "-1", "--trials", "2", "--methods", "FFT", "--out", str(out)])
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps({"seed": 0.5}))
+    with pytest.raises(ValueError, match="seed=0.5"):
+        main(["sweep", "--config", str(cfg_path), "--trials", "1", "--methods", "FFT",
+              "--out", str(out)])
+    assert sorted(os.listdir(tmp_path)) == ["cfg.json"]
+
+
+@pytest.mark.parametrize("experiment", ["convergence", "bogus"])
+def test_cli_config_experiment_must_match_the_subcommand(tmp_path, experiment):
+    # the subcommand names the experiment: a config naming another is
+    # rejected, naming the key, and nothing is written
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps({"experiment": experiment}))
+    with pytest.raises(SystemExit, match="experiment='%s'" % experiment):
+        main(["sweep", "--config", str(cfg_path), "--trials", "1", "--methods", "FFT",
+              "--out", str(tmp_path / "o.csv")])
+    assert sorted(os.listdir(tmp_path)) == ["cfg.json"]
+    cfg_path.write_text(json.dumps({"experiment": "sweep"}))
+    assert main(["sweep", "--config", str(cfg_path), "--trials", "1", "--methods", "FFT",
+                 "--out", str(tmp_path / "o.csv")]) == 0
 
 
 def test_cli_rejects_unknown_method_and_scenario_before_writing(tmp_path):

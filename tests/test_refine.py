@@ -10,9 +10,9 @@ from starfri import fri_nonuniform, fri_uniform
 from starfri import star_ris_model as sm
 from starfri.experiments import ExperimentConfig, make_batch
 from starfri.fri_uniform import uniform_assumption_operator
-from starfri.refine import (INIT_STEP, PgdConfig, _atoms, _atoms_and_derivs, check_slots,
-                            coordinate_rescan, grid_init, pgd, pgd_step, polish_angles,
-                            select_roots_by_energy, varpro_refine)
+from starfri.refine import (INIT_STEP, PgdConfig, RecoveryResult, _atoms, _residual_gate,
+                            check_slots, coordinate_rescan, grid_init, multistart, pgd, pgd_step,
+                            polish_angles, select_roots_by_energy, varpro_refine)
 from starfri.star_ris_model import grid_steering, steering_derivative, steering_matrix
 
 
@@ -111,16 +111,17 @@ def test_grid_init_allocates_less_than_one_atom_block():
 
 def test_varpro_refines_to_truth():
     scene, batch = _batch([-20.5, 8.25], [33.75], seed=1)
-    th_r, th_t = varpro_refine(batch.y, batch.operator_paired,
-                               np.array([-20.0, 8.5]), np.array([33.5]))
+    th_r, th_t, residual = varpro_refine(batch.y, batch.operator_paired,
+                                         np.array([-20.0, 8.5]), np.array([33.5]))
     assert np.max(np.abs(th_r - [-20.5, 8.25])) <= 1e-6
     assert np.max(np.abs(th_t - [33.75])) <= 1e-6
+    assert residual <= 1e-8 * np.linalg.norm(batch.y)   # noiseless: the fit is exact
 
 
 @pytest.mark.parametrize("k_r", [0, 1, 2, 3])
 def test_atoms_and_derivs_match_steering_matrix_and_derivative(k_r):
-    # A and dA from one steering matrix equal, bit for bit, the columns built
-    # from steering_matrix and steering_derivative each, per side
+    # _atoms of the steering matrix and of its derivative in degrees equal
+    # the columns sent one at a time through their side's half of psi
     _, batch = _batch([-20.5, 8.25], [33.75], snr_db=15.0, seed=3)
     psi = batch.operator_paired
     n = psi.shape[0] // 2
@@ -128,9 +129,10 @@ def test_atoms_and_derivs_match_steering_matrix_and_derivative(k_r):
     S = steering_matrix(th, n)
     dS = steering_derivative(th, n) * (np.pi / 180.0)
     halves = [psi[:n].T if j < k_r else psi[n:].T for j in range(len(th))]
-    A, dA = _atoms_and_derivs(psi, th, k_r)
-    assert np.array_equal(A, np.column_stack([h @ S[:, j] for j, h in enumerate(halves)]))
-    assert np.array_equal(dA, np.column_stack([h @ dS[:, j] for j, h in enumerate(halves)]))
+    assert np.allclose(_atoms(psi, S, k_r),
+                       np.column_stack([h @ S[:, j] for j, h in enumerate(halves)]))
+    assert np.allclose(_atoms(psi, dS, k_r),
+                       np.column_stack([h @ dS[:, j] for j, h in enumerate(halves)]))
 
 
 def test_coordinate_rescan_escapes_wrong_basin():
@@ -144,8 +146,12 @@ def test_coordinate_rescan_escapes_wrong_basin():
 def _reference_coordinate_rescan(y, psi, th_r, th_t, grid_step=0.1, lo=-60.0, hi=60.0, cycles=2):
     # the rescan with every candidate projected: C = (I - QQ^H) cand in full
     n = psi.shape[0] // 2
+
+    def steering(angles):
+        return np.exp(-1j * np.pi * np.outer(np.arange(n), np.sin(np.radians(angles))))
+
     grid = np.arange(lo, hi + 1e-9, grid_step)
-    sv = np.exp(-1j * np.pi * np.outer(np.arange(n), np.sin(np.radians(grid))))
+    sv = steering(grid)
     cand_r = psi[:n].T @ sv
     cand_t = psi[n:].T @ sv
     th = list(th_r) + list(th_t)
@@ -156,7 +162,8 @@ def _reference_coordinate_rescan(y, psi, th_r, th_t, grid_step=0.1, lo=-60.0, hi
         for k in range(K):
             other_r = [th[j] for j in range(K) if j != k and j < k_r]
             other_t = [th[j] for j in range(K) if j != k and j >= k_r]
-            Q, _ = np.linalg.qr(_atoms(psi, other_r, other_t))
+            Q, _ = np.linalg.qr(np.hstack([psi[:n].T @ steering(other_r),
+                                           psi[n:].T @ steering(other_t)]))
             cand = cand_r if k < k_r else cand_t
             res_y = y - Q @ (Q.conj().T @ y)
             C = cand - Q @ (Q.conj().T @ cand)
@@ -257,10 +264,58 @@ def test_grid_steering_cached_and_read_only():
 
 def test_polish_pipeline_end_to_end():
     scene, batch = _batch([-20.5, 8.25], [33.75], seed=2)
-    th_r, th_t = polish_angles(batch.y, batch.operator_paired,
-                               np.array([-45.0, 8.0]), np.array([34.0]))
+    th_r, th_t, _ = polish_angles(batch.y, batch.operator_paired,
+                                  np.array([-45.0, 8.0]), np.array([34.0]))
     assert np.max(np.abs(np.sort(th_r) - [-20.5, 8.25])) <= 1e-6
     assert np.max(np.abs(th_t - [33.75])) <= 1e-6
+
+
+@pytest.mark.parametrize("scenario", [1, 2])
+@pytest.mark.parametrize("solver, estimate", [
+    (fri_uniform, fri_uniform.estimate_angles_uniform),
+    (fri_nonuniform, fri_nonuniform.estimate_angles_nonuniform),
+], ids=["M1", "M2"])
+def test_recovery_residual_is_the_fit_at_the_returned_angles(solver, estimate, scenario):
+    # the residual a solve records is ||y - A s_hat|| at its returned angles,
+    # under the solver's own operator (M1's uniform assumption in scenario 2)
+    cfg = PgdConfig(init="Grid")
+    _, _, _, batch = make_batch(ExperimentConfig(scenario=scenario, snr_db=15.0, seed=5), 0)
+    res = estimate(batch, cfg)
+    psi, _ = solver.lifting(batch, cfg)
+    n = psi.shape[0] // 2
+    th_r, th_t = res.by_subspace()
+    A = np.hstack([psi[:n].T @ steering_matrix(th_r, n), psi[n:].T @ steering_matrix(th_t, n)])
+    s, *_ = np.linalg.lstsq(A, batch.y, rcond=None)
+    assert res.residual == pytest.approx(np.linalg.norm(batch.y - A @ s), rel=1e-10)
+
+
+def test_multistart_retries_above_the_gate_and_keeps_the_lowest_residual():
+    # fake solves with given residuals: no retry at or below the noise-floor
+    # gate; above it, the other inits run in INITS order until one reaches
+    # the gate, and the lowest residual wins (the first on a tie)
+    _, _, _, batch = make_batch(ExperimentConfig(snr_db=15.0, seed=0), 0)
+    gate = _residual_gate(batch)
+
+    def run(residuals):
+        calls = []
+
+        def solve_once(cfg):
+            calls.append(cfg.init)
+            return RecoveryResult(angles=[(float(len(calls)), 'RS')], iterations=0,
+                                  residual_history=[], converged=False,
+                                  residual=residuals[cfg.init])
+
+        best = multistart(batch, PgdConfig(init="Grid"), solve_once)
+        return calls, best.residual, best.angles[0][0]
+
+    assert run({"Grid": gate}) == (["Grid"], gate, 1.0)
+    assert run({"Grid": 0.5 * gate}) == (["Grid"], 0.5 * gate, 1.0)
+    assert run({"Grid": 3 * gate, "Zero": 5 * gate, "Backprojection": 2 * gate}) == (
+        ["Grid", "Zero", "Backprojection"], 2 * gate, 3.0)
+    assert run({"Grid": 3 * gate, "Zero": 3 * gate, "Backprojection": 4 * gate}) == (
+        ["Grid", "Zero", "Backprojection"], 3 * gate, 1.0)
+    assert run({"Grid": 3 * gate, "Zero": gate, "Backprojection": 0.0}) == (
+        ["Grid", "Zero"], gate, 2.0)
 
 
 def test_select_roots_by_energy_rejects_spurious():
