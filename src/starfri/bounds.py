@@ -8,12 +8,13 @@ weights K_R, K_T. All angles are radians inside this module; degrees only
 appear at the reporting boundary.
 """
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import gammainc, ndtr
 
-from .star_ris_model import ANGLE_HI, ANGLE_LO, build_paired_operator, steering_derivative
+from .star_ris_model import (ANGLE_HI, ANGLE_LO, build_paired_operator, steering_derivative,
+                             steering_matrix)
 
 ZETA = np.radians(ANGLE_HI - ANGLE_LO)   # width of the search range, radians
 
@@ -59,7 +60,7 @@ def fisher_information(inputs, subspace):
         raise ValueError("empty subspace")
     n = inputs.profile.n
     rows = _sensing_rows(inputs, subspace)
-    dA = steering_derivative(thetas, n)
+    dA = steering_derivative(thetas, steering_matrix(thetas, n))
     big_psi = rows @ (dA * gains[None, :])                   # (t_s, K_i)
     F = (2.0 / (inputs.profile.t_s * inputs.sigma_n2)) * np.real(big_psi.conj().T @ big_psi)
     singular = np.linalg.matrix_rank(F) < F.shape[0]
@@ -67,12 +68,15 @@ def fisher_information(inputs, subspace):
 
 
 def p_l(k, t_s, n, eta):
-    """Probability-of-large-error factor of the a-priori term."""
+    """Probability-of-large-error factor of the a-priori term,
+    exp(k t_s (log_term + x^2)) q with q = Q(sqrt(2 k t_s) x), the Gaussian
+    tail, taken as erfc(sqrt(k t_s) x) / 2: no cancellation, so q stays
+    positive where 1 - Phi(z) would round to 0 (z above about 8.3)."""
     if eta == np.inf:
         return 0.0
     x = n * eta / (2.0 + n * eta)
     log_term = np.log(4.0 * (1.0 + n * eta) / (2.0 + n * eta) ** 2)
-    q = 1.0 - ndtr(np.sqrt(2.0 * k * t_s) * x)
+    q = 0.5 * math.erfc(math.sqrt(k * t_s) * x)
     return float(np.exp(k * t_s * (log_term + x ** 2)) * q)
 
 
@@ -85,9 +89,23 @@ def u_tilde(k, t_s, n, eta):
 
 
 def valley_weight(u):
-    """Regularized lower incomplete gamma of shape 3/2: 0 at u=0, monotone,
-    tending to 1, so the bound slides from the a-priori to the CRB regime."""
-    return float(gammainc(1.5, u))
+    """Regularized lower incomplete gamma of shape 3/2, P(3/2, u): 0 at u=0,
+    monotone, tending to 1, so the bound slides from the a-priori to the CRB
+    regime.
+
+    Closed form erf(sqrt u) - 2 sqrt(u/pi) e^-u for u >= 1. Below 1 its two
+    terms cancel (to O(u^1.5) against O(u^0.5)), so there it sums the series
+    P(3/2, u) = u^1.5 e^-u / Gamma(5/2) * sum_j u^j / ((5/2)(7/2)...(3/2+j)).
+    """
+    if u >= 1.0:
+        return math.erf(math.sqrt(u)) - 2.0 * math.sqrt(u / math.pi) * math.exp(-u)
+    term = total = 1.0
+    j = 0
+    while term > 1e-17 * total:
+        j += 1
+        term *= u / (1.5 + j)
+        total += term
+    return u ** 1.5 * math.exp(-u) / (0.75 * math.sqrt(math.pi)) * total
 
 
 def zzb_subspace(inputs, subspace):

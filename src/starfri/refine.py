@@ -31,7 +31,6 @@ model's cached ``grid_steering``, so neither builds a t_s x G atom block.
 from dataclasses import dataclass, replace
 
 import numpy as np
-from scipy.optimize import least_squares
 
 from . import structured_linalg as sl
 from .star_ris_model import FINE_STEP, grid_steering, steering_derivative, steering_matrix
@@ -75,11 +74,6 @@ class RecoveryResult:
     residual_history: list     # per-iteration update norms ||b_new - b_old||
     converged: bool
     residual: float            # ||y - A s_hat|| at the angles, from the polish's last varpro pass
-
-    def by_subspace(self):
-        rs = np.sort([a for a, lab in self.angles if lab == 'RS'])
-        ts = np.sort([a for a, lab in self.angles if lab == 'TS'])
-        return rs, ts
 
 
 def label_angles(th_r, th_t):
@@ -160,6 +154,12 @@ def _atoms(psi, S, k_r):
     return np.hstack([psi[:n].T @ S[:, :k_r], psi[n:].T @ S[:, k_r:]])
 
 
+def least_squares(*args, **kwargs):
+    """``scipy.optimize.least_squares``, taken from ``sl.load_scipy`` at the
+    first call, so that importing this module loads no scipy."""
+    return sl.load_scipy().least_squares(*args, **kwargs)
+
+
 def varpro_refine(y, psi, th_r, th_t):
     """Local ML refinement of the angles with gains projected out.
 
@@ -168,8 +168,9 @@ def varpro_refine(y, psi, th_r, th_t):
     ML stationary point of the basin it starts in. The Jacobian uses the
     Kaufman form -P_perp dA s_hat, which leaves the gradient of the projected
     functional exact because the dropped term lies in range(A). A and dA are
-    ``_atoms`` of ``steering_matrix`` and of ``steering_derivative`` (per
-    degree).
+    ``_atoms`` of the steering matrix S and of its ``steering_derivative``
+    (per degree), which reuses S's exponentials. The solver is
+    ``least_squares``, so scipy loads at the first polish.
 
     Returns (th_r, th_t, residual), the residual ||y - A s_hat|| at the end
     point: the norm of the solver's own residual vector there, so the fit is
@@ -186,8 +187,9 @@ def varpro_refine(y, psi, th_r, th_t):
         nonlocal last_th, last
         if last_th is not None and np.array_equal(th, last_th):
             return last
-        A = _atoms(psi, steering_matrix(th, n), k_r)
-        dA = _atoms(psi, steering_derivative(th, n) * (np.pi / 180.0), k_r)
+        S = steering_matrix(th, n)
+        A = _atoms(psi, S, k_r)
+        dA = _atoms(psi, steering_derivative(th, S) * (np.pi / 180.0), k_r)
         s, *_ = np.linalg.lstsq(A, y, rcond=None)
         last_th, last = th.copy(), (A, dA, s, y - A @ s)
         return last

@@ -105,11 +105,12 @@ def steering_matrix(thetas, n):
     return np.exp(-1j * np.pi * np.arange(n)[:, None] * np.sin(np.radians(thetas)))
 
 
-def steering_derivative(thetas, n):
+def steering_derivative(thetas, steer):
     """d/d theta, theta in radians, of steering_matrix: entry (m, k) equal to
-    (-j pi m cos theta_k) exp(-j pi m sin theta_k)."""
+    (-j pi m cos theta_k) exp(-j pi m sin theta_k). steer is the caller's
+    steering_matrix(thetas, n), whose exponentials are reused."""
     rad = np.radians(thetas)
-    return (-1j * np.pi * np.arange(n)[:, None] * np.cos(rad)) * steering_matrix(thetas, n)
+    return (-1j * np.pi * np.arange(steer.shape[0])[:, None] * np.cos(rad)) * steer
 
 
 @functools.lru_cache(maxsize=None)

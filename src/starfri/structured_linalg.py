@@ -27,14 +27,18 @@ holds the atoms B v of a slot basis B (t_s x n) over unit-modulus steering
 columns v as one ``GridDictionary`` of factors: its norms ||B v||^2 =
 Re(c^H v) come from the lag sums c of B^H B (``_lag_sums``), and its
 correlations r^H B v from one O(n*G) product, so no t_s x G block is built.
+
+scipy is imported in one place, ``load_scipy``, at its first call: only the
+gridless solvers use it (``eigh`` and the polish's ``refine.least_squares``),
+so ``import starfri``, the grid baselines and the bound load numpy alone.
 """
 
 import functools
 import math
 from dataclasses import dataclass
+from types import SimpleNamespace
 
 import numpy as np
-from scipy.linalg import get_lapack_funcs
 
 
 def check_feasible(k, alpha, n, cols):
@@ -158,19 +162,43 @@ def inverse_paired_hankel(m):
     return m[:, :half].reshape(-1) @ Wt, m[:, half:].reshape(-1) @ Wt
 
 
+@functools.lru_cache(maxsize=None)
+def load_scipy():
+    """scipy's LAPACK lookup ``get_lapack_funcs`` and MINPACK solver
+    ``least_squares``, imported at the first call and cached.
+
+    The one scipy import of the package. Only the gridless solvers call it,
+    so a process that runs the grid baselines or the bound alone never pays
+    scipy's import (about 0.3 s over numpy's).
+    """
+    from scipy.linalg import get_lapack_funcs
+    from scipy.optimize import least_squares
+    return SimpleNamespace(get_lapack_funcs=get_lapack_funcs, least_squares=least_squares)
+
+
+@functools.lru_cache(maxsize=None)
+def _eigh_routine(dtype):
+    """(name, routine) of LAPACK's Hermitian eigensolver for dtype, looked up
+    once per dtype: ``heevd`` (``zheevd`` for complex128), ``syevd`` for a
+    real dtype."""
+    name = "heevd" if dtype.kind == "c" else "syevd"
+    solve, = load_scipy().get_lapack_funcs((name,), dtype=dtype)
+    return solve.typecode + name, solve
+
+
 def eigh(gram):
     """Ascending eigenvalues and unit eigenvectors (columns) of a Hermitian
-    matrix from one LAPACK call, ``heevd`` (``syevd`` for real input). A
-    failed solve or a non-finite input raises LinAlgError."""
-    name = "heevd" if np.iscomplexobj(gram) else "syevd"
-    solve, = get_lapack_funcs((name,), (gram,))
+    matrix from one LAPACK call, ``heevd`` (``syevd`` for real input),
+    resolved through ``load_scipy`` once per dtype. A failed solve or a
+    non-finite input raises LinAlgError."""
+    name, solve = _eigh_routine(gram.dtype)
     w, vecs, info = solve(gram, lower=1)
     # LAPACK returns info = 0 for some non-finite inputs (a NaN in a 2 x 2
     # Gram, for one); such an input, or a Gram that overflowed, leaves the
     # largest eigenvalue NaN or inf
     if info != 0 or not math.isfinite(w[-1]):
         raise np.linalg.LinAlgError(
-            f"{solve.typecode}{name} failed: info={info}, largest eigenvalue {w[-1]}")
+            f"{name} failed: info={info}, largest eigenvalue {w[-1]}")
     return w, vecs
 
 

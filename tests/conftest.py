@@ -1,4 +1,4 @@
-"""Fixtures shared by the tests of the two PGD solvers."""
+"""Fixtures shared by the tests of the two PGD solvers and their callers."""
 
 import numpy as np
 import pytest
@@ -37,3 +37,13 @@ def operator_batch():
         return sm.MeasurementBatch(y=np.ones(t_s, complex), sigma_n2=0.0, operator_paired=psi,
                                    g=np.ones(t_s, complex), scenario=sm.UNIFORM)
     return make
+
+
+@pytest.fixture
+def by_subspace():
+    """by_subspace(result): the RS angles and the TS angles of a
+    RecoveryResult, each sorted."""
+    def split(result):
+        return tuple(np.sort([a for a, lab in result.angles if lab == side])
+                     for side in ('RS', 'TS'))
+    return split

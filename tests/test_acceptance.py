@@ -296,7 +296,7 @@ def test_criterion_7_fim_finite_difference():
     assert np.max(np.abs(f - f_fd)) <= 1e-4 * np.max(np.abs(f))
 
 
-def test_criterion_7_noiseless_end_to_end_exactness():
+def test_criterion_7_noiseless_end_to_end_exactness(by_subspace):
     rng = np.random.default_rng(8)
     scene = sm.draw_scene(rng, 2, 2)
     for scen, run in ((sm.UNIFORM, "M1"), (sm.NONUNIFORM, "M2")):
@@ -307,6 +307,6 @@ def test_criterion_7_noiseless_end_to_end_exactness():
             res = estimate_angles_uniform(batch, PgdConfig(init="Grid"))
         else:
             res = estimate_angles_nonuniform(batch, PgdConfig(init="Grid"))
-        rs, ts = res.by_subspace()
+        rs, ts = by_subspace(res)
         assert np.max(np.abs(rs - np.sort(scene.theta_rs))) <= 1e-6
         assert np.max(np.abs(ts - np.sort(scene.theta_ts))) <= 1e-6

@@ -29,16 +29,16 @@ def _random_inputs(seed=0, sigma_n2=10 ** (-1.5), k_r=2, k_t=2):
 
 
 def test_steering_derivative_values():
-    d = steering_derivative(0.0, 2)[:, 0]
+    d = steering_derivative(0.0, sm.steering_matrix(0.0, 2))[:, 0]
     assert np.allclose(d, [0.0, -1j * np.pi])
     # derivative magnitude vanishes at grazing incidence
-    assert np.max(np.abs(steering_derivative(89.999, 8))) <= 1e-3
+    assert np.max(np.abs(steering_derivative(89.999, sm.steering_matrix(89.999, 8)))) <= 1e-3
 
 
 def test_steering_derivative_finite_difference():
     h = 1e-6
     thetas = [-37.2, 0.0, 12.9, 55.0]
-    D = steering_derivative(thetas, 8)
+    D = steering_derivative(thetas, sm.steering_matrix(thetas, 8))
     assert D.shape == (8, 4)
     for j, theta in enumerate(thetas):
         fd = (sm.steering_matrix(theta + np.degrees(h), 8)[:, 0]
@@ -108,6 +108,34 @@ def test_p_l_limits_and_value():
     ref = mexp(K * Ts * (mlog(4 * (1 + N * eta) / (2 + N * eta) ** 2) + x ** 2)) \
         * erfc(msqrt(2 * K * Ts) * x / msqrt(2)) / 2
     assert np.isclose(p_l(4, 32, 16, 1.0), float(ref), rtol=1e-12)
+
+
+def test_p_l_matches_scipy_tail_without_cancellation():
+    # q is erfc(sqrt(k t_s) x) / 2, the Gaussian tail Q(z) at z = sqrt(2 k t_s) x;
+    # scipy's ndtr(-z) is the same tail, where 1 - ndtr(z) rounds to 0 beyond z ~ 8.3
+    from scipy.special import ndtr
+    for k, t_s, n in ((4, 32, 16), (2, 8, 8), (1, 4, 4), (6, 64, 20)):
+        for eta in np.logspace(-3, 3, 61):
+            x = n * eta / (2.0 + n * eta)
+            ref = (np.exp(k * t_s * (np.log(4.0 * (1.0 + n * eta) / (2.0 + n * eta) ** 2) + x ** 2))
+                   * ndtr(-np.sqrt(2.0 * k * t_s) * x))
+            if ref >= np.finfo(float).tiny:
+                assert p_l(k, t_s, n, eta) == pytest.approx(ref, rel=1e-12, abs=0.0), (k, t_s, n, eta)
+    # z = sqrt(256) * 16/18 = 14.2: the tail is about 1e-46, not 0
+    assert p_l(4, 32, 16, 1.0) > 0.0
+
+
+def test_valley_weight_matches_the_regularized_incomplete_gamma():
+    from scipy.special import gammainc
+    u = np.logspace(-3, 3, 601)
+    w = np.array([valley_weight(x) for x in u])
+    np.testing.assert_allclose(w, gammainc(1.5, u), rtol=1e-12, atol=0.0)
+    # the small-u series keeps it monotone and in [0, 1] where the closed
+    # form's two terms cancel
+    u = np.logspace(-12, 3, 1501)
+    w = np.array([valley_weight(x) for x in u])
+    assert np.all((w >= 0.0) & (w <= 1.0))
+    assert np.all(np.diff(w) >= 0.0)
 
 
 def test_u_tilde():

@@ -1,6 +1,7 @@
 """Tests for the experiment harness, scoring and CLI."""
 
 import csv
+import itertools
 import json
 import os
 import subprocess
@@ -9,6 +10,7 @@ from dataclasses import asdict, replace
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 
 from starfri import experiments, fri_nonuniform, fri_uniform
 from starfri import star_ris_model as sm
@@ -51,6 +53,42 @@ def test_match_and_score_distinguishes_mirrored_labels():
     assert s1 and np.allclose(good, 0.0)
     swapped, s2 = match_and_score([(25.0, 'TS'), (-25.0, 'RS')], scene)
     assert not s2 and np.max(swapped) >= 45.0
+
+
+def test_match_and_score_breaks_an_l1_tie_by_the_largest_error():
+    # (0, 1) against (2, 3): both matchings sum to 4; sorted order gives (2, 2), not (3, 1)
+    errors, _ = match_and_score([(0.0, 'RS'), (1.0, 'RS')], _scene([2.0, 3.0], []))
+    assert errors.tolist() == [2.0, 2.0]
+
+
+_ANGLE = st.one_of(st.integers(-60, 60).map(float), st.floats(-60.0, 60.0))
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.data())
+def test_match_and_score_against_an_assignment_solver(data):
+    # scipy's assignment solver as the oracle: the same total error, a
+    # largest error never above its own, and the same errors in estimate
+    # order whenever the optimal matching is unique
+    from scipy.optimize import linear_sum_assignment
+    k_r, k_t = data.draw(st.integers(0, 3)), data.draw(st.integers(0, 3))
+    assume(k_r + k_t > 0)
+    scene = _scene(data.draw(st.lists(_ANGLE, min_size=k_r, max_size=k_r)),
+                   data.draw(st.lists(_ANGLE, min_size=k_t, max_size=k_t)))
+    est = data.draw(st.lists(st.tuples(_ANGLE, st.sampled_from(['RS', 'TS'])),
+                             min_size=k_r + k_t, max_size=k_r + k_t))
+    errors, success = match_and_score(est, scene)
+    truth = [(t, 'RS') for t in scene.theta_rs] + [(t, 'TS') for t in scene.theta_ts]
+    cost = np.abs(to_full_space(est)[:, None] - to_full_space(truth)[None, :])
+    rows, cols = linear_sum_assignment(cost)
+    oracle = cost[rows, cols]
+    assert errors.sum() == pytest.approx(oracle.sum(), rel=1e-12, abs=1e-9)
+    assert errors.max() <= oracle.max()
+    assert success or not oracle.max() <= 5.0
+    perms = np.array(list(itertools.permutations(range(len(est)))))
+    sums = cost[np.arange(len(est)), perms].sum(axis=1)
+    if np.count_nonzero(sums <= sums.min() + 1e-9) == 1:
+        assert np.array_equal(errors, oracle)
 
 
 def test_match_and_score_cardinality_mismatch():
@@ -333,8 +371,16 @@ def test_non_finite_snr_rejected_before_any_trial(runner, snr_db):
     ({"scenario": 3}, "scenario=3"),
     ({"seed": -1}, "seed=-1"),
     ({"seed": 1.5}, "seed=1.5"),
+    ({"trials": 1.5}, "trials=1.5"),
+    ({"n": 16.5}, "n=16.5"),
+    ({"t_s": 32.0}, "t_s=32.0"),
+    ({"k_r": True}, "k_r=True"),
+    ({"k_t": 2.0}, "k_t=2.0"),
+    ({"workers": 1.5}, "workers=1.5"),
+    ({"methods": "FFT"}, "methods='FFT'"),
 ], ids=["no-trials", "n0", "n1", "negative-k_r", "negative-k_t", "no-users", "unknown-method",
-        "scenario3", "negative-seed", "fractional-seed"])
+        "scenario3", "negative-seed", "fractional-seed", "fractional-trials", "fractional-n",
+        "float-t_s", "bool-k_r", "float-k_t", "fractional-workers", "methods-string"])
 @pytest.mark.parametrize("runner", [run_sweep, run_convergence, run_spectrum])
 def test_degenerate_config_rejected_before_any_trial(monkeypatch, runner, overrides, message):
     monkeypatch.setattr(experiments, "make_batch", _no_trial)
@@ -355,6 +401,62 @@ def test_cli_rejects_a_seed_no_rng_stream_takes_before_writing(tmp_path):
         main(["sweep", "--config", str(cfg_path), "--trials", "1", "--methods", "FFT",
               "--out", str(out)])
     assert sorted(os.listdir(tmp_path)) == ["cfg.json"]
+
+
+@pytest.mark.parametrize("values, message", [
+    ({"trials": 1.5}, "trials=1.5"),
+    ({"n": 16.5}, "n=16.5"),
+    ({"workers": 1.5}, "workers=1.5"),
+    ({"methods": "FFT"}, "methods='FFT'"),
+], ids=["trials", "n", "workers", "methods"])
+def test_cli_config_rejects_wrong_typed_fields_before_writing(tmp_path, values, message):
+    # a config file can carry any JSON type: a fractional count ended in a
+    # TypeError traceback, and a methods string was split into characters
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps(values))
+    with pytest.raises(ValueError, match=message):
+        main(["sweep", "--config", str(cfg_path), "--out", str(tmp_path / "o.csv")])
+    assert sorted(os.listdir(tmp_path)) == ["cfg.json"]
+
+
+_SCIPY_PROBE = """
+import json, sys, time
+
+def scipy_loaded():
+    return any(m.partition('.')[0] == 'scipy' for m in sys.modules)
+
+import starfri
+from starfri import experiments
+from starfri.bounds import ZzbInputs, zzb_full
+state = {"import": scipy_loaded()}
+cfg = experiments.ExperimentConfig(methods=("FFT", "OMP", "SBL"))
+scene, prof, ch, batch = experiments.make_batch(cfg, 0)
+for method in cfg.methods:
+    angles, _, _ = experiments.run_method(method, batch, cfg)
+    experiments.match_and_score(angles, scene)
+zzb_full(ZzbInputs(scene, prof, ch, batch.sigma_n2))
+state["grid"] = scipy_loaded()
+clock, reads = time.perf_counter, []
+
+def spy():
+    reads.append(scipy_loaded())
+    return clock()
+
+experiments.time.perf_counter = spy
+experiments.run_method("M1", batch, cfg)
+state["m1_clock_reads"] = reads
+print(json.dumps(state))
+"""
+
+
+def test_scipy_loads_at_the_first_gridless_solve_before_its_clock(tmp_path):
+    # a fresh interpreter: the package, the grid baselines, the scoring and
+    # the bound load no scipy; an M1 call loads it before run_method first
+    # reads the clock, so its time is the solve's alone
+    proc = _run_module("-c", _SCIPY_PROBE, cwd=tmp_path)
+    assert proc.returncode == 0, proc.stderr
+    state = json.loads(proc.stdout.strip().splitlines()[-1])
+    assert state == {"import": False, "grid": False, "m1_clock_reads": [True, True]}
 
 
 @pytest.mark.parametrize("experiment", ["convergence", "bogus"])

@@ -72,15 +72,15 @@ def test_noiseless_denoise_recovers_latent():
         assert np.linalg.norm(b - x) / np.linalg.norm(x) <= 1e-6
 
 
-def test_noiseless_single_user_per_subspace_exact():
+def test_noiseless_single_user_per_subspace_exact(by_subspace):
     scene, prof, batch = _batch([23.4], [-51.7], seed=2)
     res = estimate_angles_nonuniform(batch, PgdConfig(k_r=1, k_t=1, init="Grid"))
-    rs, ts = res.by_subspace()
+    rs, ts = by_subspace(res)
     assert abs(rs[0] - 23.4) <= 1e-6
     assert abs(ts[0] + 51.7) <= 1e-6
 
 
-def test_noiseless_exactness_randomized():
+def test_noiseless_exactness_randomized(by_subspace):
     for i in range(10):
         rng = np.random.default_rng([200, i])
         scene = sm.draw_scene(rng, 2, 2)
@@ -88,7 +88,7 @@ def test_noiseless_exactness_randomized():
         ch = sm.draw_channel(rng, 16)
         batch = sm.synthesize_measurements(scene, prof, ch, np.inf, rng)
         res = estimate_angles_nonuniform(batch, PgdConfig(init="Grid"))
-        rs, ts = res.by_subspace()
+        rs, ts = by_subspace(res)
         assert np.max(np.abs(rs - np.sort(scene.theta_rs))) <= 1e-6
         assert np.max(np.abs(ts - np.sort(scene.theta_ts))) <= 1e-6
 
@@ -103,7 +103,7 @@ def test_per_subspace_annihilation_noiseless():
     assert np.linalg.norm(H_t @ c_t) <= 1e-9 * np.linalg.norm(H_t)
 
 
-def test_matches_uniform_solver_on_scenario1():
+def test_matches_uniform_solver_on_scenario1(by_subspace):
     # the uniform regime is a special case; at 15 dB both algorithms land on
     # the same maximum-likelihood refinement
     rng = np.random.default_rng([5, 0])
@@ -111,8 +111,8 @@ def test_matches_uniform_solver_on_scenario1():
     prof = sm.generate_profile(sm.UNIFORM, 16, 32, rng)
     ch = sm.draw_channel(rng, 16)
     batch = sm.synthesize_measurements(scene, prof, ch, 15.0, rng)
-    a1 = estimate_angles_uniform(batch, PgdConfig(init="Grid")).by_subspace()
-    a2 = estimate_angles_nonuniform(batch, PgdConfig(init="Grid")).by_subspace()
+    a1 = by_subspace(estimate_angles_uniform(batch, PgdConfig(init="Grid")))
+    a2 = by_subspace(estimate_angles_nonuniform(batch, PgdConfig(init="Grid")))
     assert np.max(np.abs(np.concatenate(a1) - np.concatenate(a2))) <= 0.1
 
 

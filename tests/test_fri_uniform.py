@@ -275,10 +275,10 @@ def test_noiseless_single_rs_user_exact():
     assert label == 'RS' and abs(angle - 23.4) <= 1e-6
 
 
-def test_noiseless_full_scene_exact():
+def test_noiseless_full_scene_exact(by_subspace):
     scene, prof, batch = _uniform_batch([-12.23, 39.19], [-47.34, 15.57], seed=9)
     res = estimate_angles_uniform(batch, PgdConfig(init="Grid"))
-    rs, ts = res.by_subspace()
+    rs, ts = by_subspace(res)
     assert np.max(np.abs(rs - [-12.23, 39.19])) <= 1e-6
     assert np.max(np.abs(ts - [-47.34, 15.57])) <= 1e-6
 

@@ -127,7 +127,7 @@ def test_atoms_and_derivs_match_steering_matrix_and_derivative(k_r):
     n = psi.shape[0] // 2
     th = np.array([-59.9, -20.5, 8.25, 33.75, 0.0])[:k_r + 2]
     S = steering_matrix(th, n)
-    dS = steering_derivative(th, n) * (np.pi / 180.0)
+    dS = steering_derivative(th, S) * (np.pi / 180.0)
     halves = [psi[:n].T if j < k_r else psi[n:].T for j in range(len(th))]
     assert np.allclose(_atoms(psi, S, k_r),
                        np.column_stack([h @ S[:, j] for j, h in enumerate(halves)]))
@@ -275,7 +275,8 @@ def test_polish_pipeline_end_to_end():
     (fri_uniform, fri_uniform.estimate_angles_uniform),
     (fri_nonuniform, fri_nonuniform.estimate_angles_nonuniform),
 ], ids=["M1", "M2"])
-def test_recovery_residual_is_the_fit_at_the_returned_angles(solver, estimate, scenario):
+def test_recovery_residual_is_the_fit_at_the_returned_angles(solver, estimate, scenario,
+                                                             by_subspace):
     # the residual a solve records is ||y - A s_hat|| at its returned angles,
     # under the solver's own operator (M1's uniform assumption in scenario 2)
     cfg = PgdConfig(init="Grid")
@@ -283,7 +284,7 @@ def test_recovery_residual_is_the_fit_at_the_returned_angles(solver, estimate, s
     res = estimate(batch, cfg)
     psi, _ = solver.lifting(batch, cfg)
     n = psi.shape[0] // 2
-    th_r, th_t = res.by_subspace()
+    th_r, th_t = by_subspace(res)
     A = np.hstack([psi[:n].T @ steering_matrix(th_r, n), psi[n:].T @ steering_matrix(th_t, n)])
     s, *_ = np.linalg.lstsq(A, batch.y, rcond=None)
     assert res.residual == pytest.approx(np.linalg.norm(batch.y - A @ s), rel=1e-10)

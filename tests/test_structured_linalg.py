@@ -340,14 +340,14 @@ def test_rank_truncate_rejects_non_finite():
 def test_rank_truncate_calls_the_lapack_eigensolver_for_its_dtype(monkeypatch):
     # complex input runs zheevd, real input dsyevd (there is no dheevd)
     called = []
-    lookup = sl.get_lapack_funcs
+    lookup = sl._eigh_routine
 
-    def spy(names, arrays):
-        funcs = lookup(names, arrays)
-        called.extend(f.typecode + name for f, name in zip(funcs, names))
-        return funcs
+    def spy(dtype):
+        name, solve = lookup(dtype)
+        called.append(name)
+        return name, solve
 
-    monkeypatch.setattr(sl, "get_lapack_funcs", spy)
+    monkeypatch.setattr(sl, "_eigh_routine", spy)
     rng = np.random.default_rng(16)
     sl.rank_truncate(_rand_cvec(rng, 20).reshape(4, 5), 2)
     sl.rank_truncate(rng.standard_normal((5, 4)), 2)
@@ -359,14 +359,14 @@ def test_filter_calls_the_truncations_eigensolver_and_the_step_does_not(monkeypa
     # step stays off scipy's LAPACK, whose BLAS thread pool a 2n x 2n Gram
     # would start. Both raise LinAlgError on a NaN entry
     called = []
-    lookup = sl.get_lapack_funcs
+    lookup = sl._eigh_routine
 
-    def spy(names, arrays):
-        funcs = lookup(names, arrays)
-        called.extend(f.typecode + name for f, name in zip(funcs, names))
-        return funcs
+    def spy(dtype):
+        name, solve = lookup(dtype)
+        called.append(name)
+        return name, solve
 
-    monkeypatch.setattr(sl, "get_lapack_funcs", spy)
+    monkeypatch.setattr(sl, "_eigh_routine", spy)
     rng = np.random.default_rng(17)
     m = _rand_cvec(rng, 12).reshape(4, 3)
     sl.smallest_right_singular_vector(m)
