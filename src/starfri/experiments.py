@@ -14,6 +14,8 @@ results are independent of execution order and worker count.
 import argparse
 import csv
 import json
+import math
+import numbers
 import os
 import time
 from concurrent.futures import ProcessPoolExecutor
@@ -150,10 +152,12 @@ def check_config(config):
     """Reject a configuration no method can solve, naming the field, before
     any trial runs: an unknown method or scenario among them, a methods
     value that is one string rather than a sequence of names, a size, order,
-    trial or worker count that is not an integer (a bool is not one), and a
-    seed that is not a non-negative integer (every trial's RNG stream would
-    refuse it). The orders and the slot count go through the solvers' own
-    rules (``PgdConfig``, ``refine.check_slots``)."""
+    trial or worker count that is not an integer (a bool is not one), a
+    worker count below 1, a seed that is not a non-negative integer (every
+    trial's RNG stream would refuse it), and a success threshold that is not
+    a finite positive real (a bool or a string is not one). The orders and
+    the slot count go through the solvers' own rules (``PgdConfig``,
+    ``refine.check_slots``)."""
     if isinstance(config.methods, str):
         raise ValueError(f"methods={config.methods!r} is one string, not a sequence of "
                          f"names from {', '.join(METHODS)}")
@@ -166,9 +170,13 @@ def check_config(config):
         value = getattr(config, name)
         if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
             raise ValueError(f"{name}={value!r} is not an integer")
-    for name, least in (("trials", 1), ("n", 2), ("seed", 0)):
+    for name, least in (("trials", 1), ("n", 2), ("workers", 1), ("seed", 0)):
         if getattr(config, name) < least:
             raise ValueError(f"{name}={getattr(config, name)} is below its least value {least}")
+    threshold = config.success_threshold_deg
+    if (isinstance(threshold, bool) or not isinstance(threshold, numbers.Real)
+            or not (math.isfinite(threshold) and threshold > 0)):
+        raise ValueError(f"success_threshold_deg={threshold!r} is not a finite positive real")
     check_slots(config.t_s, PgdConfig(k_r=config.k_r, k_t=config.k_t).k)
     for snr in np.atleast_1d(config.snr_db):
         check_snr_db(float(snr))

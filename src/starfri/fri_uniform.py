@@ -59,9 +59,9 @@ def pgd_denoise(batch, config):
     halves - and anti-diagonal averaging of each half.
 
     The pair, 2(n-alpha) x (alpha+1), is one gather from beta through the
-    cached flat index ``structured_linalg._stacked_index``; it is truncated
+    cached 2-D index ``structured_linalg._stacked_index``; it is truncated
     by the kernel M2 also uses (``structured_linalg.rank_truncate``), and both
-    halves average back in one product with the cached matrix
+    halves average back in one ``np.dot`` with the cached matrix
     ``structured_linalg._avg_t``.
     """
     psi, alpha = lifting(batch, config)
@@ -70,8 +70,7 @@ def pgd_denoise(batch, config):
     Wt = sl._avg_t(n - alpha, alpha + 1)
 
     def project(db):
-        H = sl.rank_truncate(db[idx].reshape(-1, alpha + 1), config.k)
-        return (H.reshape(2, -1) @ Wt).reshape(-1)
+        return np.dot(sl.rank_truncate(db[idx], config.k).reshape(2, -1), Wt).reshape(-1)
 
     return pgd(batch, config, psi, initial_iterate(batch, config, psi), project)
 

@@ -29,6 +29,7 @@ model's cached ``grid_steering``, so neither builds a t_s x G atom block.
 """
 
 from dataclasses import dataclass, replace
+from types import SimpleNamespace
 
 import numpy as np
 
@@ -100,7 +101,7 @@ def grid_init(psi, y, k_r, k_t):
         A = (np.column_stack([dicts[s].columns(i) for s, i in support]) if support
              else np.zeros((len(y), 0), complex))
         coef, *_ = np.linalg.lstsq(A, y, rcond=None)
-        return y - A @ coef, coef
+        return y - np.dot(A, coef), coef
 
     def score(side, residual):
         return np.abs(dicts[side].correlation(residual))
@@ -151,13 +152,24 @@ def _atoms(psi, S, k_r):
     """t_s x K operator responses of the steering block S: its first k_r
     columns through the RS half of psi, the rest through the TS half."""
     n = psi.shape[0] // 2
-    return np.hstack([psi[:n].T @ S[:, :k_r], psi[n:].T @ S[:, k_r:]])
+    return np.hstack([np.dot(psi[:n].T, S[:, :k_r]), np.dot(psi[n:].T, S[:, k_r:])])
 
 
-def least_squares(*args, **kwargs):
-    """``scipy.optimize.least_squares``, taken from ``sl.load_scipy`` at the
-    first call, so that importing this module loads no scipy."""
-    return sl.load_scipy().least_squares(*args, **kwargs)
+def least_squares(fun, x0, jac, xtol, ftol, gtol, max_nfev):
+    """Levenberg-Marquardt on the residual vector fun with the Jacobian jac:
+    MINPACK's ``lmder`` through ``scipy.optimize.leastsq`` (taken from
+    ``sl.load_scipy`` at the first call, so that importing this module loads
+    no scipy).
+
+    The same ``lmder`` call as ``scipy.optimize.least_squares(method='lm')``
+    (step bound factor 100, scaling from the Jacobian's column norms, row
+    derivatives), so the end point and the evaluation count are the same bit
+    for bit; it skips that wrapper's per-evaluation bookkeeping and its extra
+    Jacobian at the end point. Returns a namespace with the end point ``x``,
+    the residual vector there ``fun`` and the evaluation count ``nfev``."""
+    x, _, info, _, _ = sl.load_scipy().leastsq(fun, x0, Dfun=jac, full_output=True, xtol=xtol,
+                                               ftol=ftol, gtol=gtol, maxfev=max_nfev)
+    return SimpleNamespace(x=x, fun=info['fvec'], nfev=info['nfev'])
 
 
 def varpro_refine(y, psi, th_r, th_t):
@@ -169,8 +181,14 @@ def varpro_refine(y, psi, th_r, th_t):
     Kaufman form -P_perp dA s_hat, which leaves the gradient of the projected
     functional exact because the dropped term lies in range(A). A and dA are
     ``_atoms`` of the steering matrix S and of its ``steering_derivative``
-    (per degree), which reuses S's exponentials. The solver is
-    ``least_squares``, so scipy loads at the first polish.
+    (per degree), which reuses S's exponentials. The solver is MINPACK's
+    ``lmder`` through ``least_squares``, so scipy loads at the first polish.
+
+    Each point the solver asks for is solved once: its steering matrix,
+    atoms, gains and residual are kept under the point's bytes, and its
+    Jacobian is added when the solver first asks for it. The solver asks
+    for the residual and the Jacobian at the start twice (a shape check,
+    then MINPACK) and for the Jacobian at each point it has just accepted.
 
     Returns (th_r, th_t, residual), the residual ||y - A s_hat|| at the end
     point: the norm of the solver's own residual vector there, so the fit is
@@ -179,34 +197,33 @@ def varpro_refine(y, psi, th_r, th_t):
     k_r = len(th_r)
     n = psi.shape[0] // 2
     th0 = np.concatenate([th_r, th_t]).astype(float)
-    last_th, last = None, None
+    points = {}
 
     def solve(th):
-        # the solver asks for the Jacobian at the point it just evaluated;
-        # reuse that point's atoms and gains instead of solving again
-        nonlocal last_th, last
-        if last_th is not None and np.array_equal(th, last_th):
-            return last
-        S = steering_matrix(th, n)
-        A = _atoms(psi, S, k_r)
-        dA = _atoms(psi, steering_derivative(th, S) * (np.pi / 180.0), k_r)
-        s, *_ = np.linalg.lstsq(A, y, rcond=None)
-        last_th, last = th.copy(), (A, dA, s, y - A @ s)
-        return last
+        key = th.tobytes()
+        point = points.get(key)
+        if point is None:
+            S = steering_matrix(th, n)
+            A = _atoms(psi, S, k_r)
+            s, *_ = np.linalg.lstsq(A, y, rcond=None)
+            r = y - np.dot(A, s)
+            point = SimpleNamespace(S=S, A=A, s=s, f=np.concatenate([r.real, r.imag]), J=None)
+            points[key] = point
+        return point
 
     def resid(th):
-        _, _, _, r = solve(th)
-        return np.concatenate([r.real, r.imag])
+        return solve(th).f
 
     def jac(th):
-        A, dA, s, _ = solve(th)
-        cols = dA * s[None, :]
-        proj, *_ = np.linalg.lstsq(A, cols, rcond=None)
-        J = -(cols - A @ proj)
-        return np.concatenate([J.real, J.imag])
+        p = solve(th)
+        if p.J is None:
+            cols = _atoms(psi, steering_derivative(th, p.S) * (np.pi / 180.0), k_r) * p.s[None, :]
+            proj, *_ = np.linalg.lstsq(p.A, cols, rcond=None)
+            J = -(cols - np.dot(p.A, proj))
+            p.J = np.concatenate([J.real, J.imag])
+        return p.J
 
-    sol = least_squares(resid, th0, jac=jac, method='lm',
-                        xtol=1e-12, ftol=1e-12, gtol=1e-12, max_nfev=400)
+    sol = least_squares(resid, th0, jac, xtol=1e-12, ftol=1e-12, gtol=1e-12, max_nfev=400)
     return sol.x[:k_r], sol.x[k_r:], float(np.linalg.norm(sol.fun))
 
 
@@ -280,20 +297,22 @@ def pgd(batch, config, psi, b0, project):
     Each iteration: b <- project(b + 2 mu psi^* (y - psi^T b)), with mu from
     ``pgd_step`` and project the solver's rank-K truncation of its lifting.
     The gradient step is affine in b, so it runs as one 2n x 2n matvec,
-    A b + c with A = I - 2 mu psi^* psi^T and c = 2 mu psi^* y built once per
-    solve. Stops once the update norm is at most config.eps. Returns
-    (b, iterations, update norms, converged).
+    project(A b + c) with A = I - 2 mu psi^* psi^T and c = 2 mu psi^* y built
+    once per solve; every product is ``np.dot``, which skips the ufunc
+    dispatch of ``@`` at these sizes with the same result. Stops once the
+    update norm is at most config.eps. Returns (b, iterations, update norms,
+    converged).
     """
     mu = pgd_step(psi)
     psi_c = psi.conj()
-    A = np.eye(psi.shape[0]) - 2 * mu * (psi_c @ psi.T)
-    c = 2 * mu * (psi_c @ batch.y)
+    A = np.eye(psi.shape[0]) - 2 * mu * np.dot(psi_c, psi.T)
+    c = 2 * mu * np.dot(psi_c, batch.y)
     b = b0.copy()
     history = []
     converged = False
     it = 0
     for it in range(1, config.i_max + 1):
-        db = project(A @ b + c)
+        db = project(np.dot(A, b) + c)
         d = db - b
         step = np.sqrt(np.vdot(d, d).real)
         history.append(step)

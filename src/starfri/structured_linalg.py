@@ -17,10 +17,16 @@ stays on numpy's SVD of the 2n-row operator (see there).
 The other kernels carry no set-up beyond their arithmetic: a Hankel lift is
 one gather v[..., idx] through a cached read-only index array
 (``_hankel_index``), Algorithm 1's vertical pair [H(x_R); H(x_T)] one gather
-from beta (``_stacked_index``), Algorithm 2's horizontal pair [H(x_R), H(x_T)]
-one gather from [v_r, v_t] (``_paired_index``), and an average one product
-with a cached read-only complex averaging matrix (``_avg_t``). The tests hold
-each of them bit for bit to a window-view lift and a per-half average.
+from beta through a 2-D index (``_stacked_index``), Algorithm 2's horizontal
+pair [H(x_R), H(x_T)] one gather from [v_r, v_t] (``_paired_index``), and an
+average one product with a cached read-only complex averaging matrix
+(``_avg_t``). The tests hold each of them bit for bit to a window-view lift
+and a per-half average.
+
+The products of the PGD iteration's kernels, of the grid dictionaries and of
+the polish are ``np.dot``: on these 9 x 9 to 32 x 32 operands it gives the
+same bits as ``@`` and skips matmul's ufunc dispatch, which is a sizeable
+share of each product's time.
 
 Every grid scan (the grid start, the polish's rescan and the grid baselines)
 holds the atoms B v of a slot basis B (t_s x n) over unit-modulus steering
@@ -67,9 +73,9 @@ def _paired_index(n, alpha):
 
 @functools.lru_cache(maxsize=None)
 def _stacked_index(n, alpha):
-    """Read-only flat index into beta = [v_1; v_2] (length 2n) whose gather,
-    reshaped to (-1, alpha+1), is the vertical pair [H(v_1); H(v_2)]."""
-    idx = (_hankel_index(n, alpha) + n * np.arange(2)[:, None, None]).ravel()
+    """Read-only 2(n-alpha) x (alpha+1) index into beta = [v_1; v_2] (length
+    2n) whose gather is the vertical pair [H(v_1); H(v_2)]."""
+    idx = (_hankel_index(n, alpha) + n * np.arange(2)[:, None, None]).reshape(-1, alpha + 1)
     idx.flags.writeable = False
     return idx
 
@@ -148,7 +154,7 @@ def _avg_t(rows, cols):
 def inverse_paired_hankel(m):
     """Average each half of a horizontally paired lift back to two vectors.
 
-    Each half is one product with the cached complex averaging matrix
+    Each half is one ``np.dot`` with the cached complex averaging matrix
     ``_avg_t``. The halves stay two products: one product with a
     block-diagonal matrix lets BLAS group the nonzero terms differently, which
     changes the last bit for some lift shapes (alpha = 2 among them).
@@ -159,21 +165,22 @@ def inverse_paired_hankel(m):
         raise ValueError("odd column count")
     half = cols // 2
     Wt = _avg_t(rows, half)
-    return m[:, :half].reshape(-1) @ Wt, m[:, half:].reshape(-1) @ Wt
+    return np.dot(m[:, :half].reshape(-1), Wt), np.dot(m[:, half:].reshape(-1), Wt)
 
 
 @functools.lru_cache(maxsize=None)
 def load_scipy():
-    """scipy's LAPACK lookup ``get_lapack_funcs`` and MINPACK solver
-    ``least_squares``, imported at the first call and cached.
+    """scipy's LAPACK lookup ``get_lapack_funcs`` and MINPACK driver
+    ``leastsq`` (Levenberg-Marquardt, ``lmder`` with a user Jacobian),
+    imported at the first call and cached.
 
     The one scipy import of the package. Only the gridless solvers call it,
     so a process that runs the grid baselines or the bound alone never pays
     scipy's import (about 0.3 s over numpy's).
     """
     from scipy.linalg import get_lapack_funcs
-    from scipy.optimize import least_squares
-    return SimpleNamespace(get_lapack_funcs=get_lapack_funcs, least_squares=least_squares)
+    from scipy.optimize import leastsq
+    return SimpleNamespace(get_lapack_funcs=get_lapack_funcs, leastsq=leastsq)
 
 
 @functools.lru_cache(maxsize=None)
@@ -207,17 +214,18 @@ def rank_truncate(m, k):
 
     Projects onto the top-k eigenvectors (``eigh``) of the smaller Gram
     matrix: U_k (U_k^H m) with U_k from m m^H when m is wide, (m V_k) V_k^H
-    with V_k from m^H m when it is tall. A non-finite entry, a Gram matrix
-    that overflows or a failed solve raises LinAlgError.
+    with V_k from m^H m when it is tall. m is a 2-D array. A non-finite
+    entry, a Gram matrix that overflows or a failed solve raises LinAlgError.
     """
-    m = np.asarray(m)
     rows, cols = m.shape
-    if not (1 <= k <= min(rows, cols)):
+    if not 1 <= k <= min(rows, cols):
         raise ValueError("k out of range")
-    wide = rows <= cols
     mh = m.conj().T
-    top = eigh(m @ mh if wide else mh @ m)[1][:, -k:]
-    return top @ (top.conj().T @ m) if wide else (m @ top) @ top.conj().T
+    if rows <= cols:
+        top = eigh(np.dot(m, mh))[1][:, -k:]
+        return np.dot(top, np.dot(top.conj().T, m))
+    top = eigh(np.dot(mh, m))[1][:, -k:]
+    return np.dot(np.dot(m, top), top.conj().T)
 
 
 @functools.lru_cache(maxsize=None)
@@ -254,12 +262,12 @@ class GridDictionary:
     def correlation(self, r):
         """r^H a for every atom a, by one O(n*G) product; for a t_s x m
         matrix r, the m x G block of its columns' correlations."""
-        return ((r.conj().T @ self.basis) @ self.steer) * self.scale
+        return np.dot(np.dot(r.conj().T, self.basis), self.steer) * self.scale
 
     def columns(self, cols):
         """The atoms at grid indices cols: (t_s, len(cols)) for a list of
         indices, (t_s,) for one."""
-        return self.basis @ (self.steer[:, cols] * self.scale[cols])
+        return np.dot(self.basis, self.steer[:, cols] * self.scale[cols])
 
 
 def smallest_right_singular_vector(m):

@@ -377,16 +377,42 @@ def test_non_finite_snr_rejected_before_any_trial(runner, snr_db):
     ({"k_r": True}, "k_r=True"),
     ({"k_t": 2.0}, "k_t=2.0"),
     ({"workers": 1.5}, "workers=1.5"),
+    ({"workers": 0}, "workers=0 is below its least value 1"),
+    ({"workers": -2}, "workers=-2 is below its least value 1"),
     ({"methods": "FFT"}, "methods='FFT'"),
+    ({"success_threshold_deg": "5"}, "success_threshold_deg='5' is not a finite positive real"),
+    ({"success_threshold_deg": None}, "success_threshold_deg=None"),
+    ({"success_threshold_deg": True}, "success_threshold_deg=True"),
+    ({"success_threshold_deg": 0.0}, "success_threshold_deg=0.0"),
+    ({"success_threshold_deg": -1}, "success_threshold_deg=-1"),
+    ({"success_threshold_deg": np.nan}, "success_threshold_deg=nan"),
+    ({"success_threshold_deg": np.inf}, "success_threshold_deg=inf"),
 ], ids=["no-trials", "n0", "n1", "negative-k_r", "negative-k_t", "no-users", "unknown-method",
         "scenario3", "negative-seed", "fractional-seed", "fractional-trials", "fractional-n",
-        "float-t_s", "bool-k_r", "float-k_t", "fractional-workers", "methods-string"])
+        "float-t_s", "bool-k_r", "float-k_t", "fractional-workers", "no-workers",
+        "negative-workers", "methods-string", "string-threshold", "null-threshold",
+        "bool-threshold", "zero-threshold", "negative-threshold", "nan-threshold",
+        "inf-threshold"])
 @pytest.mark.parametrize("runner", [run_sweep, run_convergence, run_spectrum])
 def test_degenerate_config_rejected_before_any_trial(monkeypatch, runner, overrides, message):
     monkeypatch.setattr(experiments, "make_batch", _no_trial)
     monkeypatch.setattr(experiments, "synthesize_measurements", _no_trial)
     with pytest.raises(ValueError, match=message):
         runner(replace(ExperimentConfig(trials=1, methods=("FFT",)), **overrides))
+
+
+@pytest.mark.parametrize("threshold", [5, 0.5, np.float64(2.5), np.int64(3)])
+def test_config_takes_a_finite_positive_real_threshold(threshold):
+    cfg = ExperimentConfig(trials=1, methods=("FFT",), success_threshold_deg=threshold)
+    experiments.check_config(cfg)
+
+
+def test_cli_rejects_negative_workers_before_writing(tmp_path):
+    # a negative worker count ran the sweep serially without a word
+    out = tmp_path / "o.csv"
+    with pytest.raises(ValueError, match="workers=-2"):
+        main(["sweep", "--workers", "-2", "--trials", "1", "--methods", "FFT", "--out", str(out)])
+    assert os.listdir(tmp_path) == []
 
 
 def test_cli_rejects_a_seed_no_rng_stream_takes_before_writing(tmp_path):
@@ -408,10 +434,15 @@ def test_cli_rejects_a_seed_no_rng_stream_takes_before_writing(tmp_path):
     ({"n": 16.5}, "n=16.5"),
     ({"workers": 1.5}, "workers=1.5"),
     ({"methods": "FFT"}, "methods='FFT'"),
-], ids=["trials", "n", "workers", "methods"])
+    ({"workers": -2}, "workers=-2"),
+    ({"success_threshold_deg": "5"}, "success_threshold_deg='5'"),
+    ({"success_threshold_deg": None}, "success_threshold_deg=None"),
+], ids=["trials", "n", "workers", "methods", "negative-workers", "string-threshold",
+        "null-threshold"])
 def test_cli_config_rejects_wrong_typed_fields_before_writing(tmp_path, values, message):
     # a config file can carry any JSON type: a fractional count ended in a
-    # TypeError traceback, and a methods string was split into characters
+    # TypeError traceback, a methods string was split into characters, and
+    # a string or null threshold failed at the first scored trial
     cfg_path = tmp_path / "cfg.json"
     cfg_path.write_text(json.dumps(values))
     with pytest.raises(ValueError, match=message):

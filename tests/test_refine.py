@@ -6,7 +6,7 @@ from dataclasses import FrozenInstanceError, replace
 import numpy as np
 import pytest
 
-from starfri import fri_nonuniform, fri_uniform
+from starfri import experiments, fri_nonuniform, fri_uniform, refine
 from starfri import star_ris_model as sm
 from starfri.experiments import ExperimentConfig, make_batch
 from starfri.fri_uniform import uniform_assumption_operator
@@ -116,6 +116,74 @@ def test_varpro_refines_to_truth():
     assert np.max(np.abs(th_r - [-20.5, 8.25])) <= 1e-6
     assert np.max(np.abs(th_t - [33.75])) <= 1e-6
     assert residual <= 1e-8 * np.linalg.norm(batch.y)   # noiseless: the fit is exact
+
+
+@pytest.mark.parametrize("method", ["M1", "M2"])
+def test_least_squares_matches_scipy_lm_on_the_benchmark_polish(monkeypatch, method):
+    # refine.least_squares is MINPACK's lmder through leastsq; scipy's
+    # least_squares(method='lm') runs the same lmder call, so both must reach
+    # the same end point, residual and evaluation count on every varpro
+    # problem of the fri_mc benchmark's seed-0 trials 0-5 (both scenarios,
+    # 0/15/30 dB)
+    from scipy.optimize import least_squares as scipy_lm
+    problems = []
+    solve = refine.least_squares
+
+    def recording(fun, x0, jac, **kwargs):
+        tolerances = {name: kwargs[name] for name in ("xtol", "ftol", "gtol", "max_nfev")}
+        problems.append((fun, np.array(x0), jac, tolerances))
+        return solve(fun, x0, jac, **kwargs)
+
+    monkeypatch.setattr(refine, "least_squares", recording)
+    for i in range(6):
+        cfg = ExperimentConfig(scenario=(1, 2)[i % 2], snr_db=(0.0, 15.0, 30.0)[(i // 2) % 3],
+                               seed=0, methods=(method,))
+        _, _, _, batch = make_batch(cfg, i)
+        experiments.run_method(method, batch, cfg)
+    assert len(problems) >= 6
+    for fun, x0, jac, kwargs in problems:
+        want = scipy_lm(fun, x0, jac=jac, method='lm', **kwargs)
+        got = solve(fun, x0, jac, **kwargs)
+        assert np.array_equal(got.x, want.x)
+        assert np.array_equal(got.fun, want.fun)
+        assert got.nfev == want.nfev
+
+
+def test_varpro_builds_atoms_and_jacobian_once_per_point(monkeypatch):
+    # the residual is asked for at x0 twice and the Jacobian at each accepted
+    # point right after its residual; each distinct point's atoms are built
+    # once, and its derivative atoms once when its Jacobian is first asked for
+    _, batch = _batch([-20.5, 8.25], [33.75, -40.0], snr_db=15.0, seed=2)
+    counts = {"_atoms": 0, "steering_derivative": 0}
+    asked = {"fun": [], "jac": []}
+
+    def counting(name, fn):
+        def wrapper(*args, **kwargs):
+            counts[name] += 1
+            return fn(*args, **kwargs)
+        return wrapper
+
+    for name in counts:
+        monkeypatch.setattr(refine, name, counting(name, getattr(refine, name)))
+    solve = refine.least_squares
+
+    def spying(fun, x0, jac, **kwargs):
+        def f(th):
+            asked["fun"].append(th.tobytes())
+            return fun(th)
+
+        def j(th):
+            asked["jac"].append(th.tobytes())
+            return jac(th)
+
+        return solve(f, x0, j, **kwargs)
+
+    monkeypatch.setattr(refine, "least_squares", spying)
+    varpro_refine(batch.y, batch.operator_paired, np.array([-20.0, 8.5]), np.array([33.5, -40.5]))
+    points, jac_points = set(asked["fun"]) | set(asked["jac"]), set(asked["jac"])
+    assert len(asked["fun"]) > len(set(asked["fun"])) and len(asked["jac"]) > len(jac_points)
+    assert counts["steering_derivative"] == len(jac_points)
+    assert counts["_atoms"] == len(points) + len(jac_points)
 
 
 @pytest.mark.parametrize("k_r", [0, 1, 2, 3])

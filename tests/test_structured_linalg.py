@@ -6,6 +6,7 @@ from hypothesis import given, settings, strategies as st
 from numpy.lib.stride_tricks import sliding_window_view
 
 from starfri import structured_linalg as sl
+from starfri import fri_uniform
 from starfri.experiments import ExperimentConfig, make_batch
 from starfri.fri_nonuniform import initial_iterate, lifting, pgd_denoise_paired
 from starfri.refine import PgdConfig, pgd, pgd_step
@@ -100,7 +101,7 @@ def test_lift_indices_and_average_are_cached_and_read_only():
     assert sl._avg_t(11, 6) is Wt and sl._lag_sums(16) is lags
     assert np.array_equal(idx, np.arange(11)[:, None] + np.arange(6))
     assert np.array_equal(pair, np.hstack([idx, idx + 16]))
-    assert stack.shape == (2 * 8 * 9,)
+    assert stack.shape == (2 * 8, 9)
     assert Wt.shape == (66, 16) and Wt.dtype == complex
     assert lags.shape == (16, 256)
     for a in (idx, pair, stack, Wt, lags):
@@ -133,6 +134,46 @@ def test_paired_pgd_matches_parent_lift_reference(scenario, snr_db):
     b, it, history, _ = pgd_denoise_paired(batch, cfg)
     b_ref, it_ref, history_ref, _ = pgd(batch, cfg, psi, initial_iterate(batch, cfg, psi), project)
     assert it == it_ref
+    assert np.array_equal(b, b_ref) and np.array_equal(history, history_ref)
+
+
+def _ref_rank_truncate(m, k):
+    # the truncation through @ and one conditional per product
+    rows, cols = m.shape
+    wide = rows <= cols
+    mh = m.conj().T
+    top = sl.eigh(m @ mh if wide else mh @ m)[1][:, -k:]
+    return top @ (top.conj().T @ m) if wide else (m @ top) @ top.conj().T
+
+
+@pytest.mark.parametrize("init", ["Grid", "Backprojection"])
+@pytest.mark.parametrize("snr_db", [0.0, 15.0, 30.0])
+@pytest.mark.parametrize("scenario", [1, 2])
+def test_stacked_pgd_matches_matmul_loop_reference(scenario, snr_db, init):
+    # M1's whole PGD loop against a loop of @ products: a gather through a
+    # flat index reshaped to the pair, the truncation and an @ average
+    _, _, _, batch = make_batch(ExperimentConfig(scenario=scenario, snr_db=snr_db), 0)
+    cfg = PgdConfig(k_r=2, k_t=2, init=init)
+    psi, alpha = fri_uniform.lifting(batch, cfg)
+    n = psi.shape[0] // 2
+    flat = (np.arange(n - alpha)[:, None] + np.arange(alpha + 1)
+            + n * np.arange(2)[:, None, None]).ravel()
+    Wt = sl._avg_t(n - alpha, alpha + 1)
+    mu = pgd_step(psi)
+    A = np.eye(2 * n) - 2 * mu * (psi.conj() @ psi.T)
+    c = 2 * mu * (psi.conj() @ batch.y)
+    b_ref = fri_uniform.initial_iterate(batch, cfg, psi)
+    history_ref = []
+    for _ in range(cfg.i_max):
+        H = _ref_rank_truncate((A @ b_ref + c)[flat].reshape(-1, alpha + 1), cfg.k)
+        db = (H.reshape(2, -1) @ Wt).reshape(-1)
+        d = db - b_ref
+        history_ref.append(np.sqrt(np.vdot(d, d).real))
+        b_ref = db
+        if history_ref[-1] <= cfg.eps:
+            break
+    b, it, history, _ = fri_uniform.pgd_denoise(batch, cfg)
+    assert it == len(history_ref)
     assert np.array_equal(b, b_ref) and np.array_equal(history, history_ref)
 
 
@@ -257,9 +298,8 @@ def test_stacked_index_gathers_the_vertical_pair(seed, n_alpha):
     n, alpha = n_alpha
     db = _rand_cvec(np.random.default_rng(seed), 2 * n)
     idx = sl._stacked_index(n, alpha)
-    assert idx.shape == (2 * (n - alpha) * (alpha + 1),)
-    assert np.array_equal(db[idx].reshape(-1, alpha + 1),
-                          sl.stacked_hankel_lift(db.reshape(2, n), alpha))
+    assert idx.shape == (2 * (n - alpha), alpha + 1)
+    assert np.array_equal(db[idx], sl.stacked_hankel_lift(db.reshape(2, n), alpha))
 
 
 def test_inverse_paired():
