@@ -120,18 +120,20 @@ def make_batch(config, trial_index):
     return scene, profile, channel, batch
 
 
-def run_method(method, batch, config):
-    """(labelled angles, iterations, seconds) of one estimator on batch.
-
-    The seconds time the estimator alone: a gridless method loads scipy
-    (``load_scipy``) before the clock starts, so the first M1 or M2 call of
-    a process is not charged for the import."""
-    k_r, k_t = config.k_r, config.k_t
-    gridless = method in ("M1", "M2")
-    if gridless:
+def _start_clock(method):
+    """time.perf_counter() once the method's imports are in: a gridless method
+    loads scipy (``load_scipy``) first, so no solve or failure is timed with it."""
+    if method in ("M1", "M2"):
         load_scipy()
-    t0 = time.perf_counter()
-    if gridless:
+    return time.perf_counter()
+
+
+def run_method(method, batch, config):
+    """(labelled angles, iterations, seconds) of one estimator on batch; the
+    seconds time the estimator alone (``_start_clock``)."""
+    k_r, k_t = config.k_r, config.k_t
+    t0 = _start_clock(method)
+    if method in ("M1", "M2"):
         solve = estimate_angles_uniform if method == "M1" else estimate_angles_nonuniform
         res = solve(batch, PgdConfig(k_r=k_r, k_t=k_t, init="Grid"))
         out = (res.angles, res.iterations)
@@ -211,7 +213,7 @@ def run_trial(config, trial_index):
         return {method: _failed_trial(0.0) for method in config.methods}
     results = {}
     for method in config.methods:
-        t0 = time.perf_counter()
+        t0 = _start_clock(method)
         try:
             angles, iters, dt = run_method(method, batch, config)
         except ValueError:

@@ -41,15 +41,15 @@ def pgd_denoise_paired(batch, config):
 
     Gradient step on ||y - Psi^T beta||^2 (``refine.pgd``), then rank-K
     truncation of the horizontal pair [H(x_R), H(x_T)] and anti-diagonal
-    averaging of each half.
+    averaging of each half: the pair is gathered from beta whole
+    (``structured_linalg.paired_hankel_lift``) and averaged back to beta
+    whole (``structured_linalg.inverse_paired_hankel``).
     """
     psi, alpha = lifting(batch, config)
-    n = psi.shape[0] // 2
 
     def project(db):
-        H = sl.paired_hankel_lift(db[:n], db[n:], alpha)
-        v_r, v_t = sl.inverse_paired_hankel(sl.rank_truncate(H, config.k))
-        return np.concatenate([v_r, v_t])
+        return sl.inverse_paired_hankel(
+            sl.rank_truncate(sl.paired_hankel_lift(db, alpha), config.k))
 
     return pgd(batch, config, psi, initial_iterate(batch, config, psi), project)
 

@@ -58,11 +58,13 @@ def pgd_denoise(batch, config):
     truncation of the vertical pair [H(x_R); H(x_T)] - one root set for both
     halves - and anti-diagonal averaging of each half.
 
-    The pair, 2(n-alpha) x (alpha+1), is one gather from beta through the
-    cached 2-D index ``structured_linalg._stacked_index``; it is truncated
-    by the kernel M2 also uses (``structured_linalg.rank_truncate``), and both
-    halves average back in one ``np.dot`` with the cached matrix
-    ``structured_linalg._avg_t``.
+    The pair, 2(n-alpha) x (alpha+1), is the gather of
+    ``structured_linalg.stacked_hankel_lift``, through its index
+    ``_stacked_index``; it is truncated by the kernel M2 also uses
+    (``structured_linalg.rank_truncate``), and both halves average back to
+    beta in one ``np.dot`` with the averaging matrix ``_avg_t``. The index
+    and the matrix are looked up once per solve, so the loop skips the
+    kernels' per-call checks on beta and alpha.
     """
     psi, alpha = lifting(batch, config)
     n = psi.shape[0] // 2
@@ -78,8 +80,7 @@ def pgd_denoise(batch, config):
 def extract_af(denoised, alpha):
     """Annihilating filter of a denoised beta: smallest right singular vector
     of the vertical pair [H(x_R); H(x_T)]."""
-    return sl.smallest_right_singular_vector(
-        sl.stacked_hankel_lift(np.reshape(denoised, (2, -1)), alpha))
+    return sl.smallest_right_singular_vector(sl.stacked_hankel_lift(denoised, alpha))
 
 
 def af_spectrum(af_coeffs, grid):

@@ -14,14 +14,13 @@ small Gram matrix, ``eigh``: the rank-K truncation both PGD solvers run in
 every iteration (``rank_truncate``) and the annihilating filter
 (``smallest_right_singular_vector``). PGD's step (``refine.pgd_step``)
 stays on numpy's SVD of the 2n-row operator (see there).
-The other kernels carry no set-up beyond their arithmetic: a Hankel lift is
-one gather v[..., idx] through a cached read-only index array
-(``_hankel_index``), Algorithm 1's vertical pair [H(x_R); H(x_T)] one gather
-from beta through a 2-D index (``_stacked_index``), Algorithm 2's horizontal
-pair [H(x_R), H(x_T)] one gather from [v_r, v_t] (``_paired_index``), and an
-average one product with a cached read-only complex averaging matrix
-(``_avg_t``). The tests hold each of them bit for bit to a window-view lift
-and a per-half average.
+The other kernels carry no set-up beyond their arithmetic. A Hankel lift is
+one gather v[..., idx] through a cached read-only index (``_hankel_index``);
+a pair lift one gather from the whole 2n-vector beta = [x_R; x_T] through
+its layout's index: ``_stacked_index`` for Algorithm 1's vertical pair
+[H(x_R); H(x_T)], ``_paired_index`` for Algorithm 2's horizontal pair
+[H(x_R), H(x_T)]. Every average, of a lift or of a pair's halves back into
+beta, is a product with a cached complex averaging matrix (``_avg_t``).
 
 The products of the PGD iteration's kernels, of the grid dictionaries and of
 the polish are ``np.dot``: on these 9 x 9 to 32 x 32 operands it gives the
@@ -48,10 +47,17 @@ import numpy as np
 
 
 def check_feasible(k, alpha, n, cols):
-    """Reject an order K that an (n - alpha) x cols lift cannot hold."""
+    """Reject a lifting order alpha outside 1..n-1 (``_check_alpha``) and an
+    order K that an (n - alpha) x cols lift cannot hold."""
+    _check_alpha(n, alpha)
     if k > min(cols, n - alpha):
         raise ValueError(f"order K={k} infeasible for a {n - alpha} x {cols} lift "
                          f"(alpha={alpha}, n={n})")
+
+
+def _check_alpha(n, alpha):
+    if not 1 <= alpha < n:
+        raise ValueError(f"alpha out of range: alpha={alpha} outside 1..n-1 for n={n}")
 
 
 @functools.lru_cache(maxsize=None)
@@ -64,7 +70,8 @@ def _hankel_index(n, alpha):
 
 @functools.lru_cache(maxsize=None)
 def _paired_index(n, alpha):
-    """Read-only index [idx, idx + n] of the paired lift into [v_r, v_t]."""
+    """Read-only index [idx, idx + n] into beta = [v_1; v_2] (length 2n)
+    whose gather is the horizontal pair [H(v_1), H(v_2)]."""
     idx = _hankel_index(n, alpha)
     pair = np.hstack([idx, idx + n])
     pair.flags.writeable = False
@@ -73,16 +80,24 @@ def _paired_index(n, alpha):
 
 @functools.lru_cache(maxsize=None)
 def _stacked_index(n, alpha):
-    """Read-only 2(n-alpha) x (alpha+1) index into beta = [v_1; v_2] (length
-    2n) whose gather is the vertical pair [H(v_1); H(v_2)]."""
-    idx = (_hankel_index(n, alpha) + n * np.arange(2)[:, None, None]).reshape(-1, alpha + 1)
-    idx.flags.writeable = False
-    return idx
+    """Read-only index [idx; idx + n] into beta = [v_1; v_2] (length 2n)
+    whose gather is the vertical pair [H(v_1); H(v_2)]."""
+    idx = _hankel_index(n, alpha)
+    stack = np.vstack([idx, idx + n])
+    stack.flags.writeable = False
+    return stack
 
 
-def _check_alpha(n, alpha):
-    if not (1 <= alpha < n):
-        raise ValueError("alpha out of range")
+@functools.lru_cache(maxsize=None)
+def _avg_t(rows, cols):
+    """Read-only complex (rows*cols) x (rows+cols-1) averaging matrix:
+    Wt[i*cols + j, i + j] = 1 / (entries on anti-diagonal i + j), so that
+    np.dot(vec(m), Wt) is the anti-diagonal mean of a rows x cols m."""
+    diag = (np.arange(rows)[:, None] + np.arange(cols)).ravel()
+    Wt = np.zeros((rows * cols, rows + cols - 1), complex)
+    Wt[np.arange(rows * cols), diag] = 1.0 / np.bincount(diag)[diag]
+    Wt.flags.writeable = False
+    return Wt
 
 
 def hankel_lift(v, alpha):
@@ -97,75 +112,56 @@ def hankel_lift(v, alpha):
     return v[..., _hankel_index(n, alpha)]
 
 
-def stacked_hankel_lift(vs, alpha):
-    """Vertically stack the Hankel lifts of the rows of vs (row order preserved)."""
-    return hankel_lift(np.asarray(vs), alpha).reshape(-1, alpha + 1)
+def _gather_pair(beta, alpha, index):
+    """beta[index(n, alpha)] for a 2n-vector beta, once beta and alpha are checked."""
+    beta = np.asarray(beta)
+    if beta.ndim != 1 or len(beta) % 2:
+        raise ValueError(f"beta of shape {beta.shape} is not one 2n-vector [v_1; v_2]")
+    _check_alpha(len(beta) // 2, alpha)
+    return beta[index(len(beta) // 2, alpha)]
 
 
-def paired_hankel_lift(v_r, v_t, alpha):
-    """Horizontal concatenation [H_alpha(v_r), H_alpha(v_t)] of two n-vectors.
-
-    One gather from [v_r, v_t] through the cached index ``_paired_index``.
-    """
-    v_r = np.asarray(v_r)
-    v_t = np.asarray(v_t)
-    if v_r.shape != v_t.shape:
-        raise ValueError("paired vectors must have equal length")
-    n = v_r.shape[-1]
-    _check_alpha(n, alpha)
-    return np.concatenate([v_r, v_t])[_paired_index(n, alpha)]
+def stacked_hankel_lift(beta, alpha):
+    """Vertical pair [H_alpha(v_1); H_alpha(v_2)] of beta = [v_1; v_2]: one
+    gather through the cached index ``_stacked_index``."""
+    return _gather_pair(beta, alpha, _stacked_index)
 
 
-def _averaging_matrix(rows, cols):
-    # W[k, i*cols+j] = 1/count(k) for i+j = k; maps vec(m) to anti-diagonal means
-    n = rows + cols - 1
-    W = np.zeros((n, rows * cols))
-    for i in range(rows):
-        for j in range(cols):
-            W[i + j, i * cols + j] = 1.0
-    W /= W.sum(axis=1, keepdims=True)
-    return W
-
-
-@functools.lru_cache(maxsize=None)
-def _avg(rows, cols):
-    W = _averaging_matrix(rows, cols)
-    W.flags.writeable = False
-    return W
+def paired_hankel_lift(beta, alpha):
+    """Horizontal pair [H_alpha(v_1), H_alpha(v_2)] of beta = [v_1; v_2]:
+    one gather through the cached index ``_paired_index``."""
+    return _gather_pair(beta, alpha, _paired_index)
 
 
 def inverse_hankel(m):
     """Anti-diagonal averaging: entry k of the output is the mean of m[i, j]
-    over i + j = k. Exact inverse of hankel_lift on Hankel inputs."""
+    over i + j = k. Exact inverse of hankel_lift on Hankel inputs; leading
+    axes of m are kept, and a real m gives a real output."""
     m = np.asarray(m)
     rows, cols = m.shape[-2:]
-    return m.reshape(*m.shape[:-2], rows * cols) @ _avg(rows, cols).T
-
-
-@functools.lru_cache(maxsize=None)
-def _avg_t(rows, cols):
-    """Read-only complex, C-contiguous transpose of ``_avg(rows, cols)``: the
-    (rows*cols) x n matrix that averages a flattened complex lift back."""
-    Wt = np.ascontiguousarray(_avg(rows, cols).T, dtype=complex)
-    Wt.flags.writeable = False
-    return Wt
+    out = np.dot(m.reshape(*m.shape[:-2], rows * cols), _avg_t(rows, cols))
+    return out if np.iscomplexobj(m) else out.real
 
 
 def inverse_paired_hankel(m):
-    """Average each half of a horizontally paired lift back to two vectors.
+    """Average each half of a horizontally paired lift back to beta = [v_1; v_2].
 
-    Each half is one ``np.dot`` with the cached complex averaging matrix
-    ``_avg_t``. The halves stay two products: one product with a
-    block-diagonal matrix lets BLAS group the nonzero terms differently, which
-    changes the last bit for some lift shapes (alpha = 2 among them).
+    Each half is one ``np.dot`` with the cached averaging matrix ``_avg_t``,
+    written into its half of one preallocated 2n-vector. The halves stay two
+    products: one product with a block-diagonal matrix lets BLAS group the
+    nonzero terms differently, which changes the last bit for some lift
+    shapes (alpha = 2 among them). m is a 2-D array.
     """
-    m = np.asarray(m)
     rows, cols = m.shape
     if cols % 2:
         raise ValueError("odd column count")
     half = cols // 2
     Wt = _avg_t(rows, half)
-    return np.dot(m[:, :half].reshape(-1), Wt), np.dot(m[:, half:].reshape(-1), Wt)
+    n = Wt.shape[1]
+    beta = np.empty(2 * n, complex)
+    np.dot(m[:, :half].reshape(-1), Wt, out=beta[:n])
+    np.dot(m[:, half:].reshape(-1), Wt, out=beta[n:])
+    return beta
 
 
 @functools.lru_cache(maxsize=None)

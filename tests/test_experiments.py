@@ -1,11 +1,13 @@
 """Tests for the experiment harness, scoring and CLI."""
 
 import csv
+import functools
 import itertools
 import json
 import os
 import subprocess
 import sys
+import time
 from dataclasses import asdict, replace
 
 import numpy as np
@@ -299,6 +301,21 @@ def test_run_trial_records_value_error_as_failed_trial():
     assert out["M1"]["angles"] == [] and out["M1"]["errors"] is None
     assert not out["M1"]["success"] and out["M1"]["iterations"] == 0
     assert len(out["FFT"]["angles"]) == 4
+
+
+def test_failed_trial_runtime_excludes_the_scipy_import(monkeypatch):
+    # M1 cannot hold K=4 at n=6: its failure is timed from after the scipy
+    # load, as a solve is, so a slow first import is charged to neither; the
+    # stub is cached, as load_scipy is
+    @functools.lru_cache(maxsize=None)
+    def slow_load():
+        time.sleep(0.5)
+
+    monkeypatch.setattr(experiments, "load_scipy", slow_load)
+    cfg = ExperimentConfig(scenario=1, n=6, snr_db=15.0, seed=0, methods=("M1", "M2", "FFT"))
+    out = run_trial(cfg, 0)
+    assert out["M1"]["angles"] == [] and len(out["M2"]["angles"]) == 4
+    assert out["M1"]["runtime"] < 0.25
 
 
 def test_run_trial_records_fewer_slots_than_sources_as_failed():

@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from starfri import fri_nonuniform
 from starfri import star_ris_model as sm
 from starfri import structured_linalg as sl
 from starfri.fri_nonuniform import (estimate_angles_nonuniform, pgd_denoise_paired,
@@ -51,6 +52,19 @@ def test_paired_feasibility_rejection(liftings):
         step(batch, k_max)
         with pytest.raises(ValueError):
             step(batch, k_max + 1)
+
+
+def test_zero_lifting_order_rejected_before_any_work(monkeypatch):
+    # n = 2 gives alpha = n // 3 = 0: the solve names alpha and n before its
+    # grid start runs
+    _, _, batch = _batch([10.0], [-20.0], snr_db=15.0, n=2)
+    monkeypatch.setattr(fri_nonuniform, "grid_init", _no_grid_start)
+    with pytest.raises(ValueError, match="alpha=0 outside 1..n-1 for n=2"):
+        estimate_angles_nonuniform(batch, PgdConfig(k_r=1, k_t=1, init="Grid"))
+
+
+def _no_grid_start(*args):
+    raise AssertionError("grid_init ran")
 
 
 def test_zero_measurement_zero_fixed_point():

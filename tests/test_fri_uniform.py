@@ -67,6 +67,19 @@ def test_feasibility_rejection(liftings):
             step(batch, k_max + 1)
 
 
+def test_zero_lifting_order_rejected_before_any_work(monkeypatch):
+    # n = 1 gives alpha = n // 2 = 0: the solve names alpha and n before its
+    # grid start runs
+    _, _, batch = _uniform_batch([10.0], [], snr_db=15.0, n=1)
+    monkeypatch.setattr(fri_uniform, "grid_init", _no_grid_start)
+    with pytest.raises(ValueError, match="alpha=0 outside 1..n-1 for n=1"):
+        estimate_angles_uniform(batch, PgdConfig(k_r=1, k_t=0, init="Grid"))
+
+
+def _no_grid_start(*args):
+    raise AssertionError("grid_init ran")
+
+
 # -------------------------------------------------------------------- denoise
 
 def test_zero_measurement_zero_fixed_point():
@@ -88,7 +101,7 @@ def _reference_pgd_denoise(batch, config):
     it = 0
     for it in range(1, config.i_max + 1):
         db = b + 2 * mu * (psi.conj() @ (batch.y - psi.T @ b))
-        u, sv, vh = np.linalg.svd(sl.stacked_hankel_lift(db.reshape(2, n), alpha),
+        u, sv, vh = np.linalg.svd(sl.stacked_hankel_lift(db, alpha),
                                   full_matrices=False)
         Hk = (u[:, :config.k] * sv[:config.k]) @ vh[:config.k]
         db = np.concatenate([sl.inverse_hankel(half)
@@ -166,7 +179,7 @@ def test_linear_update_contraction_factor():
 
     def lifted_grad(b):
         db = b + 2 * mu * (psi.conj() @ (batch.y - psi.T @ b))
-        return sl.stacked_hankel_lift(db.reshape(2, n), alpha)
+        return sl.stacked_hankel_lift(db, alpha)
 
     for _ in range(50):
         b1 = rng.standard_normal(2 * n) + 1j * rng.standard_normal(2 * n)
@@ -188,7 +201,7 @@ def _pair_beta(seed=0):
 def test_extract_af_noiseless_annihilation():
     _, x = _pair_beta()
     c = extract_af(x, 8)
-    H = sl.stacked_hankel_lift(x.reshape(2, 16), 8)
+    H = sl.stacked_hankel_lift(x, 8)
     assert np.linalg.norm(H @ c) <= 1e-9 * np.linalg.norm(H)
 
 
@@ -220,7 +233,7 @@ def test_null_space_dimension_and_root_containment():
     # >= alpha+1-K and every null vector's polynomial contains the true roots
     _, x = _pair_beta()
     alpha, K = 6, 2
-    H = sl.stacked_hankel_lift(x.reshape(2, 16), alpha)
+    H = sl.stacked_hankel_lift(x, alpha)
     s = np.linalg.svd(H, compute_uv=False)
     null_dim = np.sum(s <= 1e-10 * s[0])
     assert null_dim >= alpha + 1 - K

@@ -65,19 +65,15 @@ def test_hankel_lift_matches_window_reference(seed, n_alpha, lead):
     got = sl.hankel_lift(v, alpha)
     assert got.shape == (*lead, n - alpha, alpha + 1)
     assert np.array_equal(got, _ref_hankel_lift(v, alpha))
-    if lead:
-        assert np.array_equal(sl.stacked_hankel_lift(v.reshape(-1, n), alpha),
-                              _ref_hankel_lift(v.reshape(-1, n), alpha).reshape(-1, alpha + 1))
 
 
 @settings(max_examples=200, deadline=None)
 @given(st.integers(0, 2 ** 31 - 1), _n_alpha)
 def test_paired_hankel_lift_matches_hstack_reference(seed, n_alpha):
     n, alpha = n_alpha
-    rng = np.random.default_rng(seed)
-    v_r, v_t = _rand_cvec(rng, n), _rand_cvec(rng, n)
-    assert np.array_equal(sl.paired_hankel_lift(v_r, v_t, alpha),
-                          _ref_paired_hankel_lift(v_r, v_t, alpha))
+    beta = _rand_cvec(np.random.default_rng(seed), 2 * n)
+    assert np.array_equal(sl.paired_hankel_lift(beta, alpha),
+                          _ref_paired_hankel_lift(beta[:n], beta[n:], alpha))
 
 
 @settings(max_examples=200, deadline=None)
@@ -86,8 +82,9 @@ def test_inverse_paired_hankel_matches_per_half_reference(seed, n_alpha):
     n, alpha = n_alpha
     m = _rand_cvec(np.random.default_rng(seed), (n - alpha) * 2 * (alpha + 1))
     m = m.reshape(n - alpha, 2 * (alpha + 1))
-    for got, want in zip(sl.inverse_paired_hankel(m), _ref_inverse_paired_hankel(m)):
-        assert np.array_equal(got, want)
+    got = sl.inverse_paired_hankel(m)
+    assert got.shape == (2 * n,)
+    assert np.array_equal(got, np.concatenate(_ref_inverse_paired_hankel(m)))
 
 
 def test_lift_indices_and_average_are_cached_and_read_only():
@@ -101,7 +98,8 @@ def test_lift_indices_and_average_are_cached_and_read_only():
     assert sl._avg_t(11, 6) is Wt and sl._lag_sums(16) is lags
     assert np.array_equal(idx, np.arange(11)[:, None] + np.arange(6))
     assert np.array_equal(pair, np.hstack([idx, idx + 16]))
-    assert stack.shape == (2 * 8, 9)
+    idx8 = sl._hankel_index(16, 8)
+    assert np.array_equal(stack, np.vstack([idx8, idx8 + 16]))
     assert Wt.shape == (66, 16) and Wt.dtype == complex
     assert lags.shape == (16, 256)
     for a in (idx, pair, stack, Wt, lags):
@@ -114,8 +112,12 @@ def test_lifts_reject_alpha_out_of_range():
     for alpha in (0, 6):
         with pytest.raises(ValueError, match="alpha out of range"):
             sl.hankel_lift(np.ones((2, 6)), alpha)
-        with pytest.raises(ValueError, match="alpha out of range"):
-            sl.paired_hankel_lift(np.ones(6), np.ones(6), alpha)
+        for lift in (sl.stacked_hankel_lift, sl.paired_hankel_lift):
+            with pytest.raises(ValueError, match=f"alpha out of range: alpha={alpha} .* n=6"):
+                lift(np.ones(12), alpha)
+        # the solvers' set-up check names alpha and n, even where K would fit
+        with pytest.raises(ValueError, match=f"alpha={alpha} outside 1..n-1 for n=6"):
+            sl.check_feasible(1, alpha, 6, 4)
 
 
 @pytest.mark.parametrize("snr_db", [0.0, 15.0, 30.0])
@@ -208,47 +210,43 @@ def test_hankel_lift_alpha_out_of_range():
 
 # ------------------------------------------------------- stacked/paired lifts
 
-def test_stacked_single_slot_equals_hankel():
-    rng = np.random.default_rng(1)
-    v = _rand_cvec(rng, 6)
-    assert np.allclose(sl.stacked_hankel_lift([v], 2), sl.hankel_lift(v, 2))
-
-
 def test_stacked_duplicate_slots():
     rng = np.random.default_rng(2)
     v = _rand_cvec(rng, 6)
-    H = sl.stacked_hankel_lift([v, v], 2)
+    H = sl.stacked_hankel_lift(np.concatenate([v, v]), 2)
     assert np.allclose(H[:4], H[4:])
 
 
 def test_stacked_k1_fri_rank_one():
     z = np.exp(-1j * np.pi * np.sin(np.radians(17.0)))
-    vs = [s * z ** np.arange(8) for s in (1.0, 2j, -0.5 + 0.1j)]
-    H = sl.stacked_hankel_lift(vs, 4)
+    beta = np.concatenate([s * z ** np.arange(8) for s in (2j, -0.5 + 0.1j)])
+    H = sl.stacked_hankel_lift(beta, 4)
     s = np.linalg.svd(H, compute_uv=False)
     assert s[1] <= 1e-12 * s[0]
 
 
 def test_stacked_ragged_rejected():
-    with pytest.raises(Exception):
-        sl.stacked_hankel_lift([np.ones(6), np.ones(5)], 2)
+    # beta must split into two equal halves: an odd length or a second axis
+    # is rejected by both pair lifts
+    for lift in (sl.stacked_hankel_lift, sl.paired_hankel_lift):
+        for beta in (np.ones(11), np.ones((2, 6))):
+            with pytest.raises(ValueError, match="not one 2n-vector"):
+                lift(beta, 2)
 
 
 def test_paired_structure_and_rank():
     rng = np.random.default_rng(3)
     v = _rand_cvec(rng, 6)
-    P = sl.paired_hankel_lift(v, np.zeros(6), 2)
+    P = sl.paired_hankel_lift(np.concatenate([v, np.zeros(6)]), 2)
     assert np.allclose(P[:, :3], sl.hankel_lift(v, 2))
     assert np.all(P[:, 3:] == 0)
     # two distinct geometric sequences -> rank 2
-    P2 = sl.paired_hankel_lift(0.9 ** np.arange(6), (0.5j) ** np.arange(6), 2)
+    P2 = sl.paired_hankel_lift(np.concatenate([0.9 ** np.arange(6), (0.5j) ** np.arange(6)]), 2)
     s = np.linalg.svd(P2, compute_uv=False)
     assert s[1] > 1e-6 * s[0] and s[2] <= 1e-10 * s[0]
     # duplicated halves add no rank
-    P3 = sl.paired_hankel_lift(v, v, 2)
+    P3 = sl.paired_hankel_lift(np.concatenate([v, v]), 2)
     assert np.linalg.matrix_rank(P3) == np.linalg.matrix_rank(sl.hankel_lift(v, 2))
-    with pytest.raises(ValueError):
-        sl.paired_hankel_lift(np.ones(6), np.ones(5), 2)
 
 
 # ------------------------------------------------------------ inverse mapping
@@ -278,41 +276,49 @@ def test_inverse_hankel_contraction():
 
 
 def test_inverse_hankel_batched_round_trip_and_blocks():
-    # the stacked lift reshaped to (t_s, n-alpha, alpha+1) averages back slot by slot
+    # the stacked lift reshaped to (2, n-alpha, alpha+1) averages back half by half
     rng = np.random.default_rng(5)
-    vs = np.stack([_rand_cvec(rng, 7) for _ in range(3)])
-    H = sl.stacked_hankel_lift(vs, 3)
-    assert np.allclose(sl.inverse_hankel(H.reshape(3, 4, 4)), vs)
+    beta = _rand_cvec(rng, 14)
+    H = sl.stacked_hankel_lift(beta, 3)
+    assert np.allclose(sl.inverse_hankel(H.reshape(2, 4, 4)), beta.reshape(2, 7))
     # non-Hankel blocks: per-block scalar oracle
-    m = _rand_cvec(rng, 12 * 4).reshape(12, 4)
-    out = sl.inverse_hankel(m.reshape(3, 4, 4))
-    assert out.shape == (3, 7)
-    for t in range(3):
+    m = _rand_cvec(rng, 8 * 4).reshape(8, 4)
+    out = sl.inverse_hankel(m.reshape(2, 4, 4))
+    assert out.shape == (2, 7)
+    for t in range(2):
         assert np.allclose(out[t], sl.inverse_hankel(m[4 * t:4 * (t + 1)]))
+
+
+def test_inverse_hankel_matches_reference_on_every_shape():
+    # one averaging matrix for every shape, 1 x 1 up to 19 x 19
+    rng = np.random.default_rng(15)
+    for rows in range(1, 20):
+        for cols in range(1, 20):
+            m = _rand_cvec(rng, rows * cols).reshape(rows, cols)
+            assert np.array_equal(sl.inverse_hankel(m), _ref_inverse_hankel(m))
 
 
 @settings(max_examples=200, deadline=None)
 @given(st.integers(0, 2 ** 31 - 1), _n_alpha)
 def test_stacked_index_gathers_the_vertical_pair(seed, n_alpha):
-    # M1's one-step gather from beta is the stacked lift of its two halves
+    # the stacked lift, and M1's gather through its index, are the vertical
+    # pair of beta's two window-view lifts
     n, alpha = n_alpha
     db = _rand_cvec(np.random.default_rng(seed), 2 * n)
-    idx = sl._stacked_index(n, alpha)
-    assert idx.shape == (2 * (n - alpha), alpha + 1)
-    assert np.array_equal(db[idx], sl.stacked_hankel_lift(db.reshape(2, n), alpha))
+    want = np.vstack([_ref_hankel_lift(db[:n], alpha), _ref_hankel_lift(db[n:], alpha)])
+    assert np.array_equal(sl.stacked_hankel_lift(db, alpha), want)
+    assert np.array_equal(db[sl._stacked_index(n, alpha)], want)
 
 
 def test_inverse_paired():
     rng = np.random.default_rng(6)
-    v_r, v_t = _rand_cvec(rng, 6), _rand_cvec(rng, 6)
-    o_r, o_t = sl.inverse_paired_hankel(sl.paired_hankel_lift(v_r, v_t, 2))
-    assert np.allclose(o_r, v_r) and np.allclose(o_t, v_t)
-    z_r, z_t = sl.inverse_paired_hankel(np.zeros((4, 6)))
-    assert not np.any(z_r) and not np.any(z_t)
+    beta = _rand_cvec(rng, 12)
+    assert np.allclose(sl.inverse_paired_hankel(sl.paired_hankel_lift(beta, 2)), beta)
+    assert not np.any(sl.inverse_paired_hankel(np.zeros((4, 6))))
     m = _rand_cvec(rng, 24).reshape(4, 6)
-    o_r, o_t = sl.inverse_paired_hankel(m)
-    assert np.allclose(o_r, sl.inverse_hankel(m[:, :3]))
-    assert np.allclose(o_t, sl.inverse_hankel(m[:, 3:]))
+    out = sl.inverse_paired_hankel(m)
+    assert np.allclose(out[:6], sl.inverse_hankel(m[:, :3]))
+    assert np.allclose(out[6:], sl.inverse_hankel(m[:, 3:]))
     with pytest.raises(ValueError):
         sl.inverse_paired_hankel(np.zeros((4, 5)))
 
@@ -448,14 +454,14 @@ def test_stacked_truncation_stays_near_hankel_set():
     # rank-K truncation of a perturbed stacked lift stays within 2||E||_F of
     # the stacked-Hankel set (distance via the averaging projection)
     rng = np.random.default_rng(10)
-    n, alpha, t_s, K = 8, 4, 3, 2
+    n, alpha, K = 8, 4, 2
     roots = np.exp(-1j * np.pi * np.sin(np.radians([13.0, -32.0])))
     for _ in range(1000):
-        vs = np.stack([_fri_vec(roots, _rand_cvec(rng, K), n) for _ in range(t_s)])
-        H = sl.stacked_hankel_lift(vs, alpha)
+        beta = np.concatenate([_fri_vec(roots, _rand_cvec(rng, K), n) for _ in range(2)])
+        H = sl.stacked_hankel_lift(beta, alpha)
         E = 0.05 * _rand_cvec(rng, H.size).reshape(H.shape)
         T = sl.rank_truncate(H + E, K)
-        proj = sl.stacked_hankel_lift(sl.inverse_hankel(T.reshape(t_s, n - alpha, alpha + 1)), alpha)
+        proj = sl.stacked_hankel_lift(sl.inverse_hankel(T.reshape(2, n - alpha, -1)).ravel(), alpha)
         assert np.linalg.norm(T - proj) <= 2 * np.linalg.norm(E) + 1e-12
 
 
@@ -469,12 +475,11 @@ def test_lifting_lipschitz_bound():
         v1, v2 = _rand_cvec(rng, n), _rand_cvec(rng, n)
         d = np.linalg.norm(v1 - v2)
         assert np.linalg.norm(sl.hankel_lift(v1, alpha) - sl.hankel_lift(v2, alpha)) <= lip * d + 1e-12
-        u1, u2 = _rand_cvec(rng, n), _rand_cvec(rng, n)
-        ds = np.sqrt(d ** 2 + np.linalg.norm(u1 - u2) ** 2)
-        got = np.linalg.norm(sl.stacked_hankel_lift([v1, u1], alpha) - sl.stacked_hankel_lift([v2, u2], alpha))
-        assert got <= lip * ds + 1e-12
-        got = np.linalg.norm(sl.paired_hankel_lift(v1, u1, alpha) - sl.paired_hankel_lift(v2, u2, alpha))
-        assert got <= lip * ds + 1e-12
+        b1 = np.concatenate([v1, _rand_cvec(rng, n)])
+        b2 = np.concatenate([v2, _rand_cvec(rng, n)])
+        ds = np.linalg.norm(b1 - b2)
+        for lift in (sl.stacked_hankel_lift, sl.paired_hankel_lift):
+            assert np.linalg.norm(lift(b1, alpha) - lift(b2, alpha)) <= lip * ds + 1e-12
 
 
 # ------------------------------------------------------- null space / rooting
@@ -552,6 +557,6 @@ def test_noiseless_stacked_annihilation():
     thetas = [-41.0, -3.5, 22.0, 57.0]
     z = np.exp(-1j * np.pi * np.sin(np.radians(thetas)))
     c = _true_af(z)
-    vs = np.stack([_fri_vec(z, _rand_cvec(rng, 4), 16) for _ in range(8)])
-    H = sl.stacked_hankel_lift(vs, 4)
+    beta = np.concatenate([_fri_vec(z, _rand_cvec(rng, 4), 16) for _ in range(2)])
+    H = sl.stacked_hankel_lift(beta, 4)
     assert np.linalg.norm(H @ c) <= 1e-9 * max(np.linalg.norm(c), 1.0) * np.linalg.norm(H)
