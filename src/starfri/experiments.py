@@ -153,16 +153,19 @@ def run_method(method, batch, config):
 def check_config(config):
     """Reject a configuration no method can solve, naming the field, before
     any trial runs: an unknown method or scenario among them, a methods
-    value that is one string rather than a sequence of names, a size, order,
+    value that is not a list or tuple of names (one string, say), an empty
+    methods or snr_db list (it would write a bare header), a size, order,
     trial or worker count that is not an integer (a bool is not one), a
     worker count below 1, a seed that is not a non-negative integer (every
     trial's RNG stream would refuse it), and a success threshold that is not
     a finite positive real (a bool or a string is not one). The orders and
     the slot count go through the solvers' own rules (``PgdConfig``,
     ``refine.check_slots``)."""
-    if isinstance(config.methods, str):
-        raise ValueError(f"methods={config.methods!r} is one string, not a sequence of "
-                         f"names from {', '.join(METHODS)}")
+    if not isinstance(config.methods, (list, tuple)):
+        raise ValueError(f"methods={config.methods!r} is not a list of names from "
+                         f"{', '.join(METHODS)}")
+    if not len(config.methods):
+        raise ValueError(f"methods={config.methods!r} names no method")
     for method in config.methods:
         if method not in METHODS:
             raise ValueError(f"unknown method {method!r}; choose from {', '.join(METHODS)}")
@@ -180,6 +183,8 @@ def check_config(config):
             or not (math.isfinite(threshold) and threshold > 0)):
         raise ValueError(f"success_threshold_deg={threshold!r} is not a finite positive real")
     check_slots(config.t_s, PgdConfig(k_r=config.k_r, k_t=config.k_t).k)
+    if not np.size(config.snr_db):
+        raise ValueError(f"snr_db={config.snr_db!r} holds no SNR")
     for snr in np.atleast_1d(config.snr_db):
         check_snr_db(float(snr))
 
@@ -324,12 +329,6 @@ def run_spectrum(config):
     spec_t = af_spectrum(c_t, grid)
     return dict(grid=grid, m1=spec_m1, m2_rs=spec_r, m2_ts=spec_t,
                 theta_rs=scene.theta_rs, theta_ts=scene.theta_ts, snr_db=snr)
-
-
-def local_minima(grid, spectrum):
-    s = np.asarray(spectrum)
-    idx = np.where((s[1:-1] < s[:-2]) & (s[1:-1] < s[2:]))[0] + 1
-    return np.asarray(grid)[idx]
 
 
 def write_records(records, config, path):

@@ -16,13 +16,14 @@ from .refine import (RecoveryResult, check_nonzero, check_slots, grid_init, labe
 
 def lifting(batch, config):
     """(Psi, alpha): the exact paired operator and the fixed lifting order
-    n // 3. Rejects fewer slots than sources, and an order K the paired lift
-    cannot hold."""
+    n // 3. Rejects fewer slots than sources, and more sources on a side than
+    its filter of order alpha resolves (K <= 2 alpha then fits the lift)."""
     check_slots(len(batch.y), config.k)
     psi = batch.operator_paired
     n = psi.shape[0] // 2
     alpha = n // 3
-    sl.check_feasible(config.k, alpha, n, 2 * (alpha + 1))
+    sl.check_feasible(config.k_r, alpha, n, "k_r")
+    sl.check_feasible(config.k_t, alpha, n, "k_t")
     return psi, alpha
 
 

@@ -30,13 +30,13 @@ def uniform_assumption_operator(batch):
 
 def lifting(batch, config):
     """(Psi_u, alpha): the uniform-assumption operator and the fixed lifting
-    order n // 2. Rejects fewer slots than sources, and an order K the lift
-    of one half cannot hold."""
+    order n // 2. Rejects fewer slots than sources, and more sources K than
+    its one filter of order alpha can resolve."""
     check_slots(len(batch.y), config.k)
     psi = uniform_assumption_operator(batch)
     n = psi.shape[0] // 2
     alpha = n // 2
-    sl.check_feasible(config.k, alpha, n, alpha + 1)
+    sl.check_feasible(config.k, alpha, n)
     return psi, alpha
 
 

@@ -6,7 +6,7 @@ Both algorithms run their iterative denoiser inside the same pieces:
   cyclic re-selection sweeps, which fixes the occasional greedy mistake),
   scoring each residual r as |r^H a| against the unit-norm atoms a,
 * root selection by fitted gain energy when the annihilating filter has more
-  roots than sources,
+  roots than sources, and a ValueError when it has fewer,
 * a maximum-likelihood polish: variable-projection least squares over the
   angles (gains eliminated in closed form) interleaved with per-angle global
   rescans on a fine grid, so the final estimate sits in the ML basin instead
@@ -137,9 +137,11 @@ def select_roots_by_energy(roots, k, sig_cols):
     candidates; each root is scored by |coefficient|^2 times its column
     energy. This both breaks unit-circle-distance ties and rejects the
     spurious null-space roots that appear when the filter order exceeds the
-    number of sources.
+    number of sources. Fewer candidates than k raise ValueError.
     """
     roots = np.asarray(roots)
+    if len(roots) < k:
+        raise ValueError(f"the annihilating filter has {len(roots)} roots for {k} sources")
     sig_cols = np.atleast_2d(np.asarray(sig_cols).T).T   # (n, m)
     n = sig_cols.shape[0]
     V = np.vander(roots, n, increasing=True).T           # (n, n_roots)

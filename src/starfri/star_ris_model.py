@@ -156,13 +156,10 @@ def generate_profile(scenario, n, t_s, rng, randomize_sign=True):
     return StarRisProfile(n, t_s, beta, phi, np.broadcast_to(sign, (n, t_s)).copy(), scenario)
 
 
-def map_reflection_to_transmission(profile):
-    """Per-element transmission coefficients sign*j*sqrt(1-b^2)*exp(j phi)."""
-    return profile.sign_j * 1j * np.sqrt(1.0 - profile.beta_r ** 2) * np.exp(1j * profile.phi_r)
-
-
 def build_paired_operator(profile, channel):
-    """Psi (2n x t_s): column t stacks Phi_R(t) h over G(t) Phi_R(t) h."""
+    """Psi (2n x t_s): column t stacks Phi_R(t) h over G(t) Phi_R(t) h. Under
+    h = 1 its halves are the reflection coefficients r and the transmission
+    coefficients G r = +-j sqrt(1 - beta_r^2) e^{j phi_r} of the elements."""
     top = channel.h[:, None] * profile.reflection()        # (n, t_s)
     G = profile.sign_j * 1j * profile.p_ratio()            # (n, t_s)
     return np.vstack([top, top * G])

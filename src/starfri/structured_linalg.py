@@ -5,8 +5,8 @@ pure function on numpy arrays; matrices never exceed a few hundred rows, so
 every decomposition is one direct LAPACK call and nothing is iterative.
 
 Both PGD solvers also take from here the rules that differ between their
-liftings only by a number: the rank-feasibility check (a function of the
-lift's column count) and the root -> angle map. Their step, 1 / (2 lambda_max)
+liftings only by a number: the source-count check (a function of the
+filter order alpha) and the root -> angle map. Their step, 1 / (2 lambda_max)
 of the data operator, does not depend on the lifting (``refine.pgd_step``).
 
 Both spectral steps on a lift are one LAPACK Hermitian eigensolve of its
@@ -19,8 +19,8 @@ one gather v[..., idx] through a cached read-only index (``_hankel_index``);
 a pair lift one gather from the whole 2n-vector beta = [x_R; x_T] through
 its layout's index: ``_stacked_index`` for Algorithm 1's vertical pair
 [H(x_R); H(x_T)], ``_paired_index`` for Algorithm 2's horizontal pair
-[H(x_R), H(x_T)]. Every average, of a lift or of a pair's halves back into
-beta, is a product with a cached complex averaging matrix (``_avg_t``).
+[H(x_R), H(x_T)]. Every average of a pair's halves back into beta is a
+product with a cached complex averaging matrix (``_avg_t``).
 
 The products of the PGD iteration's kernels, of the grid dictionaries and of
 the polish are ``np.dot``: on these 9 x 9 to 32 x 32 operands it gives the
@@ -46,13 +46,15 @@ from types import SimpleNamespace
 import numpy as np
 
 
-def check_feasible(k, alpha, n, cols):
-    """Reject a lifting order alpha outside 1..n-1 (``_check_alpha``) and an
-    order K that an (n - alpha) x cols lift cannot hold."""
+def check_feasible(k, alpha, n, name="K"):
+    """Reject a lifting order alpha outside 1..n-1 (``_check_alpha``) and
+    more sources k (called name) than one filter of order alpha resolves,
+    min(alpha, n - alpha): its alpha + 1 taps have alpha roots, and its
+    lift's n - alpha rows bound the rank."""
     _check_alpha(n, alpha)
-    if k > min(cols, n - alpha):
-        raise ValueError(f"order K={k} infeasible for a {n - alpha} x {cols} lift "
-                         f"(alpha={alpha}, n={n})")
+    if k > min(alpha, n - alpha):
+        raise ValueError(f"order {name}={k} infeasible: one filter of order alpha={alpha} "
+                         f"resolves at most min(alpha, n - alpha) sources (n={n})")
 
 
 def _check_alpha(n, alpha):
@@ -133,18 +135,9 @@ def paired_hankel_lift(beta, alpha):
     return _gather_pair(beta, alpha, _paired_index)
 
 
-def inverse_hankel(m):
-    """Anti-diagonal averaging: entry k of the output is the mean of m[i, j]
-    over i + j = k. Exact inverse of hankel_lift on Hankel inputs; leading
-    axes of m are kept, and a real m gives a real output."""
-    m = np.asarray(m)
-    rows, cols = m.shape[-2:]
-    out = np.dot(m.reshape(*m.shape[:-2], rows * cols), _avg_t(rows, cols))
-    return out if np.iscomplexobj(m) else out.real
-
-
 def inverse_paired_hankel(m):
-    """Average each half of a horizontally paired lift back to beta = [v_1; v_2].
+    """Anti-diagonal means of each half of a horizontally paired lift, back to
+    beta = [v_1; v_2]: the exact inverse of ``paired_hankel_lift`` on Hankel halves.
 
     Each half is one ``np.dot`` with the cached averaging matrix ``_avg_t``,
     written into its half of one preallocated 2n-vector. The halves stay two

@@ -1,4 +1,5 @@
-"""Fixtures shared by the tests of the two PGD solvers and their callers."""
+"""Fixtures and references shared by the tests of the two PGD solvers and
+their callers."""
 
 import numpy as np
 import pytest
@@ -12,6 +13,18 @@ def _step(solver):
     def step(batch, k):
         return pgd_step(solver.lifting(batch, PgdConfig(k_r=k, k_t=0))[0])
     return step
+
+
+def _ref_inverse_hankel(m):
+    """Anti-diagonal means of a 2-D m, from an averaging matrix built entry by
+    entry: the loop reference every averaging kernel must match bit for bit."""
+    rows, cols = m.shape
+    W = np.zeros((rows + cols - 1, rows * cols))
+    for i in range(rows):
+        for j in range(cols):
+            W[i + j, i * cols + j] = 1.0
+    W /= W.sum(axis=1, keepdims=True)
+    return m.reshape(rows * cols) @ W.T
 
 
 @pytest.fixture

@@ -9,8 +9,8 @@ Seven criteria, each pinned to a fixed seed/trial recipe:
   6. aperture dependence versus the grid baselines
   7. numeric property suite (no experiment dependence)
 
-The Monte Carlo fixtures are module-scoped and shared across criteria;
-a full run takes several minutes on one core.
+The Monte Carlo fixtures are module-scoped and shared across criteria; the
+SNR sweep behind criteria 2, 4 and 5 takes about 70 s on a 2-vCPU VM.
 """
 
 import numpy as np
@@ -20,9 +20,8 @@ from starfri import baselines as bl
 from starfri import star_ris_model as sm
 from starfri import structured_linalg as sl
 from starfri.bounds import ZzbInputs, fisher_information, zzb_full
-from starfri.experiments import (ExperimentConfig, local_minima, make_batch,
-                                 match_and_score, run_convergence, run_method,
-                                 run_spectrum)
+from starfri.experiments import (ExperimentConfig, make_batch, match_and_score,
+                                 run_convergence, run_method, run_spectrum)
 from starfri.fri_nonuniform import estimate_angles_nonuniform, subspace_af_coeffs
 from starfri.fri_uniform import estimate_angles_uniform
 from starfri.refine import PgdConfig
@@ -91,6 +90,19 @@ def aperture_sweep():
 
 
 # --- criterion 1: spectra ---------------------------------------------------
+
+def local_minima(grid, spectrum):
+    """The grid points where the spectrum is strictly below both neighbours."""
+    s = np.asarray(spectrum)
+    idx = np.where((s[1:-1] < s[:-2]) & (s[1:-1] < s[2:]))[0] + 1
+    return np.asarray(grid)[idx]
+
+
+def test_local_minima():
+    grid = np.arange(5.0)
+    spec = np.array([1.0, 0.2, 0.8, 0.1, 0.9])
+    assert np.allclose(local_minima(grid, spec), [1.0, 3.0])
+
 
 def _nearest_minimum_gaps(grid, spectrum, truths):
     minima = local_minima(grid, spectrum)
@@ -195,12 +207,13 @@ def test_criterion_6_aperture(aperture_sweep):
 # --- criterion 7: numeric property suite ---------------------------------------
 
 def test_criterion_7_hankel_round_trips():
+    # the lift and average of every M2 iteration, on beta = [x_R; x_T]
     rng = np.random.default_rng(0)
     for _ in range(100):
         n = int(rng.integers(4, 20))
         alpha = int(rng.integers(1, n - 1))
-        x = rng.standard_normal(n) + 1j * rng.standard_normal(n)
-        assert np.allclose(sl.inverse_hankel(sl.hankel_lift(x, alpha)), x,
+        x = rng.standard_normal(2 * n) + 1j * rng.standard_normal(2 * n)
+        assert np.allclose(sl.inverse_paired_hankel(sl.paired_hankel_lift(x, alpha)), x,
                            atol=1e-12)
 
 
@@ -238,11 +251,11 @@ def test_criterion_7_weyl_singular_value_bound():
 
 def test_criterion_7_averaging_projection_distance():
     rng = np.random.default_rng(4)
-    x = rng.standard_normal(16) + 1j * rng.standard_normal(16)
-    h = sl.hankel_lift(x, 7)
+    x = rng.standard_normal(32) + 1j * rng.standard_normal(32)
+    h = sl.paired_hankel_lift(x, 7)
     for _ in range(1000):
         e = rng.standard_normal(h.shape) + 1j * rng.standard_normal(h.shape)
-        proj = sl.hankel_lift(sl.inverse_hankel(h + e), 7)
+        proj = sl.paired_hankel_lift(sl.inverse_paired_hankel(h + e), 7)
         assert np.linalg.norm(proj - h) <= 2 * np.linalg.norm(e) + 1e-12
 
 
@@ -250,8 +263,9 @@ def test_criterion_7_element_constraint_residuals():
     rng = np.random.default_rng(5)
     for scen in (sm.UNIFORM, sm.NONUNIFORM):
         prof = sm.generate_profile(scen, 16, 32, rng)
-        r = prof.reflection()
-        t = sm.map_reflection_to_transmission(prof)
+        # under a unit channel the operator's halves are the reflection and
+        # transmission coefficients the data are synthesized with
+        r, t = np.split(sm.build_paired_operator(prof, sm.Channel(np.ones(16))), 2)
         assert np.max(np.abs(np.abs(r) ** 2 + np.abs(t) ** 2 - 1.0)) <= 1e-12
         ratio = t / r
         assert np.max(np.abs(np.real(ratio))) <= 1e-10 * np.max(np.abs(ratio))

@@ -16,10 +16,11 @@ from hypothesis import assume, given, settings, strategies as st
 
 from starfri import experiments, fri_nonuniform, fri_uniform
 from starfri import star_ris_model as sm
-from starfri.experiments import (CSV_COLUMNS, ExperimentConfig, _aggregate,
-                                 local_minima, main, make_batch, match_and_score,
-                                 run_aperture_sweep, run_convergence, run_method, run_spectrum,
-                                 run_sweep, run_trial, to_full_space, write_records)
+from starfri.experiments import (CSV_COLUMNS, ExperimentConfig, _aggregate, main, make_batch,
+                                 match_and_score, run_aperture_sweep, run_convergence,
+                                 run_method, run_spectrum, run_sweep, run_trial, to_full_space,
+                                 write_records)
+from starfri.refine import PgdConfig
 
 
 def _scene(theta_rs, theta_ts):
@@ -172,12 +173,6 @@ def test_sweep_with_two_workers_matches_one():
                             _without_runtime(run_sweep(cfg)))
 
 
-def test_local_minima():
-    grid = np.arange(5.0)
-    spec = np.array([1.0, 0.2, 0.8, 0.1, 0.9])
-    assert np.allclose(local_minima(grid, spec), [1.0, 3.0])
-
-
 def test_cli_sweep_smoke(tmp_path):
     out = tmp_path / "sweep.csv"
     rc = main(["sweep", "--trials", "2", "--methods", "FFT,OMP",
@@ -303,6 +298,20 @@ def test_run_trial_records_value_error_as_failed_trial():
     assert len(out["FFT"]["angles"]) == 4
 
 
+def test_sweep_records_more_sources_than_filter_roots_as_failed():
+    # n = 9: M1's filter (alpha = 4) has 4 roots for K = 5, so M1 raises,
+    # naming K, alpha and n, and each trial is a failed trial with no
+    # iterations; M2's filters (alpha = 3) hold k_r = 2 and k_t = 3
+    cfg = ExperimentConfig(n=9, k_r=2, k_t=3, trials=5, snr_db=30.0,
+                           methods=("M1", "M2", "OMP"))
+    _, _, _, batch = make_batch(cfg, 0)
+    with pytest.raises(ValueError, match=r"K=5 infeasible.*alpha=4.*n=9"):
+        run_method("M1", batch, cfg)
+    recs = {r.method: r for r in run_sweep(cfg)}
+    assert recs["M1"].successes == 0 and recs["M1"].mean_iterations == 0
+    assert recs["M2"].mean_iterations > 0 and recs["OMP"].trials == 5
+
+
 def test_failed_trial_runtime_excludes_the_scipy_import(monkeypatch):
     # M1 cannot hold K=4 at n=6: its failure is timed from after the scipy
     # load, as a solve is, so a slow first import is charged to neither; the
@@ -328,6 +337,35 @@ def test_run_trial_records_fewer_slots_than_sources_as_failed():
 
 
 ALL_METHODS = ("M1", "M2", "FFT", "OMP", "SBL")
+
+
+@settings(max_examples=60, deadline=None)
+@given(n=st.integers(2, 12), t_s=st.integers(1, 16), k_r=st.integers(0, 4),
+       k_t=st.integers(0, 4), scenario=st.sampled_from([1, 2]),
+       snr_db=st.sampled_from([0.0, 30.0, np.inf]))
+def test_every_estimator_returns_k_labelled_angles_or_raises(n, t_s, k_r, k_t, scenario,
+                                                            snr_db):
+    # each call returns K_R + K_T finite angles, RS first and TS after, or
+    # raises ValueError; none returns fewer angles than asked without a word
+    cfg = ExperimentConfig(scenario=scenario, n=n, t_s=t_s, k_r=k_r, k_t=k_t, snr_db=snr_db)
+    try:
+        _, _, _, batch = make_batch(cfg, 0)
+    except ValueError:
+        assert k_r + k_t == 0   # an empty scene has no batch
+        return
+    solve = PgdConfig(k_r=k_r, k_t=k_t, i_max=5)
+    estimators = {"M1": fri_uniform.estimate_angles_uniform,
+                  "M2": fri_nonuniform.estimate_angles_nonuniform}
+    for method in ALL_METHODS:
+        try:
+            if method in estimators:
+                angles = estimators[method](batch, solve).angles
+            else:
+                angles = run_method(method, batch, cfg)[0]
+        except ValueError:
+            continue
+        assert [lab for _, lab in angles] == ['RS'] * k_r + ['TS'] * k_t
+        assert np.all(np.isfinite([a for a, _ in angles]))
 
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf])
@@ -404,12 +442,14 @@ def test_non_finite_snr_rejected_before_any_trial(runner, snr_db):
     ({"success_threshold_deg": -1}, "success_threshold_deg=-1"),
     ({"success_threshold_deg": np.nan}, "success_threshold_deg=nan"),
     ({"success_threshold_deg": np.inf}, "success_threshold_deg=inf"),
+    ({"methods": ()}, r"methods=\(\) names no method"),
+    ({"snr_db": []}, r"snr_db=\[\] holds no SNR"),
 ], ids=["no-trials", "n0", "n1", "negative-k_r", "negative-k_t", "no-users", "unknown-method",
         "scenario3", "negative-seed", "fractional-seed", "fractional-trials", "fractional-n",
         "float-t_s", "bool-k_r", "float-k_t", "fractional-workers", "no-workers",
         "negative-workers", "methods-string", "string-threshold", "null-threshold",
         "bool-threshold", "zero-threshold", "negative-threshold", "nan-threshold",
-        "inf-threshold"])
+        "inf-threshold", "no-methods", "no-snrs"])
 @pytest.mark.parametrize("runner", [run_sweep, run_convergence, run_spectrum])
 def test_degenerate_config_rejected_before_any_trial(monkeypatch, runner, overrides, message):
     monkeypatch.setattr(experiments, "make_batch", _no_trial)
@@ -454,12 +494,17 @@ def test_cli_rejects_a_seed_no_rng_stream_takes_before_writing(tmp_path):
     ({"workers": -2}, "workers=-2"),
     ({"success_threshold_deg": "5"}, "success_threshold_deg='5'"),
     ({"success_threshold_deg": None}, "success_threshold_deg=None"),
+    ({"methods": []}, r"methods=\[\] names no method"),
+    ({"snr_db": []}, r"snr_db=\[\] holds no SNR"),
+    ({"methods": 5}, "methods=5 is not a list"),
 ], ids=["trials", "n", "workers", "methods", "negative-workers", "string-threshold",
-        "null-threshold"])
+        "null-threshold", "no-methods", "no-snrs", "methods-number"])
 def test_cli_config_rejects_wrong_typed_fields_before_writing(tmp_path, values, message):
     # a config file can carry any JSON type: a fractional count ended in a
-    # TypeError traceback, a methods string was split into characters, and
-    # a string or null threshold failed at the first scored trial
+    # TypeError traceback, a methods string was split into characters, a
+    # string or null threshold failed at the first scored trial, an empty
+    # methods or snr_db list wrote a CSV header alone and exited 0, and a
+    # number for methods ended in a TypeError traceback
     cfg_path = tmp_path / "cfg.json"
     cfg_path.write_text(json.dumps(values))
     with pytest.raises(ValueError, match=message):

@@ -45,13 +45,21 @@ def test_paired_feasibility_rejection(liftings):
     _, _, batch = _batch([10.0], [-20.0], snr_db=15.0, n=9)
     with pytest.raises(ValueError):
         pgd_denoise_paired(batch, PgdConfig(k_r=4, k_t=4))
-    # n=9: each 5 x 5 half of the stacked lift (alpha=4) holds K <= 5; the
-    # paired 6 x 8 one (alpha=3) is bound by its 6 rows
-    for name, k_max in (("stacked", 5), ("paired", 6)):
+    # n=9: a filter of order alpha resolves at most alpha sources, K <= 4 on
+    # the stacked lift (alpha=4) and k_r <= 3 on the paired one (alpha=3)
+    for name, k_max in (("stacked", 4), ("paired", 3)):
         step, _ = liftings[name]
         step(batch, k_max)
         with pytest.raises(ValueError):
             step(batch, k_max + 1)
+
+
+def test_more_sources_on_a_side_than_filter_roots_rejected():
+    # n = 16: alpha = 5, so each side's filter has 5 roots, one fewer than
+    # k_r = 6; the solve must say so rather than return 5 RS angles
+    _, _, batch = _batch([-50.0, -30.0, -10.0, 10.0, 30.0, 50.0], [], n=16)
+    with pytest.raises(ValueError, match=r"k_r=6 infeasible.*alpha=5.*n=16"):
+        estimate_angles_nonuniform(batch, PgdConfig(k_r=6, k_t=0, init="Grid"))
 
 
 def test_zero_lifting_order_rejected_before_any_work(monkeypatch):

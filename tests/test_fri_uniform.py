@@ -5,6 +5,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+from conftest import _ref_inverse_hankel
 from starfri import fri_uniform
 from starfri import star_ris_model as sm
 from starfri import structured_linalg as sl
@@ -58,13 +59,21 @@ def test_feasibility_rejection(liftings):
     _, _, batch = _uniform_batch([10.0], [], snr_db=20.0, n=8)
     with pytest.raises(ValueError):
         pgd_denoise(batch, PgdConfig(k_r=7, k_t=0))
-    # n=8: each 4 x 5 half of the stacked lift (alpha=4) holds K <= 4, the
-    # paired 6 x 6 one (alpha=2) K <= 6
-    for name, k_max in (("stacked", 4), ("paired", 6)):
+    # n=8: a filter of order alpha resolves at most alpha sources, K <= 4 on
+    # the stacked lift (alpha=4) and k_r <= 2 on the paired one (alpha=2)
+    for name, k_max in (("stacked", 4), ("paired", 2)):
         step, _ = liftings[name]
         step(batch, k_max)
         with pytest.raises(ValueError):
             step(batch, k_max + 1)
+
+
+def test_more_sources_than_filter_roots_rejected():
+    # n = 15: alpha = 7, so the filter's 8 taps have 7 roots, one fewer than
+    # K = 8; the solve must say so rather than return 7 angles
+    _, _, batch = _uniform_batch([-40.0, -10.0, 20.0, 50.0], [-45.0, -15.0, 15.0, 45.0], n=15)
+    with pytest.raises(ValueError, match=r"K=8 infeasible.*alpha=7.*n=15"):
+        estimate_angles_uniform(batch, PgdConfig(k_r=4, k_t=4, init="Grid"))
 
 
 def test_zero_lifting_order_rejected_before_any_work(monkeypatch):
@@ -104,7 +113,7 @@ def _reference_pgd_denoise(batch, config):
         u, sv, vh = np.linalg.svd(sl.stacked_hankel_lift(db, alpha),
                                   full_matrices=False)
         Hk = (u[:, :config.k] * sv[:config.k]) @ vh[:config.k]
-        db = np.concatenate([sl.inverse_hankel(half)
+        db = np.concatenate([_ref_inverse_hankel(half)
                              for half in Hk.reshape(2, n - alpha, alpha + 1)])
         step = np.linalg.norm(db - b)
         history.append(step)

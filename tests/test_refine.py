@@ -8,6 +8,7 @@ import pytest
 
 from starfri import experiments, fri_nonuniform, fri_uniform, refine
 from starfri import star_ris_model as sm
+from starfri import structured_linalg as sl
 from starfri.experiments import ExperimentConfig, make_batch
 from starfri.fri_uniform import uniform_assumption_operator
 from starfri.refine import (INIT_STEP, PgdConfig, RecoveryResult, _atoms, _residual_gate,
@@ -395,3 +396,15 @@ def test_select_roots_by_energy_rejects_spurious():
     cands = np.concatenate([z, [0.97 * np.exp(0.4j), 1.02 * np.exp(-2.1j)]])
     kept = select_roots_by_energy(cands, 2, sig[:, None])
     assert np.allclose(np.sort_complex(kept), np.sort_complex(z), atol=1e-8)
+
+
+def test_select_roots_by_energy_rejects_fewer_roots_than_sources():
+    # a filter whose leading coefficient vanishes loses a root in
+    # polynomial_roots: 3 taps, 1 root, for 2 sources
+    z = np.exp(-1j * np.pi * np.sin(np.radians(11.0)))
+    roots = sl.polynomial_roots(np.array([-z, 1.0, 1e-15]))
+    assert len(roots) == 1
+    sig = z ** np.arange(16)
+    with pytest.raises(ValueError, match="1 roots for 2 sources"):
+        select_roots_by_energy(roots, 2, sig[:, None])
+    assert np.allclose(select_roots_by_energy(roots, 1, sig[:, None]), [z])

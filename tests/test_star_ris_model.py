@@ -74,26 +74,34 @@ def test_unknown_scenario_rejected():
 
 # ------------------------------------------------- energy / phase constraints
 
+def _coefficients(p):
+    """(reflection, transmission) coefficients of every element and slot: the
+    two halves of the paired operator under a unit channel, as the data are
+    synthesized."""
+    return np.split(sm.build_paired_operator(p, sm.Channel(np.ones(p.n))), 2)
+
+
 def test_energy_conservation():
     for scen in (sm.UNIFORM, sm.NONUNIFORM):
         p = _profile(scen, seed=11)
-        refl = p.reflection()
-        tran = sm.map_reflection_to_transmission(p)
+        refl, tran = _coefficients(p)
+        assert np.array_equal(refl, p.reflection())
         assert np.max(np.abs(np.abs(refl) ** 2 + np.abs(tran) ** 2 - 1.0)) <= 1e-12
 
 
 def test_phase_offset_is_quarter_turn():
     p = _profile(sm.NONUNIFORM, seed=13)
-    dphi = np.mod(np.angle(p.reflection()) - np.angle(sm.map_reflection_to_transmission(p)), 2 * np.pi)
+    refl, tran = _coefficients(p)
+    dphi = np.mod(np.angle(refl) - np.angle(tran), 2 * np.pi)
     ok = (np.abs(dphi - np.pi / 2) <= 1e-10) | (np.abs(dphi - 3 * np.pi / 2) <= 1e-10)
     assert np.all(ok)
 
 
 def test_transmission_examples():
     p = _manual_uniform_profile(2, 1)
-    assert np.allclose(sm.map_reflection_to_transmission(p), 1j * np.sqrt(2) / 2)
+    assert np.allclose(_coefficients(p)[1], 1j * np.sqrt(2) / 2)
     p6 = sm.StarRisProfile(1, 1, np.array([[0.6]]), np.zeros((1, 1)), np.ones((1, 1)), sm.NONUNIFORM)
-    assert np.allclose(np.abs(sm.map_reflection_to_transmission(p6)), 0.8)
+    assert np.allclose(np.abs(_coefficients(p6)[1]), 0.8)
 
 
 # ------------------------------------------------------------------ operators

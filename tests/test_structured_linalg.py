@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from numpy.lib.stride_tricks import sliding_window_view
 
+from conftest import _ref_inverse_hankel
 from starfri import structured_linalg as sl
 from starfri import fri_uniform
 from starfri.experiments import ExperimentConfig, make_batch
@@ -27,8 +28,8 @@ def _true_af(roots):
 
 
 # Reference kernels: the window-view lift, the hstack pair and the per-half
-# average that the cached gathers and averaging matrices replace. Every
-# kernel must match them bit for bit.
+# average (``_ref_inverse_hankel``, in conftest.py) that the cached gathers
+# and averaging matrices replace. Every kernel must match them bit for bit.
 
 def _ref_hankel_lift(v, alpha):
     return sliding_window_view(np.asarray(v), alpha + 1, axis=-1).copy()
@@ -36,16 +37,6 @@ def _ref_hankel_lift(v, alpha):
 
 def _ref_paired_hankel_lift(v_r, v_t, alpha):
     return np.hstack([_ref_hankel_lift(v_r, alpha), _ref_hankel_lift(v_t, alpha)])
-
-
-def _ref_inverse_hankel(m):
-    rows, cols = m.shape
-    W = np.zeros((rows + cols - 1, rows * cols))
-    for i in range(rows):
-        for j in range(cols):
-            W[i + j, i * cols + j] = 1.0
-    W /= W.sum(axis=1, keepdims=True)
-    return m.reshape(rows * cols) @ W.T
 
 
 def _ref_inverse_paired_hankel(m):
@@ -117,7 +108,7 @@ def test_lifts_reject_alpha_out_of_range():
                 lift(np.ones(12), alpha)
         # the solvers' set-up check names alpha and n, even where K would fit
         with pytest.raises(ValueError, match=f"alpha={alpha} outside 1..n-1 for n=6"):
-            sl.check_feasible(1, alpha, 6, 4)
+            sl.check_feasible(1, alpha, 6)
 
 
 @pytest.mark.parametrize("snr_db", [0.0, 15.0, 30.0])
@@ -252,16 +243,17 @@ def test_paired_structure_and_rank():
 # ------------------------------------------------------------ inverse mapping
 
 def test_inverse_hankel_antidiagonal_means():
-    out = sl.inverse_hankel(np.array([[1.0, 3.0], [5.0, 7.0], [9.0, 11.0]]))
-    assert np.allclose(out, [1, 4, 8, 11])
+    half = np.array([[1.0, 3.0], [5.0, 7.0], [9.0, 11.0]])
+    out = sl.inverse_paired_hankel(np.hstack([half, 2 * half]))
+    assert np.allclose(out, [1, 4, 8, 11, 2, 8, 16, 22])
 
 
 @settings(max_examples=100, deadline=None)
 @given(st.integers(0, 2 ** 31 - 1), st.integers(3, 20), st.integers(1, 10))
 def test_hankel_round_trip(seed, n, a):
     alpha = min(a, n - 1)
-    v = _rand_cvec(np.random.default_rng(seed), n)
-    assert np.allclose(sl.inverse_hankel(sl.hankel_lift(v, alpha)), v)
+    beta = _rand_cvec(np.random.default_rng(seed), 2 * n)
+    assert np.allclose(sl.inverse_paired_hankel(sl.paired_hankel_lift(beta, alpha)), beta)
 
 
 def test_inverse_hankel_contraction():
@@ -269,33 +261,36 @@ def test_inverse_hankel_contraction():
     rng = np.random.default_rng(4)
     for _ in range(1000):
         rows, cols = rng.integers(2, 8, 2)
-        m1 = _rand_cvec(rng, rows * cols).reshape(rows, cols)
-        m2 = _rand_cvec(rng, rows * cols).reshape(rows, cols)
-        lhs = np.linalg.norm(sl.inverse_hankel(m1) - sl.inverse_hankel(m2))
+        m1 = _rand_cvec(rng, rows * 2 * cols).reshape(rows, 2 * cols)
+        m2 = _rand_cvec(rng, rows * 2 * cols).reshape(rows, 2 * cols)
+        lhs = np.linalg.norm(sl.inverse_paired_hankel(m1) - sl.inverse_paired_hankel(m2))
         assert lhs <= np.linalg.norm(m1 - m2) + 1e-12
 
 
 def test_inverse_hankel_batched_round_trip_and_blocks():
-    # the stacked lift reshaped to (2, n-alpha, alpha+1) averages back half by half
+    # M1's average: the stacked lift's two halves in one product with the
+    # averaging matrix, back to beta
     rng = np.random.default_rng(5)
     beta = _rand_cvec(rng, 14)
+    Wt = sl._avg_t(4, 4)
     H = sl.stacked_hankel_lift(beta, 3)
-    assert np.allclose(sl.inverse_hankel(H.reshape(2, 4, 4)), beta.reshape(2, 7))
-    # non-Hankel blocks: per-block scalar oracle
+    assert np.allclose(np.dot(H.reshape(2, -1), Wt), beta.reshape(2, 7))
+    # non-Hankel blocks: per-block loop reference
     m = _rand_cvec(rng, 8 * 4).reshape(8, 4)
-    out = sl.inverse_hankel(m.reshape(2, 4, 4))
+    out = np.dot(m.reshape(2, -1), Wt)
     assert out.shape == (2, 7)
     for t in range(2):
-        assert np.allclose(out[t], sl.inverse_hankel(m[4 * t:4 * (t + 1)]))
+        assert np.array_equal(out[t], _ref_inverse_hankel(m[4 * t:4 * (t + 1)]))
 
 
 def test_inverse_hankel_matches_reference_on_every_shape():
-    # one averaging matrix for every shape, 1 x 1 up to 19 x 19
+    # one averaging matrix for every half shape, 1 x 1 up to 19 x 19
     rng = np.random.default_rng(15)
     for rows in range(1, 20):
         for cols in range(1, 20):
-            m = _rand_cvec(rng, rows * cols).reshape(rows, cols)
-            assert np.array_equal(sl.inverse_hankel(m), _ref_inverse_hankel(m))
+            m = _rand_cvec(rng, rows * 2 * cols).reshape(rows, 2 * cols)
+            assert np.array_equal(sl.inverse_paired_hankel(m),
+                                  np.concatenate(_ref_inverse_paired_hankel(m)))
 
 
 @settings(max_examples=200, deadline=None)
@@ -317,8 +312,8 @@ def test_inverse_paired():
     assert not np.any(sl.inverse_paired_hankel(np.zeros((4, 6))))
     m = _rand_cvec(rng, 24).reshape(4, 6)
     out = sl.inverse_paired_hankel(m)
-    assert np.allclose(out[:6], sl.inverse_hankel(m[:, :3]))
-    assert np.allclose(out[6:], sl.inverse_hankel(m[:, 3:]))
+    assert np.allclose(out[:6], _ref_inverse_hankel(m[:, :3]))
+    assert np.allclose(out[6:], _ref_inverse_hankel(m[:, 3:]))
     with pytest.raises(ValueError):
         sl.inverse_paired_hankel(np.zeros((4, 5)))
 
@@ -461,7 +456,8 @@ def test_stacked_truncation_stays_near_hankel_set():
         H = sl.stacked_hankel_lift(beta, alpha)
         E = 0.05 * _rand_cvec(rng, H.size).reshape(H.shape)
         T = sl.rank_truncate(H + E, K)
-        proj = sl.stacked_hankel_lift(sl.inverse_hankel(T.reshape(2, n - alpha, -1)).ravel(), alpha)
+        avg = np.dot(T.reshape(2, -1), sl._avg_t(n - alpha, alpha + 1)).ravel()
+        proj = sl.stacked_hankel_lift(avg, alpha)
         assert np.linalg.norm(T - proj) <= 2 * np.linalg.norm(E) + 1e-12
 
 
