@@ -105,7 +105,17 @@ def match_and_score(angles_labeled, scene, threshold_deg=5.0):
     return errors, bool(errors.max() <= threshold_deg)
 
 
+def _is_integer(value):
+    """An int or numpy integer, and not a bool."""
+    return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
+
+
 def scenario_name(scenario):
+    """The profile regime of scenario 1 (uniform amplitudes) or 2 (per-element
+    amplitudes); any other value, a bool, float or string among them, raises
+    ValueError naming scenario."""
+    if not (_is_integer(scenario) and scenario in (1, 2)):
+        raise ValueError(f"scenario={scenario!r} is neither 1 nor 2")
     return UNIFORM if scenario == 1 else NONUNIFORM
 
 
@@ -151,16 +161,21 @@ def run_method(method, batch, config):
 
 
 def check_config(config):
-    """Reject a configuration no method can solve, naming the field, before
-    any trial runs: an unknown method or scenario among them, a methods
-    value that is not a list or tuple of names (one string, say), an empty
-    methods or snr_db list (it would write a bare header), a size, order,
-    trial or worker count that is not an integer (a bool is not one), a
-    worker count below 1, a seed that is not a non-negative integer (every
-    trial's RNG stream would refuse it), and a success threshold that is not
-    a finite positive real (a bool or a string is not one). The orders and
-    the slot count go through the solvers' own rules (``PgdConfig``,
-    ``refine.check_slots``)."""
+    """Reject, naming the field, a configuration no experiment can run,
+    before any trial is drawn. Each setting has one rule:
+
+    - methods: a non-empty list or tuple of names from METHODS, none twice;
+    - scenario: ``scenario_name``'s, the integer 1 or 2;
+    - n, t_s, k_r, k_t, trials, workers, seed: integers (a bool is not one),
+      with n >= 2, trials >= 1, workers >= 1 and seed >= 0;
+    - k_r, k_t: ``PgdConfig``'s, k_r, k_t >= 0 and K = k_r + k_t >= 1;
+    - t_s: ``refine.check_slots``', t_s >= K;
+    - success_threshold_deg: a finite positive real (a bool is not one);
+    - snr_db: one value or a non-empty list or array, each entry passing
+      ``star_ris_model.check_snr_db``.
+
+    ``tests/test_experiments.py::test_degenerate_config_rejected_before_any_trial``
+    runs every rejection through every entry point."""
     if not isinstance(config.methods, (list, tuple)):
         raise ValueError(f"methods={config.methods!r} is not a list of names from "
                          f"{', '.join(METHODS)}")
@@ -168,12 +183,14 @@ def check_config(config):
         raise ValueError(f"methods={config.methods!r} names no method")
     for method in config.methods:
         if method not in METHODS:
-            raise ValueError(f"unknown method {method!r}; choose from {', '.join(METHODS)}")
-    if config.scenario not in (1, 2):
-        raise ValueError(f"scenario={config.scenario!r} is neither 1 nor 2")
+            raise ValueError(f"methods={config.methods!r} names unknown method {method!r}; "
+                             f"choose from {', '.join(METHODS)}")
+        if config.methods.count(method) > 1:
+            raise ValueError(f"methods={config.methods!r} names {method!r} more than once")
+    scenario_name(config.scenario)
     for name in ("n", "t_s", "k_r", "k_t", "trials", "workers", "seed"):
         value = getattr(config, name)
-        if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+        if not _is_integer(value):
             raise ValueError(f"{name}={value!r} is not an integer")
     for name, least in (("trials", 1), ("n", 2), ("workers", 1), ("seed", 0)):
         if getattr(config, name) < least:
@@ -183,10 +200,13 @@ def check_config(config):
             or not (math.isfinite(threshold) and threshold > 0)):
         raise ValueError(f"success_threshold_deg={threshold!r} is not a finite positive real")
     check_slots(config.t_s, PgdConfig(k_r=config.k_r, k_t=config.k_t).k)
-    if not np.size(config.snr_db):
+    snrs = config.snr_db
+    if not isinstance(snrs, (list, tuple, np.ndarray)):
+        snrs = [snrs]
+    if not len(snrs):
         raise ValueError(f"snr_db={config.snr_db!r} holds no SNR")
-    for snr in np.atleast_1d(config.snr_db):
-        check_snr_db(float(snr))
+    for snr in snrs:
+        check_snr_db(snr)
 
 
 def single_snr(config, experiment):
@@ -351,6 +371,14 @@ def _version():
         return "unknown"
 
 
+def _real_or_text(text):
+    """float(text), or text itself, which check_config rejects naming snr_db."""
+    try:
+        return float(text)
+    except ValueError:
+        return text
+
+
 def main(argv=None):
     p = argparse.ArgumentParser(prog="starfri-sim",
                                 description="STAR-RIS full-space DOA estimation experiments. "
@@ -360,7 +388,7 @@ def main(argv=None):
     for name in ("spectrum", "sweep", "convergence", "snr", "aperture"):
         q = sub.add_parser(name)
         q.add_argument("--config", help="JSON config file; flags override its values")
-        q.add_argument("--scenario", type=int, choices=(1, 2))
+        q.add_argument("--scenario", type=int, help="1 or 2")
         q.add_argument("--n", type=int)
         q.add_argument("--ts", type=int)
         q.add_argument("--kr", type=int)
@@ -392,7 +420,7 @@ def main(argv=None):
         if val is not None:
             setattr(cfg, key, val)
     if args.snr_db is not None:
-        vals = [float(v) for v in args.snr_db.split(",")]
+        vals = [_real_or_text(v) for v in args.snr_db.split(",")]
         cfg.snr_db = vals[0] if len(vals) == 1 else vals
     if args.methods is not None:
         cfg.methods = tuple(args.methods.split(","))

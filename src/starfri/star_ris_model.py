@@ -15,6 +15,8 @@ information enters through the known per-slot control sequence.
 """
 
 import functools
+import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -25,6 +27,8 @@ NONUNIFORM = "NonuniformES"
 ANGLE_LO, ANGLE_HI = -60.0, 60.0   # the search range of every estimator, degrees
 MIN_SEP_DEG = 2.0   # least separation of two drawn users of one side, degrees
 FINE_STEP = 0.1     # step of the fine grid (rescan, dictionaries, spectra), degrees
+# at or below this SNR, the noise variance 10^(-snr_db/10) overflows a float (about -3082.5 dB)
+SNR_DB_MIN = -10.0 * math.log10(np.finfo(float).max)
 
 
 @dataclass
@@ -175,9 +179,14 @@ def latent_fri_vectors(scene, profile):
 
 
 def check_snr_db(snr_db):
-    """Reject an SNR that is NaN or -inf; +inf stands for the noiseless case."""
-    if np.isnan(snr_db) or snr_db == -np.inf:
-        raise ValueError(f"snr_db={snr_db!r} is not an SNR (inf gives the noiseless batch)")
+    """Reject an SNR that is not a real number (a bool or a string is not
+    one), or that is NaN or at most SNR_DB_MIN (-inf among them), where the
+    noise variance overflows; +inf stands for the noiseless case."""
+    if isinstance(snr_db, bool) or not isinstance(snr_db, numbers.Real):
+        raise ValueError(f"snr_db={snr_db!r} is not a real number")
+    if not snr_db > SNR_DB_MIN:
+        raise ValueError(f"snr_db={snr_db!r} is not an SNR above {SNR_DB_MIN:.1f} dB "
+                         "(inf gives the noiseless batch)")
 
 
 def synthesize_measurements(scene, profile, channel, snr_db, rng):
@@ -185,8 +194,8 @@ def synthesize_measurements(scene, profile, channel, snr_db, rng):
 
     Noise is circular complex Gaussian with sigma_n^2 = 10^(-snr_db/10), so
     the per-user SNR eta = |s_k|^2 / sigma_n^2 equals the dB value for
-    unit-modulus gains. snr_db = inf gives the noiseless batch; NaN and -inf
-    raise ValueError.
+    unit-modulus gains. snr_db = inf gives the noiseless batch; an SNR
+    ``check_snr_db`` rejects raises ValueError.
     """
     if scene.k == 0:
         raise ValueError("empty scene")

@@ -110,6 +110,13 @@ def test_make_batch_deterministic():
     assert not np.array_equal(b1.y, b3.y)
 
 
+def test_make_batch_rejects_a_scenario_other_than_1_or_2():
+    # scenario_name is the one scenario rule: no other value maps to a regime
+    for scenario in (0, 3, "2", True, 1.0):
+        with pytest.raises(ValueError, match=f"scenario={scenario!r} is neither 1 nor 2"):
+            make_batch(ExperimentConfig(scenario=scenario), 0)
+
+
 def test_run_trial_deterministic_and_method_selection():
     cfg = ExperimentConfig(scenario=1, snr_db=15.0, trials=1, seed=1, methods=("FFT", "OMP"))
     r1 = run_trial(cfg, 0)
@@ -393,123 +400,124 @@ def test_run_trial_records_a_non_finite_batch_as_failed(monkeypatch):
         assert not res["success"] and res["iterations"] == 0
 
 
-@pytest.mark.parametrize("runner", [run_sweep, run_aperture_sweep])
-def test_fewer_slots_than_sources_rejected(runner):
-    cfg = ExperimentConfig(t_s=3, k_r=2, k_t=2, trials=1, methods=("FFT",))
-    with pytest.raises(ValueError, match=r"t_s=3.*K_R\+K_T=4"):
-        runner(cfg)
+# Every rejected setting, as (id, settings, message): each settings dict
+# changes ExperimentConfig(trials=1, methods=("FFT",)), and each message is
+# a pattern of the ValueError, which also names every field the row sets.
+REJECTED = [
+    ("no-trials", {"trials": 0}, "trials=0"),
+    ("n0", {"n": 0}, "n=0"),
+    ("n1", {"n": 1}, "n=1"),
+    ("negative-k_r", {"k_r": -1}, "k_r=-1"),
+    ("negative-k_t", {"k_t": -1}, "k_t=-1"),
+    ("no-users", {"k_r": 0, "k_t": 0}, "no source to estimate"),
+    ("fewer-slots", {"t_s": 3}, r"t_s=3.*K_R\+K_T=4"),
+    ("unknown-method", {"methods": ["FFT", "FTT"]}, "unknown method 'FTT'"),
+    ("repeated-method", {"methods": ["FFT", "FFT"]}, "'FFT' more than once"),
+    ("methods-string", {"methods": "FFT"}, "methods='FFT' is not a list"),
+    ("methods-number", {"methods": 5}, "methods=5 is not a list"),
+    ("no-methods", {"methods": []}, r"methods=\[\] names no method"),
+    ("scenario0", {"scenario": 0}, "scenario=0 is neither 1 nor 2"),
+    ("scenario3", {"scenario": 3}, "scenario=3 is neither 1 nor 2"),
+    ("bool-scenario", {"scenario": True}, "scenario=True"),
+    ("float-scenario", {"scenario": 1.0}, "scenario=1.0"),
+    ("string-scenario", {"scenario": "2"}, "scenario='2'"),
+    ("negative-seed", {"seed": -1}, "seed=-1"),
+    ("fractional-seed", {"seed": 1.5}, "seed=1.5"),
+    ("fractional-trials", {"trials": 1.5}, "trials=1.5"),
+    ("fractional-n", {"n": 16.5}, "n=16.5"),
+    ("float-t_s", {"t_s": 32.0}, "t_s=32.0"),
+    ("bool-k_r", {"k_r": True}, "k_r=True"),
+    ("float-k_t", {"k_t": 2.0}, "k_t=2.0"),
+    ("fractional-workers", {"workers": 1.5}, "workers=1.5"),
+    ("no-workers", {"workers": 0}, "workers=0 is below its least value 1"),
+    ("negative-workers", {"workers": -2}, "workers=-2 is below its least value 1"),
+    ("string-threshold", {"success_threshold_deg": "5"},
+     "success_threshold_deg='5' is not a finite positive real"),
+    ("null-threshold", {"success_threshold_deg": None}, "success_threshold_deg=None"),
+    ("bool-threshold", {"success_threshold_deg": True}, "success_threshold_deg=True"),
+    ("zero-threshold", {"success_threshold_deg": 0.0}, "success_threshold_deg=0.0"),
+    ("negative-threshold", {"success_threshold_deg": -1}, "success_threshold_deg=-1"),
+    ("nan-threshold", {"success_threshold_deg": np.nan}, "success_threshold_deg=nan"),
+    ("inf-threshold", {"success_threshold_deg": np.inf}, "success_threshold_deg=inf"),
+    ("no-snrs", {"snr_db": []}, r"snr_db=\[\] holds no SNR"),
+    ("nan-snr", {"snr_db": np.nan}, "snr_db=nan"),
+    ("minus-inf-snr", {"snr_db": -np.inf}, "snr_db=-inf"),
+    ("nan-in-snrs", {"snr_db": [15.0, np.nan]}, "snr_db=nan"),
+    ("minus-inf-in-snrs", {"snr_db": [-np.inf, 15.0]}, "snr_db=-inf"),
+    ("overflowing-snr", {"snr_db": -4000.0}, "snr_db=-4000.0 is not an SNR above"),
+    ("overflowing-in-snrs", {"snr_db": [15.0, -4000.0]}, "snr_db=-4000.0 is not an SNR above"),
+    ("string-snr", {"snr_db": "abc"}, "snr_db='abc' is not a real number"),
+    ("string-in-snrs", {"snr_db": ["x"]}, "snr_db='x' is not a real number"),
+    ("string-after-snr", {"snr_db": [10.0, "abc"]}, "snr_db='abc' is not a real number"),
+    ("null-snr", {"snr_db": None}, "snr_db=None is not a real number"),
+    ("nested-snrs", {"snr_db": [[10.0, 20.0]]}, r"snr_db=\[10.0, 20.0\] is not a real number"),
+    ("bool-snr", {"snr_db": True}, "snr_db=True is not a real number"),
+]
+
+_FLAGS = {"scenario": "--scenario", "n": "--n", "t_s": "--ts", "k_r": "--kr", "k_t": "--kt",
+          "trials": "--trials", "seed": "--seed", "workers": "--workers",
+          "methods": "--methods", "snr_db": "--snr-db"}
 
 
-def test_cli_rejects_fewer_slots_than_sources(tmp_path):
-    with pytest.raises(ValueError, match=r"t_s=3.*=4"):
-        main(["sweep", "--ts", "3", "--trials", "1", "--methods", "FFT",
-              "--out", str(tmp_path / "o.csv")])
-    assert not (tmp_path / "o.csv").exists()
+def _flags(settings):
+    """The flags that set settings, or None where no flag can: a field with
+    no flag, a non-int value of an integer flag, or a value of a comma-list
+    flag that its list cannot spell (a bool, an empty list, one method name
+    outside a list, a nested list)."""
+    argv = []
+    for name, value in settings.items():
+        if name == "snr_db" and not isinstance(value, list):
+            value = [value]
+        if name in ("methods", "snr_db"):
+            if not (isinstance(value, list) and value
+                    and all(isinstance(v, (str, float)) for v in value)):
+                return None
+            value = ",".join(map(str, value))
+        elif name not in _FLAGS or type(value) is not int:
+            return None
+        argv.append(f"{_FLAGS[name]}={value}")
+    return argv
 
 
-@pytest.mark.parametrize("snr_db", [np.nan, -np.inf, [15.0, np.nan], [-np.inf, 15.0]])
-@pytest.mark.parametrize("runner", [run_sweep, run_convergence, run_spectrum])
-def test_non_finite_snr_rejected_before_any_trial(runner, snr_db):
-    cfg = ExperimentConfig(snr_db=snr_db, trials=1, methods=("FFT",))
-    with pytest.raises(ValueError, match="snr_db"):
-        runner(cfg)
+ENTRY_POINTS = ("run_sweep", "run_convergence", "run_spectrum", "run_aperture_sweep",
+                "cli-config", "cli-flag")
 
 
-@pytest.mark.parametrize("overrides, message", [
-    ({"trials": 0}, "trials=0"),
-    ({"n": 0}, "n=0"),
-    ({"n": 1}, "n=1"),
-    ({"k_r": -1}, "k_r=-1"),
-    ({"k_t": -1}, "k_t=-1"),
-    ({"k_r": 0, "k_t": 0}, "no source to estimate"),
-    ({"methods": ("FFT", "FTT")}, "unknown method 'FTT'"),
-    ({"scenario": 3}, "scenario=3"),
-    ({"seed": -1}, "seed=-1"),
-    ({"seed": 1.5}, "seed=1.5"),
-    ({"trials": 1.5}, "trials=1.5"),
-    ({"n": 16.5}, "n=16.5"),
-    ({"t_s": 32.0}, "t_s=32.0"),
-    ({"k_r": True}, "k_r=True"),
-    ({"k_t": 2.0}, "k_t=2.0"),
-    ({"workers": 1.5}, "workers=1.5"),
-    ({"workers": 0}, "workers=0 is below its least value 1"),
-    ({"workers": -2}, "workers=-2 is below its least value 1"),
-    ({"methods": "FFT"}, "methods='FFT'"),
-    ({"success_threshold_deg": "5"}, "success_threshold_deg='5' is not a finite positive real"),
-    ({"success_threshold_deg": None}, "success_threshold_deg=None"),
-    ({"success_threshold_deg": True}, "success_threshold_deg=True"),
-    ({"success_threshold_deg": 0.0}, "success_threshold_deg=0.0"),
-    ({"success_threshold_deg": -1}, "success_threshold_deg=-1"),
-    ({"success_threshold_deg": np.nan}, "success_threshold_deg=nan"),
-    ({"success_threshold_deg": np.inf}, "success_threshold_deg=inf"),
-    ({"methods": ()}, r"methods=\(\) names no method"),
-    ({"snr_db": []}, r"snr_db=\[\] holds no SNR"),
-], ids=["no-trials", "n0", "n1", "negative-k_r", "negative-k_t", "no-users", "unknown-method",
-        "scenario3", "negative-seed", "fractional-seed", "fractional-trials", "fractional-n",
-        "float-t_s", "bool-k_r", "float-k_t", "fractional-workers", "no-workers",
-        "negative-workers", "methods-string", "string-threshold", "null-threshold",
-        "bool-threshold", "zero-threshold", "negative-threshold", "nan-threshold",
-        "inf-threshold", "no-methods", "no-snrs"])
-@pytest.mark.parametrize("runner", [run_sweep, run_convergence, run_spectrum])
-def test_degenerate_config_rejected_before_any_trial(monkeypatch, runner, overrides, message):
+def _rejections():
+    for row, settings, message in REJECTED:
+        for entry in ENTRY_POINTS:
+            # the aperture sweep sets n itself; a flag spells only some rows
+            if not ((entry == "run_aperture_sweep" and "n" in settings)
+                    or (entry == "cli-flag" and _flags(settings) is None)):
+                yield pytest.param(entry, settings, message, id=f"{entry}-{row}")
+
+
+@pytest.mark.parametrize("entry, settings, message", _rejections())
+def test_degenerate_config_rejected_before_any_trial(monkeypatch, tmp_path, entry, settings,
+                                                     message):
+    # the one table of rejections: each row through each runner and the CLI,
+    # with no trial drawn and, from the CLI, nothing written
     monkeypatch.setattr(experiments, "make_batch", _no_trial)
     monkeypatch.setattr(experiments, "synthesize_measurements", _no_trial)
-    with pytest.raises(ValueError, match=message):
-        runner(replace(ExperimentConfig(trials=1, methods=("FFT",)), **overrides))
+    out = str(tmp_path / "o.csv")
+    with pytest.raises(ValueError, match=message) as err:
+        if entry == "cli-config":
+            cfg_path = tmp_path / "cfg.json"
+            cfg_path.write_text(json.dumps({"trials": 1, "methods": ["FFT"], **settings}))
+            main(["sweep", "--config", str(cfg_path), "--out", out])
+        elif entry == "cli-flag":
+            main(["sweep", "--trials=1", "--methods=FFT", *_flags(settings), "--out", out])
+        else:
+            getattr(experiments, entry)(replace(ExperimentConfig(trials=1, methods=("FFT",)),
+                                                **settings))
+    assert all(name in str(err.value) for name in settings)
+    assert os.listdir(tmp_path) == (["cfg.json"] if entry == "cli-config" else [])
 
 
 @pytest.mark.parametrize("threshold", [5, 0.5, np.float64(2.5), np.int64(3)])
 def test_config_takes_a_finite_positive_real_threshold(threshold):
     cfg = ExperimentConfig(trials=1, methods=("FFT",), success_threshold_deg=threshold)
     experiments.check_config(cfg)
-
-
-def test_cli_rejects_negative_workers_before_writing(tmp_path):
-    # a negative worker count ran the sweep serially without a word
-    out = tmp_path / "o.csv"
-    with pytest.raises(ValueError, match="workers=-2"):
-        main(["sweep", "--workers", "-2", "--trials", "1", "--methods", "FFT", "--out", str(out)])
-    assert os.listdir(tmp_path) == []
-
-
-def test_cli_rejects_a_seed_no_rng_stream_takes_before_writing(tmp_path):
-    # a negative seed made every trial a failed one; a fractional one, given
-    # through a config file, raised TypeError in the middle of the sweep
-    out = tmp_path / "o.csv"
-    with pytest.raises(ValueError, match="seed=-1"):
-        main(["sweep", "--seed", "-1", "--trials", "2", "--methods", "FFT", "--out", str(out)])
-    cfg_path = tmp_path / "cfg.json"
-    cfg_path.write_text(json.dumps({"seed": 0.5}))
-    with pytest.raises(ValueError, match="seed=0.5"):
-        main(["sweep", "--config", str(cfg_path), "--trials", "1", "--methods", "FFT",
-              "--out", str(out)])
-    assert sorted(os.listdir(tmp_path)) == ["cfg.json"]
-
-
-@pytest.mark.parametrize("values, message", [
-    ({"trials": 1.5}, "trials=1.5"),
-    ({"n": 16.5}, "n=16.5"),
-    ({"workers": 1.5}, "workers=1.5"),
-    ({"methods": "FFT"}, "methods='FFT'"),
-    ({"workers": -2}, "workers=-2"),
-    ({"success_threshold_deg": "5"}, "success_threshold_deg='5'"),
-    ({"success_threshold_deg": None}, "success_threshold_deg=None"),
-    ({"methods": []}, r"methods=\[\] names no method"),
-    ({"snr_db": []}, r"snr_db=\[\] holds no SNR"),
-    ({"methods": 5}, "methods=5 is not a list"),
-], ids=["trials", "n", "workers", "methods", "negative-workers", "string-threshold",
-        "null-threshold", "no-methods", "no-snrs", "methods-number"])
-def test_cli_config_rejects_wrong_typed_fields_before_writing(tmp_path, values, message):
-    # a config file can carry any JSON type: a fractional count ended in a
-    # TypeError traceback, a methods string was split into characters, a
-    # string or null threshold failed at the first scored trial, an empty
-    # methods or snr_db list wrote a CSV header alone and exited 0, and a
-    # number for methods ended in a TypeError traceback
-    cfg_path = tmp_path / "cfg.json"
-    cfg_path.write_text(json.dumps(values))
-    with pytest.raises(ValueError, match=message):
-        main(["sweep", "--config", str(cfg_path), "--out", str(tmp_path / "o.csv")])
-    assert sorted(os.listdir(tmp_path)) == ["cfg.json"]
 
 
 _SCIPY_PROBE = """
@@ -567,18 +575,6 @@ def test_cli_config_experiment_must_match_the_subcommand(tmp_path, experiment):
                  "--out", str(tmp_path / "o.csv")]) == 0
 
 
-def test_cli_rejects_unknown_method_and_scenario_before_writing(tmp_path):
-    out = tmp_path / "o.csv"
-    with pytest.raises(ValueError, match="unknown method 'FTT'"):
-        main(["sweep", "--trials", "1", "--methods", "FTT", "--out", str(out)])
-    cfg_path = tmp_path / "cfg.json"
-    cfg_path.write_text(json.dumps({"scenario": 3}))
-    with pytest.raises(ValueError, match="scenario=3"):
-        main(["sweep", "--config", str(cfg_path), "--trials", "1", "--methods", "FFT",
-              "--out", str(out)])
-    assert sorted(os.listdir(tmp_path)) == ["cfg.json"]
-
-
 @pytest.mark.parametrize("scenario", [1, 2])
 @pytest.mark.parametrize("method", ["M1", "M2"])
 def test_all_zero_y_rejected_before_any_solve(monkeypatch, method, scenario):
@@ -607,10 +603,3 @@ def test_all_zero_y_is_a_failed_trial_and_the_sweep_goes_on(monkeypatch):
         assert res["angles"] == [] and res["errors"] is None and not res["success"]
     recs = run_sweep(cfg)
     assert [(r.method, r.trials, r.successes) for r in recs] == [("M1", 2, 1), ("M2", 2, 1)]
-
-
-def test_cli_rejects_a_nan_snr(tmp_path):
-    with pytest.raises(ValueError, match="snr_db=nan"):
-        main(["sweep", "--snr-db", "nan", "--trials", "1", "--methods", "FFT",
-              "--out", str(tmp_path / "o.csv")])
-    assert not (tmp_path / "o.csv").exists()

@@ -222,6 +222,20 @@ def test_non_finite_snr_rejected(snr_db):
     x = sm.latent_fri_vectors(scene, p)
     assert batch.sigma_n2 == 0.0 and np.array_equal(batch.y, batch.operator_paired.T @ x)
 
+def test_snr_rejected_where_the_noise_variance_overflows():
+    # at or below SNR_DB_MIN, 10^(-snr_db/10) overflows a float; one ulp
+    # above it, the variance is finite and synthesis runs
+    p = _profile(sm.UNIFORM, seed=37)
+    ch = sm.draw_channel(np.random.default_rng(37), 16)
+    scene = sm.draw_scene(np.random.default_rng(37), 2, 2)
+    for snr_db in (-4000.0, sm.SNR_DB_MIN):
+        with pytest.raises(ValueError, match=f"snr_db={snr_db!r} is not an SNR above"):
+            sm.synthesize_measurements(scene, p, ch, snr_db, np.random.default_rng(1))
+    above = np.nextafter(sm.SNR_DB_MIN, 0.0)
+    batch = sm.synthesize_measurements(scene, p, ch, above, np.random.default_rng(1))
+    assert np.isfinite(batch.sigma_n2) and np.all(np.isfinite(batch.y))
+
+
 def test_draw_scene_separation():
     rng = np.random.default_rng(41)
     for _ in range(50):
