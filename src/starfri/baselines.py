@@ -80,11 +80,25 @@ def _pick_peaks(P, grid, k_i):
     return np.sort(grid[picked]), flagged
 
 
+def _binary_exponent(y):
+    """The binary exponent e of y's largest entry (``np.frexp``), at least
+    -1021 so that 2**-e is finite; 0 for an all-zero y. y * 2**-e is exact,
+    and no |y|^2 is formed on the way.
+
+    FFT and SBL run on y so scaled, and SBL on sigma_n2 times 2**-2e: every
+    quantity they form is then scaled by an exact power of two, so their
+    picks are the unscaled data's wherever nothing over- or underflows, and
+    a noise variance up to the largest float overflows nothing."""
+    return max(int(np.frexp(np.abs(y).max())[1]), -1021)
+
+
 def fft_scan(batch, dictionary, k_i):
-    """Beam-scan spectrum P(theta) = |atom^H y|^2; returns its k_i highest
+    """Beam-scan spectrum P(theta) = |atom^H y|^2, on y scaled by an exact
+    power of two (``_binary_exponent``); returns its k_i highest
     well-separated peaks."""
     _check_order(k_i, dictionary)
-    P = np.abs(dictionary.correlation(batch.y)) ** 2
+    y = batch.y * np.ldexp(1.0, -_binary_exponent(batch.y))
+    P = np.abs(dictionary.correlation(y)) ** 2
     return _pick_peaks(P, dictionary.grid, k_i)
 
 
@@ -294,10 +308,16 @@ def sbl_full_space(batch, dict_rs, dict_ts, k_r, k_t, config=None):
     evidence maximization wanders; fitting both halves jointly and picking
     peaks per half keeps the per-subspace reporting while the model stays
     well-specified.
+
+    The fit runs on y and sigma_n2 scaled by 2**-e and 2**-2e
+    (``_binary_exponent``): gamma comes out scaled by 2**-2e, with the same
+    picks.
     """
     _check_order(k_r, dict_rs)
     _check_order(k_t, dict_ts)
-    gamma, aborted = sbl_gamma(batch.y, (dict_rs, dict_ts), batch.sigma_n2, config)
+    e = _binary_exponent(batch.y)
+    gamma, aborted = sbl_gamma(batch.y * np.ldexp(1.0, -e), (dict_rs, dict_ts),
+                               np.ldexp(batch.sigma_n2, -2 * e), config)
     n_r = dict_rs.grid.size
     a_r, f_r = _pick_peaks(gamma[:n_r], dict_rs.grid, k_r)
     a_t, f_t = _pick_peaks(gamma[n_r:], dict_ts.grid, k_t)

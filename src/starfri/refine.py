@@ -159,18 +159,21 @@ def _atoms(psi, S, k_r):
 
 def least_squares(fun, x0, jac, xtol, ftol, gtol, max_nfev):
     """Levenberg-Marquardt on the residual vector fun with the Jacobian jac:
-    MINPACK's ``lmder`` through ``scipy.optimize.leastsq`` (taken from
-    ``sl.load_scipy`` at the first call, so that importing this module loads
-    no scipy).
+    MINPACK's ``lmder``, called through ``_lmder`` of scipy's compiled
+    MINPACK module (``sl.load_scipy``, at the first call) on a flattened
+    float copy of x0.
 
-    The same ``lmder`` call as ``scipy.optimize.least_squares(method='lm')``
-    (step bound factor 100, scaling from the Jacobian's column norms, row
-    derivatives), so the end point and the evaluation count are the same bit
-    for bit; it skips that wrapper's per-evaluation bookkeeping and its extra
-    Jacobian at the end point. Returns a namespace with the end point ``x``,
-    the residual vector there ``fun`` and the evaluation count ``nfev``."""
-    x, _, info, _, _ = sl.load_scipy().leastsq(fun, x0, Dfun=jac, full_output=True, xtol=xtol,
-                                               ftol=ftol, gtol=gtol, maxfev=max_nfev)
+    The exact call ``scipy.optimize.leastsq`` makes, and the same ``lmder``
+    call as ``scipy.optimize.least_squares(method='lm')`` (step bound factor
+    100, scaling from the Jacobian's column norms, row derivatives), so the
+    end point and the evaluation count are the same bit for bit. It skips
+    leastsq's wrapper (a residual and a Jacobian at x0 to check their shapes,
+    and a covariance from the end point's factor) and least_squares'
+    per-evaluation bookkeeping and extra Jacobian at the end point. Returns a
+    namespace with the end point ``x``, the residual vector there ``fun`` and
+    the evaluation count ``nfev``."""
+    x, info, _ = sl.load_scipy().minpack._lmder(fun, jac, np.asarray(x0, float).flatten(), (),
+                                                1, 0, ftol, xtol, gtol, max_nfev, 100, None)
     return SimpleNamespace(x=x, fun=info['fvec'], nfev=info['nfev'])
 
 
@@ -184,13 +187,15 @@ def varpro_refine(y, psi, th_r, th_t):
     functional exact because the dropped term lies in range(A). A and dA are
     ``_atoms`` of the steering matrix S and of its ``steering_derivative``
     (per degree), which reuses S's exponentials. The solver is MINPACK's
-    ``lmder`` through ``least_squares``, so scipy loads at the first polish.
+    ``lmder`` through ``least_squares``, so scipy's compiled MINPACK loads at
+    the first polish.
 
     Each point the solver asks for is solved once: its steering matrix,
     atoms, gains and residual are kept under the point's bytes, and its
     Jacobian is added when the solver first asks for it. The solver asks
-    for the residual and the Jacobian at the start twice (a shape check,
-    then MINPACK) and for the Jacobian at each point it has just accepted.
+    for the residual at the start twice (the compiled wrapper sizes its
+    output, then ``lmder`` starts), for each other point's residual once,
+    and for the Jacobian once at each point it accepts.
 
     Returns (th_r, th_t, residual), the residual ||y - A s_hat|| at the end
     point: the norm of the solver's own residual vector there, so the fit is

@@ -33,14 +33,21 @@ columns v as one ``GridDictionary`` of factors: its norms ||B v||^2 =
 Re(c^H v) come from the lag sums c of B^H B (``_lag_sums``), and its
 correlations r^H B v from one O(n*G) product, so no t_s x G block is built.
 
-scipy is imported in one place, ``load_scipy``, at its first call: only the
+scipy is loaded in one place, ``load_scipy``, at its first call: only the
 gridless solvers use it (``eigh`` and the polish's ``refine.least_squares``),
 so ``import starfri``, the grid baselines and the bound load numpy alone.
+Even then it imports top-level scipy only, and loads the two compiled modules
+those calls need, LAPACK's ``_flapack`` and MINPACK's ``_minpack``, from
+their files; ``scipy.linalg`` and ``scipy.optimize`` are never imported.
 """
 
 import functools
 import math
+import sys
 from dataclasses import dataclass
+from importlib.machinery import EXTENSION_SUFFIXES, ExtensionFileLoader
+from importlib.util import module_from_spec, spec_from_file_location
+from pathlib import Path
 from types import SimpleNamespace
 
 import numpy as np
@@ -157,36 +164,70 @@ def inverse_paired_hankel(m):
     return beta
 
 
+def _load_extension(scipy, package, name):
+    """The compiled module scipy.<package>.<name>, loaded from its file in
+    scipy's tree, so that the package's __init__ never runs. CPython enters a
+    single-phase extension in sys.modules as it creates it; the entry found
+    there before is put back, so that a later import of the package takes its
+    normal path. A missing file raises ImportError naming the module, the
+    directory and scipy's version."""
+    fullname = f"scipy.{package}.{name}"
+    directory = Path(scipy.__file__).parent / package
+    path = next((directory / (name + suffix) for suffix in EXTENSION_SUFFIXES
+                 if (directory / (name + suffix)).is_file()), None)
+    if path is None:
+        raise ImportError(f"no compiled module {fullname} in {directory} "
+                          f"(scipy {scipy.__version__})")
+    loader = ExtensionFileLoader(fullname, str(path))
+    held = sys.modules.get(fullname)
+    module = module_from_spec(spec_from_file_location(fullname, path, loader=loader))
+    loader.exec_module(module)
+    if held is None:
+        sys.modules.pop(fullname, None)
+    else:
+        sys.modules[fullname] = held
+    return module
+
+
 @functools.lru_cache(maxsize=None)
 def load_scipy():
-    """scipy's LAPACK lookup ``get_lapack_funcs`` and MINPACK driver
-    ``leastsq`` (Levenberg-Marquardt, ``lmder`` with a user Jacobian),
-    imported at the first call and cached.
+    """scipy's compiled LAPACK (``flapack``, the module behind
+    ``scipy.linalg.get_lapack_funcs``) and MINPACK (``minpack``, whose
+    ``_lmder`` drives ``scipy.optimize.leastsq``), loaded at the first call
+    and cached.
 
-    The one scipy import of the package. Only the gridless solvers call it,
-    so a process that runs the grid baselines or the bound alone never pays
-    scipy's import (about 0.3 s over numpy's).
+    The one scipy load of the package. Only the gridless solvers call it, so
+    a process that runs the grid baselines or the bound alone never loads
+    scipy. It imports top-level scipy (about 10 ms, which sets up scipy's
+    bundled BLAS) and the two modules from their files (``_load_extension``):
+    scipy.linalg and scipy.optimize, about 0.3 s of imports, never run.
     """
-    from scipy.linalg import get_lapack_funcs
-    from scipy.optimize import leastsq
-    return SimpleNamespace(get_lapack_funcs=get_lapack_funcs, leastsq=leastsq)
+    import scipy
+    return SimpleNamespace(flapack=_load_extension(scipy, "linalg", "_flapack"),
+                           minpack=_load_extension(scipy, "optimize", "_minpack"))
+
+
+# the precision get_lapack_funcs picks for each dtype character; any other runs in double
+_LAPACK_PREFIX = {**dict.fromkeys("?bBhHef", "s"), "F": "c", "D": "z", "G": "z"}
 
 
 @functools.lru_cache(maxsize=None)
 def _eigh_routine(dtype):
-    """(name, routine) of LAPACK's Hermitian eigensolver for dtype, looked up
-    once per dtype: ``heevd`` (``zheevd`` for complex128), ``syevd`` for a
-    real dtype."""
-    name = "heevd" if dtype.kind == "c" else "syevd"
-    solve, = load_scipy().get_lapack_funcs((name,), dtype=dtype)
-    return solve.typecode + name, solve
+    """(name, routine) of LAPACK's Hermitian eigensolver for dtype, taken
+    from ``load_scipy().flapack`` once per dtype: ``heevd`` for a complex
+    dtype (``zheevd`` for complex128, ``cheevd`` for complex64), ``syevd``
+    for a real one (``dsyevd``, ``ssyevd``). The precision is the one
+    ``scipy.linalg.get_lapack_funcs`` picks, and so is the routine."""
+    prefix = _LAPACK_PREFIX.get(dtype.char, "d")
+    name = prefix + ("heevd" if prefix in "cz" else "syevd")
+    return name, getattr(load_scipy().flapack, name)
 
 
 def eigh(gram):
     """Ascending eigenvalues and unit eigenvectors (columns) of a Hermitian
-    matrix from one LAPACK call, ``heevd`` (``syevd`` for real input),
-    resolved through ``load_scipy`` once per dtype. A failed solve or a
-    non-finite input raises LinAlgError."""
+    matrix from one LAPACK call, ``heevd`` (``syevd`` for real input), taken
+    from scipy's compiled LAPACK once per dtype (``_eigh_routine``). A failed
+    solve or a non-finite input raises LinAlgError."""
     name, solve = _eigh_routine(gram.dtype)
     w, vecs, info = solve(gram, lower=1)
     # LAPACK returns info = 0 for some non-finite inputs (a NaN in a 2 x 2

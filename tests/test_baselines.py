@@ -660,6 +660,36 @@ def test_sbl_flags_the_step_cap():
     assert not bl.sbl_gamma(batch.y, dicts, batch.sigma_n2, bl.SblConfig(max_em=400))[1]
 
 
+@pytest.mark.parametrize("snr_db", [-1540.0, -3000.0, float(np.nextafter(sm.SNR_DB_MIN, np.inf))],
+                         ids=["-1540dB", "-3000dB", "ulp_above_min"])
+@pytest.mark.parametrize("method", ["FFT", "OMP", "SBL"])
+def test_grid_baselines_stay_finite_down_to_the_snr_floor(method, snr_db):
+    # a noise variance up to the largest float overflows nothing (a
+    # RuntimeWarning fails the test): each call returns K finite labelled
+    # angles. SBL's 1 / sigma^2 terms underflowed from about -1540 dB, and
+    # FFT's |a^H y|^2 overflowed near the floor, before both ran on y
+    # scaled by a power of two
+    for scenario in (1, 2):
+        cfg = ExperimentConfig(scenario=scenario, n=16, t_s=32, k_r=2, k_t=2, snr_db=snr_db,
+                               seed=0, methods=(method,))
+        _, _, _, batch = make_batch(cfg, 0)
+        angles, _, _ = run_method(method, batch, cfg)
+        assert [lab for _, lab in angles] == ['RS', 'RS', 'TS', 'TS']
+        assert np.all(np.isfinite([a for a, _ in angles]))
+
+
+@pytest.mark.parametrize("e", [-7, 3, 40])
+def test_sbl_gamma_is_homogeneous_under_a_power_of_two(e):
+    # y * 2**-e with sigma_n2 * 2**-2e gives gamma * 2**-2e bit for bit and
+    # the same flag, so sbl_full_space's scaling leaves its picks as they were
+    for trial in range(3):
+        _, batch, dicts = _pool_batch(0, trial)
+        gamma, flag = bl.sbl_gamma(batch.y, dicts, batch.sigma_n2)
+        scaled, scaled_flag = bl.sbl_gamma(batch.y * np.ldexp(1.0, -e), dicts,
+                                           np.ldexp(batch.sigma_n2, -2 * e))
+        assert np.array_equal(scaled, np.ldexp(gamma, -2 * e)) and scaled_flag == flag
+
+
 def test_baselines_deterministic():
     batch = _batch([-12.0, 39.0], [-47.0, 16.0], snr_db=15.0, seed=7,
                    gains=np.exp(2j * np.pi * np.random.default_rng(7).random(4)))

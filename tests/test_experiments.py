@@ -174,10 +174,21 @@ def test_sweep_over_an_snr_list_runs_each_value():
                             _without_runtime(run_sweep(replace(cfg, snr_db=20.0))))
 
 
-def test_sweep_with_two_workers_matches_one():
-    cfg = ExperimentConfig(scenario=2, snr_db=15.0, trials=2, seed=0, methods=("FFT",))
+@pytest.mark.parametrize("methods, snr_db", [(("FFT",), 15.0), (("M1", "M2"), [0.0, 30.0])],
+                         ids=["grid", "gridless"])
+def test_sweep_with_two_workers_matches_one(methods, snr_db):
+    # the pool's workers, a new pool per SNR point, give the serial run's
+    # records, with the gridless methods on scipy's compiled modules too
+    cfg = ExperimentConfig(scenario=2, snr_db=snr_db, trials=2, seed=0, methods=methods)
     np.testing.assert_equal(_without_runtime(run_sweep(replace(cfg, workers=2))),
                             _without_runtime(run_sweep(cfg)))
+
+
+def test_sweep_at_minus_3000_db_completes():
+    # a noise variance of 1e300 times the signal's: SBL overflows nothing
+    # (RuntimeWarnings are errors here), and each trial is scored
+    recs = run_sweep(ExperimentConfig(snr_db=-3000.0, trials=2, methods=("SBL", "M1")))
+    assert [(r.method, r.trials) for r in recs] == [("SBL", 2), ("M1", 2)]
 
 
 def test_cli_sweep_smoke(tmp_path):
@@ -522,12 +533,13 @@ def test_config_takes_a_finite_positive_real_threshold(threshold):
 
 _SCIPY_PROBE = """
 import json, sys, time
+import numpy as np
 
 def scipy_loaded():
     return any(m.partition('.')[0] == 'scipy' for m in sys.modules)
 
 import starfri
-from starfri import experiments
+from starfri import experiments, refine
 from starfri.bounds import ZzbInputs, zzb_full
 state = {"import": scipy_loaded()}
 cfg = experiments.ExperimentConfig(methods=("FFT", "OMP", "SBL"))
@@ -545,7 +557,25 @@ def spy():
 
 experiments.time.perf_counter = spy
 experiments.run_method("M1", batch, cfg)
+experiments.time.perf_counter = clock
 state["m1_clock_reads"] = reads
+problems, solve = [], refine.least_squares
+
+def recording(fun, x0, jac, **kwargs):
+    problems.append((fun, np.array(x0), jac, kwargs))
+    return solve(fun, x0, jac, **kwargs)
+
+refine.least_squares = recording
+experiments.run_method("M2", batch, cfg)
+state["packages"] = sorted({"scipy.linalg", "scipy.optimize"} & set(sys.modules))
+import scipy.optimize
+fun, x0, jac, kwargs = problems[0]
+want = scipy.optimize.leastsq(fun, x0, Dfun=jac, full_output=True, xtol=kwargs["xtol"],
+                              ftol=kwargs["ftol"], gtol=kwargs["gtol"],
+                              maxfev=kwargs["max_nfev"])
+got = solve(fun, x0, jac, **kwargs)
+state["leastsq_bits"] = (np.array_equal(got.x, want[0]) and np.array_equal(got.fun, want[2]["fvec"])
+                         and got.nfev == want[2]["nfev"])
 print(json.dumps(state))
 """
 
@@ -553,11 +583,15 @@ print(json.dumps(state))
 def test_scipy_loads_at_the_first_gridless_solve_before_its_clock(tmp_path):
     # a fresh interpreter: the package, the grid baselines, the scoring and
     # the bound load no scipy; an M1 call loads it before run_method first
-    # reads the clock, so its time is the solve's alone
+    # reads the clock, so its time is the solve's alone. M1 and M2 import
+    # neither scipy.linalg nor scipy.optimize: their compiled modules load
+    # from file. A later import of scipy.optimize still works, and its
+    # leastsq and refine.least_squares agree bit for bit on an M2 polish
     proc = _run_module("-c", _SCIPY_PROBE, cwd=tmp_path)
     assert proc.returncode == 0, proc.stderr
     state = json.loads(proc.stdout.strip().splitlines()[-1])
-    assert state == {"import": False, "grid": False, "m1_clock_reads": [True, True]}
+    assert state == {"import": False, "grid": False, "m1_clock_reads": [True, True],
+                     "packages": [], "leastsq_bits": True}
 
 
 @pytest.mark.parametrize("experiment", ["convergence", "bogus"])

@@ -121,8 +121,8 @@ def test_varpro_refines_to_truth():
 
 @pytest.mark.parametrize("method", ["M1", "M2"])
 def test_least_squares_matches_scipy_lm_on_the_benchmark_polish(monkeypatch, method):
-    # refine.least_squares is MINPACK's lmder through leastsq; scipy's
-    # least_squares(method='lm') runs the same lmder call, so both must reach
+    # refine.least_squares is MINPACK's lmder, called as leastsq calls it;
+    # scipy's least_squares(method='lm') runs the same lmder call, so both must reach
     # the same end point, residual and evaluation count on every varpro
     # problem of the fri_mc benchmark's seed-0 trials 0-5 (both scenarios,
     # 0/15/30 dB)
@@ -151,12 +151,14 @@ def test_least_squares_matches_scipy_lm_on_the_benchmark_polish(monkeypatch, met
 
 
 def test_varpro_builds_atoms_and_jacobian_once_per_point(monkeypatch):
-    # the residual is asked for at x0 twice and the Jacobian at each accepted
-    # point right after its residual; each distinct point's atoms are built
-    # once, and its derivative atoms once when its Jacobian is first asked for
+    # MINPACK's compiled wrapper asks for the residual at x0 once to size its
+    # output, then lmder asks for it again; every other point's residual is
+    # asked for once, and the Jacobian once at each point it accepts, right
+    # after that point's residual. Each distinct point's atoms are built once,
+    # and its derivative atoms once when its Jacobian is asked for
     _, batch = _batch([-20.5, 8.25], [33.75, -40.0], snr_db=15.0, seed=2)
     counts = {"_atoms": 0, "steering_derivative": 0}
-    asked = {"fun": [], "jac": []}
+    asked = []
 
     def counting(name, fn):
         def wrapper(*args, **kwargs):
@@ -170,21 +172,27 @@ def test_varpro_builds_atoms_and_jacobian_once_per_point(monkeypatch):
 
     def spying(fun, x0, jac, **kwargs):
         def f(th):
-            asked["fun"].append(th.tobytes())
+            asked.append(("fun", th.tobytes()))
             return fun(th)
 
         def j(th):
-            asked["jac"].append(th.tobytes())
+            asked.append(("jac", th.tobytes()))
             return jac(th)
 
         return solve(f, x0, j, **kwargs)
 
     monkeypatch.setattr(refine, "least_squares", spying)
-    varpro_refine(batch.y, batch.operator_paired, np.array([-20.0, 8.5]), np.array([33.5, -40.5]))
-    points, jac_points = set(asked["fun"]) | set(asked["jac"]), set(asked["jac"])
-    assert len(asked["fun"]) > len(set(asked["fun"])) and len(asked["jac"]) > len(jac_points)
+    th0 = (np.array([-20.0, 8.5]), np.array([33.5, -40.5]))
+    varpro_refine(batch.y, batch.operator_paired, *th0)
+    x0 = np.concatenate(th0).tobytes()
+    fun_points = [key for kind, key in asked if kind == "fun"]
+    jac_points = [key for kind, key in asked if kind == "jac"]
+    assert fun_points[:2] == [x0, x0] and len(set(fun_points)) == len(fun_points) - 1
+    assert len(set(jac_points)) == len(jac_points) > 1
+    assert all(asked[i - 1] == ("fun", key) for i, (kind, key) in enumerate(asked)
+               if kind == "jac")
     assert counts["steering_derivative"] == len(jac_points)
-    assert counts["_atoms"] == len(points) + len(jac_points)
+    assert counts["_atoms"] == len(set(fun_points)) + len(jac_points)
 
 
 @pytest.mark.parametrize("k_r", [0, 1, 2, 3])

@@ -395,6 +395,42 @@ def test_rank_truncate_calls_the_lapack_eigensolver_for_its_dtype(monkeypatch):
     assert called == ["zheevd", "dsyevd"]
 
 
+@pytest.mark.parametrize("dtype", [np.complex128, np.complex64, np.float64, np.float32])
+def test_eigh_is_the_routine_get_lapack_funcs_picks(dtype):
+    # eigh takes its routine from scipy's compiled LAPACK module directly:
+    # the routine scipy.linalg's own lookup picks for the dtype, with the
+    # same bits out
+    from scipy.linalg import get_lapack_funcs
+    rng = np.random.default_rng(18)
+    m = rng.standard_normal((6, 6)) + (1j * rng.standard_normal((6, 6))
+                                       if np.dtype(dtype).kind == "c" else 0)
+    gram = (m @ m.conj().T).astype(dtype)
+    name, _ = sl._eigh_routine(gram.dtype)
+    solve, = get_lapack_funcs((name[1:],), dtype=gram.dtype)
+    assert name == solve.typecode + name[1:]
+    w, vecs, info = solve(gram, lower=1)
+    got_w, got_vecs = sl.eigh(gram)
+    assert info == 0 and got_w.dtype == w.dtype and got_vecs.dtype == vecs.dtype
+    assert np.array_equal(got_w, w) and np.array_equal(got_vecs, vecs)
+
+
+def test_load_scipy_names_a_missing_compiled_module(monkeypatch, tmp_path):
+    # a scipy tree without its compiled LAPACK module: the error names the
+    # module, the directory searched and scipy's version
+    import scipy
+    (tmp_path / "scipy").mkdir()
+    monkeypatch.setattr(scipy, "__file__", str(tmp_path / "scipy" / "__init__.py"))
+    sl.load_scipy.cache_clear()
+    try:
+        with pytest.raises(ImportError) as err:
+            sl.load_scipy()
+    finally:
+        monkeypatch.undo()
+        sl.load_scipy.cache_clear()
+    for part in ("scipy.linalg._flapack", str(tmp_path / "scipy" / "linalg"), scipy.__version__):
+        assert part in str(err.value)
+
+
 def test_filter_calls_the_truncations_eigensolver_and_the_step_does_not(monkeypatch):
     # the annihilating filter runs the truncation's LAPACK routine; PGD's
     # step stays off scipy's LAPACK, whose BLAS thread pool a 2n x 2n Gram
